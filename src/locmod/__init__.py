@@ -63,13 +63,12 @@ from .model import (
     exactly,
     nnf,
     normalize_axiom,
-    normalize_ontology,
     normalize_role,
     signature_of,
 )
 from .oracle import (
     Interpretation,
-    brute_force_local,
+    brute_force_refutes_locality,
     eval_concept,
     eval_role,
     find_countermodel,

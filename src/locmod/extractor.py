@@ -6,12 +6,15 @@ changes nothing. The result is independent of the order in which axioms
 are examined. Nested extraction alternates two flavors once; star
 extraction repeats the nested step until the module stops shrinking.
 
-Instead of rescanning the whole ontology after every signature growth, the
-extractor keeps a name-to-axioms index and rechecks only the axioms that
-mention newly added names. A locality verdict depends only on the overlap
-between the signature and the axiom's own names, so this is observationally
-equal to the naive rescan (`naive=True` runs the textbook loop for
-differential testing).
+The extractor works in rounds: each round checks the pending axioms against
+one signature, moves the non-local ones into M, and then grows the signature
+once by their names. The first round checks every axiom; a later round only
+those outside M that mention a name new in the round before, since a verdict
+depends only on the overlap between the signature and the axiom's own names.
+Locality is anti-monotone in Σ, so the fixpoint does not depend on when the
+signature grows, and the result equals that of the textbook loop, which
+rescans the ontology and grows the signature after every added axiom
+(`naive=True` runs it for differential testing).
 """
 
 from __future__ import annotations
@@ -51,9 +54,12 @@ class ModuleResult:
     `extended_signature` is the seed joined with the signature of the
     module; every axiom left outside is local w.r.t. it (axioms whose
     semantic verdict was Unknown were pulled in conservatively and are
-    tallied in `unknown_verdicts`). `rounds` counts signature-growth
-    passes for a plain extraction and nested iterations for a star
-    extraction.
+    tallied in `unknown_verdicts`). For a plain extraction `rounds` counts
+    the rounds that added axioms (passes over the whole ontology with
+    `naive=True`), and `locality_checks` counts every check made, one per
+    pending axiom per round. A nested extraction sums both over its two
+    passes; a star extraction counts nested iterations in `rounds` and sums
+    the checks of all of them.
     """
 
     module: Ontology
@@ -100,17 +106,16 @@ def extract_module(
     """Extract the locality-based module of `o` for the seed `sig`.
 
     With `trace` given, appends one `(round, added_axioms)` tuple per
-    signature-growth pass.
+    round that added axioms.
     """
     started = time.perf_counter()
     checker = _Checker(flavor, refined, budget)
     axioms = o.axioms
-    sigs = [signature_of(a) for a in axioms]
     in_module = [False] * len(axioms)
     working = sig
+    rounds = 0
 
     if naive:
-        rounds = 0
         changed = True
         while changed:
             changed = False
@@ -120,7 +125,7 @@ def extract_module(
                     continue
                 if not checker.is_local(a, working):
                     in_module[i] = True
-                    working = working | sigs[i]
+                    working = working | signature_of(a)
                     added.append(i)
                     changed = True
             if added:
@@ -128,39 +133,24 @@ def extract_module(
                 if trace is not None:
                     trace.append((rounds, [axioms[i] for i in added]))
     else:
-        index: dict[str, list[int]] = {}
-        for i, s in enumerate(sigs):
-            for name in s.concept_names | s.role_names:
-                index.setdefault(name, []).append(i)
-        rounds = 0
-        dirty = list(range(len(axioms)))
-        while dirty:
-            added = []
-            new_names: set[str] = set()
-            for i in dirty:
-                if in_module[i]:
-                    continue
-                if not checker.is_local(axioms[i], working):
-                    in_module[i] = True
-                    s = sigs[i]
-                    fresh = (s.concept_names | s.role_names) - (
-                        working.concept_names | working.role_names
-                    )
-                    new_names |= fresh
-                    working = working | s
-                    added.append(i)
-            if added:
-                rounds += 1
-                if trace is not None:
-                    trace.append((rounds, [axioms[i] for i in added]))
-            seen: set[int] = set()
-            dirty = []
-            for name in sorted(new_names):
-                for j in index.get(name, ()):
-                    if not in_module[j] and j not in seen:
-                        seen.add(j)
-                        dirty.append(j)
-            dirty.sort()
+        sigs = o.axiom_signatures
+        index = o.name_index
+        pending = list(range(len(axioms)))
+        while True:
+            added = [i for i in pending if not checker.is_local(axioms[i], working)]
+            if not added:
+                break
+            rounds += 1
+            if trace is not None:
+                trace.append((rounds, [axioms[i] for i in added]))
+            for i in added:
+                in_module[i] = True
+            gained = Signature.union(sigs[i] for i in added)
+            fresh = (gained.concept_names - working.concept_names) | (
+                gained.role_names - working.role_names
+            )
+            working = working | gained
+            pending = sorted({j for name in fresh for j in index[name] if not in_module[j]})
 
     module = Ontology(
         tuple(a for i, a in enumerate(axioms) if in_module[i]),
@@ -247,8 +237,8 @@ def genuine_modules(
     therefore at most linear in the ontology."""
     seen: dict[frozenset[Axiom], None] = {}
     out: list[tuple[Axiom, ModuleResult]] = []
-    for axiom in o.axioms:
-        result = extract_module(o, signature_of(axiom), flavor, **options)
+    for axiom, axiom_sig in zip(o.axioms, o.axiom_signatures):
+        result = extract_module(o, axiom_sig, flavor, **options)
         key = frozenset(result.module.axioms)
         if key in seen:
             continue

@@ -272,7 +272,8 @@ def _module_case(o, axioms, sig, case_id, test, budget, timed):
             f"{o.name}: semantic module exceeds syntactic module w.r.t. {sig}; "
             f"first extra axiom: {extra}"
         )
-    diff = sorted(i for i, a in enumerate(axioms) if a in syn_set - sem_set)
+    dropped = syn_set - sem_set
+    diff = [i for i, a in enumerate(axioms) if a in dropped]
     if not diff:
         return None
     return DifferenceRecord(
@@ -332,9 +333,7 @@ def run_comparison(
             return _module_case(o, axioms, sig, case_id, "T1b", budget, measure_timings)
 
     else:
-        cases = [
-            (signature_of(a), _axiom_id(i)) for i, a in enumerate(axioms)
-        ]
+        cases = [(s, _axiom_id(i)) for i, s in enumerate(o.axiom_signatures)]
 
         def run_case(case):
             sig, case_id = case

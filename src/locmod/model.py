@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Union
+from functools import cached_property, lru_cache
+from typing import Iterable, Union
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +390,19 @@ class Signature:
             self.individual_names | other.individual_names,
         )
 
+    @staticmethod
+    def union(sigs: Iterable["Signature"]) -> "Signature":
+        """Join of any number of signatures, built in one pass (a chain of
+        `|` would copy the growing name sets once per operand)."""
+        concepts: set[str] = set()
+        roles: set[str] = set()
+        individuals: set[str] = set()
+        for s in sigs:
+            concepts |= s.concept_names
+            roles |= s.role_names
+            individuals |= s.individual_names
+        return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
+
     def __and__(self, other: "Signature") -> "Signature":
         return Signature(
             self.concept_names & other.concept_names,
@@ -426,6 +439,10 @@ class Ontology:
     `declared` records entity declarations seen by the parser (a superset
     of the used signature when the source file declares unused names); it
     does not affect the ontology's own signature.
+
+    `axiom_signatures` and `name_index` are computed on first use and kept
+    by the instance (they are not fields, so equality, hashing and repr
+    ignore them); every extraction over the same instance shares them.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -440,6 +457,21 @@ class Ontology:
 
     def __iter__(self):
         return iter(self.axioms)
+
+    @cached_property
+    def axiom_signatures(self) -> tuple[Signature, ...]:
+        """`signature_of` of each axiom, in axiom order."""
+        return tuple(signature_of(a) for a in self.axioms)
+
+    @cached_property
+    def name_index(self) -> dict[str, list[int]]:
+        """Positions of the axioms that mention each concept or role name,
+        ascending. Read-only: the instance hands out this same dict."""
+        index: dict[str, list[int]] = {}
+        for i, s in enumerate(self.axiom_signatures):
+            for name in s.concept_names | s.role_names:
+                index.setdefault(name, []).append(i)
+        return index
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +536,7 @@ def signature_of(x: Union[Axiom, Concept, Role, Ontology]) -> Signature:
     nothing.
     """
     if isinstance(x, Ontology):
-        concepts: set[str] = set()
-        roles: set[str] = set()
-        individuals: set[str] = set()
-        for a in x.axioms:
-            s = _axiom_signature(a)
-            concepts |= s.concept_names
-            roles |= s.role_names
-            individuals |= s.individual_names
-        return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
+        return Signature.union(x.axiom_signatures)
     if isinstance(x, Axiom):
         return _axiom_signature(x)
     if isinstance(x, Concept):
@@ -603,14 +627,6 @@ def normalize_axiom(a: Axiom) -> list[Axiom]:
     if isinstance(a, DisjointClasses):
         return [SubClassOf(conj(a.left, a.right), BOTTOM)]
     return [a]
-
-
-def normalize_ontology(o: Ontology) -> Ontology:
-    """Apply `normalize_axiom` to every axiom, deduplicating the result."""
-    out: list[Axiom] = []
-    for a in o.axioms:
-        out.extend(normalize_axiom(a))
-    return Ontology(tuple(out), name=o.name, declared=o.declared)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ __all__ = [
     "eval_role",
     "holds",
     "find_countermodel",
-    "brute_force_local",
+    "brute_force_refutes_locality",
 ]
 
 
@@ -413,7 +413,7 @@ def find_countermodel(a: Axiom, max_domain: int = 3) -> Interpretation | None:
     return None
 
 
-def brute_force_local(
+def brute_force_refutes_locality(
     a: Axiom,
     sig: Signature,
     flavor: LocalityFlavor,

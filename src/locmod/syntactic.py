@@ -73,30 +73,14 @@ def _role_outside(r: Role, sig: Signature) -> bool:
     return name not in sig.role_names
 
 
-def classify_concept(
-    c: Concept, sig: Signature, flavor: LocalityFlavor, _cache: dict | None = None
-) -> SyntacticClass:
-    """Classify `c` as IN_BOT, IN_TOP, or NEITHER for the given flavor.
-
-    Single recursive pass, memoized per sub-expression (the signature is
-    fixed for the duration of one call).
-    """
+def classify_concept(c: Concept, sig: Signature, flavor: LocalityFlavor) -> SyntacticClass:
+    """Classify `c` as IN_BOT, IN_TOP, or NEITHER for the given flavor in a
+    single recursive pass."""
     _check_syntactic(flavor)
-    if _cache is None:
-        _cache = {}
-    return _classify(c, sig, flavor is LocalityFlavor.SYN_BOT, _cache)
+    return _classify(c, sig, flavor is LocalityFlavor.SYN_BOT)
 
 
-def _classify(c, sig, bot_flavor, cache) -> SyntacticClass:
-    hit = cache.get(c)
-    if hit is not None:
-        return hit
-    cls = _classify_uncached(c, sig, bot_flavor, cache)
-    cache[c] = cls
-    return cls
-
-
-def _classify_uncached(c, sig, bot_flavor, cache) -> SyntacticClass:
+def _classify(c, sig, bot_flavor) -> SyntacticClass:
     if isinstance(c, BottomType):
         return SyntacticClass.IN_BOT
     if isinstance(c, TopType):
@@ -109,28 +93,28 @@ def _classify_uncached(c, sig, bot_flavor, cache) -> SyntacticClass:
         # A nominal denotes a nonempty singleton whatever the signature.
         return SyntacticClass.NEITHER
     if isinstance(c, Not):
-        sub = _classify(c.arg, sig, bot_flavor, cache)
+        sub = _classify(c.arg, sig, bot_flavor)
         if sub is SyntacticClass.IN_TOP:
             return SyntacticClass.IN_BOT
         if sub is SyntacticClass.IN_BOT:
             return SyntacticClass.IN_TOP
         return SyntacticClass.NEITHER
     if isinstance(c, And):
-        kinds = [_classify(a, sig, bot_flavor, cache) for a in c.args]
+        kinds = [_classify(a, sig, bot_flavor) for a in c.args]
         if any(k is SyntacticClass.IN_BOT for k in kinds):
             return SyntacticClass.IN_BOT
         if all(k is SyntacticClass.IN_TOP for k in kinds):
             return SyntacticClass.IN_TOP
         return SyntacticClass.NEITHER
     if isinstance(c, Or):
-        kinds = [_classify(a, sig, bot_flavor, cache) for a in c.args]
+        kinds = [_classify(a, sig, bot_flavor) for a in c.args]
         if any(k is SyntacticClass.IN_TOP for k in kinds):
             return SyntacticClass.IN_TOP
         if all(k is SyntacticClass.IN_BOT for k in kinds):
             return SyntacticClass.IN_BOT
         return SyntacticClass.NEITHER
     if isinstance(c, Exists):
-        filler = _classify(c.filler, sig, bot_flavor, cache)
+        filler = _classify(c.filler, sig, bot_flavor)
         outside = _role_outside(c.role, sig)
         if bot_flavor:
             if filler is SyntacticClass.IN_BOT or outside:
@@ -144,7 +128,7 @@ def _classify_uncached(c, sig, bot_flavor, cache) -> SyntacticClass:
     if isinstance(c, AtLeast):
         if c.n == 0:
             return SyntacticClass.IN_TOP
-        filler = _classify(c.filler, sig, bot_flavor, cache)
+        filler = _classify(c.filler, sig, bot_flavor)
         outside = _role_outside(c.role, sig)
         if bot_flavor:
             if filler is SyntacticClass.IN_BOT or outside:
@@ -156,7 +140,7 @@ def _classify_uncached(c, sig, bot_flavor, cache) -> SyntacticClass:
             return SyntacticClass.IN_TOP
         return SyntacticClass.NEITHER
     if isinstance(c, ForAll):
-        filler = _classify(c.filler, sig, bot_flavor, cache)
+        filler = _classify(c.filler, sig, bot_flavor)
         if filler is SyntacticClass.IN_TOP:
             return SyntacticClass.IN_TOP
         if bot_flavor and _role_outside(c.role, sig):
@@ -167,7 +151,7 @@ def _classify_uncached(c, sig, bot_flavor, cache) -> SyntacticClass:
         if bot_flavor:
             if _role_outside(c.role, sig):
                 return SyntacticClass.IN_TOP
-            if _classify(c.filler, sig, bot_flavor, cache) is SyntacticClass.IN_BOT:
+            if _classify(c.filler, sig, bot_flavor) is SyntacticClass.IN_BOT:
                 return SyntacticClass.IN_TOP
         return SyntacticClass.NEITHER
     raise TypeError(f"not a concept: {c!r}")
@@ -193,14 +177,13 @@ def is_syntactically_local(
 
 def _axiom_local(a, sig, flavor, refined) -> bool:
     bot_flavor = flavor is LocalityFlavor.SYN_BOT
-    cache: dict = {}
     if isinstance(a, SubClassOf):
-        if _classify(a.sub, sig, bot_flavor, cache) is SyntacticClass.IN_BOT:
+        if _classify(a.sub, sig, bot_flavor) is SyntacticClass.IN_BOT:
             return True
-        return _classify(a.sup, sig, bot_flavor, cache) is SyntacticClass.IN_TOP
+        return _classify(a.sup, sig, bot_flavor) is SyntacticClass.IN_TOP
     if isinstance(a, EquivalentClasses):
-        left = _classify(a.left, sig, bot_flavor, cache)
-        right = _classify(a.right, sig, bot_flavor, cache)
+        left = _classify(a.left, sig, bot_flavor)
+        right = _classify(a.right, sig, bot_flavor)
         return left is right and left is not SyntacticClass.NEITHER
     if isinstance(a, SubRoleOf):
         return _role_outside(a.sub if bot_flavor else a.sup, sig)

@@ -12,7 +12,7 @@ from locmod import (
     SYN_STAR,
     Signature,
     SubClassOf,
-    brute_force_local,
+    brute_force_refutes_locality,
     extract_module,
     extract_nested,
     extract_star,
@@ -22,7 +22,7 @@ from locmod import (
     signature_of,
 )
 from conftest import CORPUS_NAMES, load_fixture
-from genlib import random_signature
+from genlib import random_signature, synthetic_ontology
 
 A, B = ConceptName("A"), ConceptName("B")
 ALL_FLAVORS = tuple(LocalityFlavor)
@@ -68,7 +68,7 @@ class TestExtractModule:
         assert module_set(result) == frozenset()
         # the referee agrees both axioms are harmless for this seed
         for a in o.axioms:
-            assert not brute_force_local(a, sig, LocalityFlavor.SEM_BOT)
+            assert not brute_force_refutes_locality(a, sig, LocalityFlavor.SEM_BOT)
             assert is_semantically_local(a, sig, LocalityFlavor.SEM_BOT).is_local
 
     def test_post_hoc_correctness(self):
@@ -102,20 +102,36 @@ class TestExtractModule:
         assert result.extended_signature == sig | signature_of(result.module)
 
     def test_worklist_equals_naive(self):
+        # the fixtures under random seeds, plus a synthetic ontology whose
+        # few-name seeds pull in most of it over several rounds
         rng = random.Random(42)
-        for name in CORPUS_NAMES:
-            o = load_fixture(name)
+        inputs = [(load_fixture(name), 0.5) for name in CORPUS_NAMES]
+        inputs.append((synthetic_ontology(300), 0.03))
+        for o, p in inputs:
             entities = signature_of(o)
             for _ in range(10):
                 sig = random_signature(
                     rng,
+                    p,
                     concepts=sorted(entities.concept_names),
                     roles=sorted(entities.role_names),
                 )
-                for flavor in (LocalityFlavor.SYN_BOT, LocalityFlavor.SYN_TOP):
-                    fast = extract_module(o, sig, flavor)
-                    slow = extract_module(o, sig, flavor, naive=True)
+                runs = [(extract_module, flavor) for flavor in ALL_FLAVORS]
+                runs += [(extract_star, pair) for pair in (SYN_STAR, SEM_STAR)]
+                for extract, flavor in runs:
+                    fast = extract(o, sig, flavor)
+                    slow = extract(o, sig, flavor, naive=True)
                     assert module_set(fast) == module_set(slow)
+                    assert fast.extended_signature == slow.extended_signature
+        # genuine modules share one name index across all their extractions
+        o = load_fixture("taxonomy.ofs")
+        for flavor in ALL_FLAVORS:
+            first_seeds: dict[frozenset, object] = {}
+            for a in o.axioms:
+                slow = extract_module(o, signature_of(a), flavor, naive=True)
+                first_seeds.setdefault(module_set(slow), a)
+            genuine = [(a, module_set(r)) for a, r in genuine_modules(o, flavor)]
+            assert genuine == [(a, m) for m, a in first_seeds.items()]
 
     def test_order_independence(self):
         rng = random.Random(43)

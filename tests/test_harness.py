@@ -28,6 +28,7 @@ from locmod import (
     signature_of,
 )
 import locmod.harness as harness
+from conftest import load_fixture
 from genlib import synthetic_ontology
 
 
@@ -160,9 +161,11 @@ class TestRunComparison:
 
     def test_jobs_do_not_change_records(self, koala):
         cfg = SamplingConfig(sample_count=60, rng_seed=6)
-        solo = run_comparison(koala, "t1a", cfg)
-        threaded = run_comparison(koala, "t1a", cfg, jobs=4)
-        assert solo == threaded
+        for mode in ("t1a", "t1b"):
+            solo = run_comparison(koala, mode, cfg)
+            # a fresh instance: the threads meet its per-ontology caches cold
+            threaded = run_comparison(load_fixture("koala.ofs"), mode, cfg, jobs=4)
+            assert solo == threaded
 
     def test_timings_are_recorded_on_request(self, koala):
         cfg = SamplingConfig(sample_count=40, rng_seed=7)

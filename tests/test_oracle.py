@@ -19,7 +19,7 @@ from locmod import (
     SubClassOf,
     TOP,
     Transitive,
-    brute_force_local,
+    brute_force_refutes_locality,
     conj,
     eval_concept,
     exactly,
@@ -141,18 +141,18 @@ class TestFindCountermodel:
 
 class TestBruteForceLocal:
     def test_shared_name_equivalence_refuted(self):
-        assert brute_force_local(EquivalentClasses(A, B), Signature({"A"}), SEM_BOT)
+        assert brute_force_refutes_locality(EquivalentClasses(A, B), Signature({"A"}), SEM_BOT)
 
     def test_trivial_subsumption_not_refuted(self):
-        assert not brute_force_local(SubClassOf(A, TOP), Signature(), SEM_BOT)
+        assert not brute_force_refutes_locality(SubClassOf(A, TOP), Signature(), SEM_BOT)
 
     def test_inverse_tautology_not_refuted(self):
         axiom = InverseRoles(RoleName("P"), Inverse(RoleName("P")))
-        assert not brute_force_local(axiom, Signature(role_names={"P"}), SEM_BOT)
+        assert not brute_force_refutes_locality(axiom, Signature(role_names={"P"}), SEM_BOT)
 
     def test_rejects_syntactic_flavor(self):
         with pytest.raises(ValueError):
-            brute_force_local(SubClassOf(A, B), Signature(), LocalityFlavor.SYN_BOT)
+            brute_force_refutes_locality(SubClassOf(A, B), Signature(), LocalityFlavor.SYN_BOT)
 
     def test_one_sided_agreement_with_checker(self):
         # refuted by enumeration => the checker must not call it local
@@ -162,7 +162,7 @@ class TestBruteForceLocal:
             a = random_axiom(rng, depth=2, concepts=("A", "B"), roles=("r",))
             sig = random_signature(rng, concepts=("A", "B"), roles=("r",))
             flavor = rng.choice((SEM_BOT, SEM_TOP))
-            if brute_force_local(a, sig, flavor, max_domain=2):
+            if brute_force_refutes_locality(a, sig, flavor, max_domain=2):
                 refuted += 1
                 verdict = is_semantically_local(a, sig, flavor)
                 assert verdict.status in (Locality.NON_LOCAL, Locality.UNKNOWN)

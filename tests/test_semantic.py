@@ -184,14 +184,14 @@ class TestLocality:
         # elements: a singleton interpretation refutes the substituted
         # axiom. The checker must answer Unknown there, never Local, so the
         # conservative direction survives.
-        from locmod import brute_force_local
+        from locmod import brute_force_refutes_locality
 
         axiom = SubClassOf(A, AtLeast(2, R, B))
         sig = Signature({"A"})
         assert is_syntactically_local(axiom, sig, LocalityFlavor.SYN_TOP)
         verdict = is_semantically_local(axiom, sig, SEM_TOP)
         assert verdict.status is Locality.UNKNOWN
-        assert brute_force_local(axiom, sig, SEM_TOP, max_domain=1)
+        assert brute_force_refutes_locality(axiom, sig, SEM_TOP, max_domain=1)
 
 
 class TestImplicationSample:
