@@ -88,7 +88,6 @@ from .semantic import (
     is_semantically_local,
     is_tautology,
     simplify,
-    simplify_axiom,
     substitute,
 )
 from .syntactic import SyntacticClass, classify_concept, is_syntactically_local

@@ -137,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument(
         "--measure-timings",
         action="store_true",
@@ -328,7 +327,6 @@ def _cmd_compare(args) -> int:
                 mode,
                 cfg,
                 budget=budget,
-                jobs=args.jobs,
                 measure_timings=args.measure_timings,
             )
             unknowns += sum(r.unknown_verdicts for r in rs)

@@ -15,6 +15,11 @@ Locality is anti-monotone in Σ, so the fixpoint does not depend on when the
 signature grows, and the result equals that of the textbook loop, which
 rescans the ontology and grows the signature after every added axiom
 (`naive=True` runs it for differential testing).
+
+Both loops check axioms by their index in the ontology. Semantic verdicts
+are kept in the ontology's memo (`semantic.verdict_in`), so extractions over
+one instance share them; the modules of a nested or star extraction are new
+instances whose memos start empty.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .model import (
     Signature,
     signature_of,
 )
-from .semantic import Locality, is_semantically_local
+from .semantic import Locality, verdict_in
 from .syntactic import is_syntactically_local
 from .tableau import Budget
 
@@ -73,20 +78,27 @@ class ModuleResult:
 
 
 class _Checker:
-    """Locality test dispatch with check/unknown counters."""
+    """Locality test of the axioms of one ontology, by index, with
+    check/unknown counters. Semantic verdicts go through the ontology's
+    memo (`semantic.verdict_in`)."""
 
-    def __init__(self, flavor: LocalityFlavor, refined: bool, budget: Budget | None):
+    def __init__(
+        self, o: Ontology, flavor: LocalityFlavor, refined: bool, budget: Budget | None
+    ):
+        self.o = o
+        self.axioms = o.axioms
         self.flavor = flavor
+        self.syntactic = flavor.is_syntactic
         self.refined = refined
         self.budget = budget
         self.checks = 0
         self.unknowns = 0
 
-    def is_local(self, axiom: Axiom, sig: Signature) -> bool:
+    def is_local(self, i: int, sig: Signature) -> bool:
         self.checks += 1
-        if self.flavor.is_syntactic:
-            return is_syntactically_local(axiom, sig, self.flavor, self.refined)
-        verdict = is_semantically_local(axiom, sig, self.flavor, self.budget)
+        if self.syntactic:
+            return is_syntactically_local(self.axioms[i], sig, self.flavor, self.refined)
+        verdict = verdict_in(self.o, i, sig, self.flavor, self.budget)
         if verdict.status is Locality.UNKNOWN:
             self.unknowns += 1
             return False
@@ -109,7 +121,7 @@ def extract_module(
     round that added axioms.
     """
     started = time.perf_counter()
-    checker = _Checker(flavor, refined, budget)
+    checker = _Checker(o, flavor, refined, budget)
     axioms = o.axioms
     in_module = [False] * len(axioms)
     working = sig
@@ -123,7 +135,7 @@ def extract_module(
             for i, a in enumerate(axioms):
                 if in_module[i]:
                     continue
-                if not checker.is_local(a, working):
+                if not checker.is_local(i, working):
                     in_module[i] = True
                     working = working | signature_of(a)
                     added.append(i)
@@ -137,7 +149,7 @@ def extract_module(
         index = o.name_index
         pending = list(range(len(axioms)))
         while True:
-            added = [i for i in pending if not checker.is_local(axioms[i], working)]
+            added = [i for i in pending if not checker.is_local(i, working)]
             if not added:
                 break
             rounds += 1
@@ -183,7 +195,7 @@ def extract_nested(
     return ModuleResult(
         module=outer.module,
         seed_signature=sig,
-        extended_signature=sig | signature_of(outer.module),
+        extended_signature=outer.extended_signature,
         flavor=pair,
         rounds=inner.rounds + outer.rounds,
         locality_checks=inner.locality_checks + outer.locality_checks,
@@ -200,7 +212,8 @@ def extract_star(
 ) -> ModuleResult:
     """Iterate nested extraction from the full ontology until the module
     reaches a fixpoint. `rounds` is the smallest n with Mₙ = Mₙ₊₁; the
-    chain strictly shrinks until then."""
+    chain strictly shrinks until then. The extended signature is that of
+    the last nested step, which returned the fixpoint module."""
     started = time.perf_counter()
     checks = 0
     unknowns = 0
@@ -217,7 +230,7 @@ def extract_star(
     return ModuleResult(
         module=current,
         seed_signature=sig,
-        extended_signature=sig | signature_of(current),
+        extended_signature=step.extended_signature,
         flavor=pair,
         rounds=rounds,
         locality_checks=checks,

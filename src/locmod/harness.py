@@ -46,7 +46,7 @@ from .model import (
     normalize_role,
     signature_of,
 )
-from .semantic import Locality, is_semantically_local
+from .semantic import Locality, verdict_in
 from .syntactic import is_syntactically_local
 from .tableau import Budget
 
@@ -222,7 +222,7 @@ def _t1a_case(o, axioms, sig, case_id, budget, timed):
     unknowns = 0
     started = time.perf_counter() if timed else 0.0
     for i, a in enumerate(axioms):
-        verdict = is_semantically_local(a, sig, LocalityFlavor.SEM_BOT, budget)
+        verdict = verdict_in(o, i, sig, LocalityFlavor.SEM_BOT, budget)
         if verdict.status is Locality.NON_LOCAL:
             sem_nonlocal.add(i)
             if i not in syn_nonlocal:

@@ -403,20 +403,6 @@ class Signature:
             individuals |= s.individual_names
         return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
 
-    def __and__(self, other: "Signature") -> "Signature":
-        return Signature(
-            self.concept_names & other.concept_names,
-            self.role_names & other.role_names,
-            self.individual_names & other.individual_names,
-        )
-
-    def __le__(self, other: "Signature") -> bool:
-        return (
-            self.concept_names <= other.concept_names
-            and self.role_names <= other.role_names
-            and self.individual_names <= other.individual_names
-        )
-
     @property
     def term_count(self) -> int:
         """Number of concept plus role names (individuals excluded)."""
@@ -440,9 +426,9 @@ class Ontology:
     of the used signature when the source file declares unused names); it
     does not affect the ontology's own signature.
 
-    `axiom_signatures` and `name_index` are computed on first use and kept
-    by the instance (they are not fields, so equality, hashing and repr
-    ignore them); every extraction over the same instance shares them.
+    `axiom_signatures`, `name_index` and `verdicts` are made on first use
+    and kept by the instance (they are not fields, so equality, hashing and
+    repr ignore them); every extraction over the same instance shares them.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -472,6 +458,12 @@ class Ontology:
             for name in s.concept_names | s.role_names:
                 index.setdefault(name, []).append(i)
         return index
+
+    @cached_property
+    def verdicts(self) -> dict:
+        """Definite semantic locality verdicts of the axioms, filled by
+        `semantic.verdict_in`, which also defines the keys."""
+        return {}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .model import (
     And,
@@ -37,6 +36,7 @@ from .model import (
     LocalityFlavor,
     Not,
     OneOf,
+    Ontology,
     Or,
     Range,
     Role,
@@ -54,7 +54,6 @@ from .model import (
     normalize_axiom,
     normalize_role,
     role_name_of,
-    signature_of,
 )
 from .tableau import Budget, DEFAULT_BUDGET, SatStatus, is_satisfiable
 
@@ -65,6 +64,7 @@ __all__ = [
     "simplify",
     "is_tautology",
     "is_semantically_local",
+    "verdict_in",
 ]
 
 
@@ -241,20 +241,6 @@ def simplify(c: Concept) -> Concept:
     return c
 
 
-def simplify_axiom(a: Axiom) -> Axiom:
-    """`simplify` applied to both concept sides of an axiom."""
-    if isinstance(a, SubClassOf):
-        return SubClassOf(simplify(a.sub), simplify(a.sup))
-    if isinstance(a, EquivalentClasses):
-        return EquivalentClasses(simplify(a.left), simplify(a.right))
-    if isinstance(a, DisjointClasses):
-        return DisjointClasses(simplify(a.left), simplify(a.right))
-    if isinstance(a, (Domain, Range)):
-        cls = type(a)
-        return cls(a.role, simplify(a.filler))
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Validity
 # ---------------------------------------------------------------------------
@@ -303,28 +289,13 @@ def is_semantically_local(
 ) -> Verdict:
     """Decide semantic locality of `a` w.r.t. `sig` for the given flavor.
 
-    The verdict only depends on the part of the signature that intersects
-    the axiom's own names, which makes results cacheable across the many
-    signatures an experiment run visits.
+    The axiom is normalized and each part decided on its own; the result
+    is the worst verdict of the parts. Nothing is memoized: `verdict_in`
+    keeps the definite verdicts of an ontology's axioms.
     """
     _check_semantic(flavor)
     if budget is None:
         budget = DEFAULT_BUDGET
-    relevant = sig & signature_of(a)
-    return _cached_verdict(
-        a,
-        relevant.concept_names,
-        relevant.role_names,
-        flavor,
-        budget.max_steps,
-        budget.max_seconds,
-    )
-
-
-@lru_cache(maxsize=None)
-def _cached_verdict(a, concept_names, role_names, flavor, max_steps, max_seconds):
-    sig = Signature(concept_names, role_names)
-    budget = Budget(max_steps, max_seconds)
     worst = LOCAL
     for part in normalize_axiom(a):
         v = _verdict_one(part, sig, flavor, budget)
@@ -333,6 +304,36 @@ def _cached_verdict(a, concept_names, role_names, flavor, max_steps, max_seconds
         if v.status is Locality.UNKNOWN:
             worst = v
     return worst
+
+
+def verdict_in(
+    o: Ontology,
+    i: int,
+    sig: Signature,
+    flavor: LocalityFlavor,
+    budget: Budget | None = None,
+) -> Verdict:
+    """`is_semantically_local` of axiom `i` of `o`, memoized in `o.verdicts`.
+
+    Substitution reads only the concept and role names of the axiom, so the
+    verdict depends on `sig` only through the names the two share; the key
+    is the axiom index, the flavor and those shared names. LOCAL and
+    NON_LOCAL hold under every budget, so no budget enters the key; an
+    UNKNOWN is returned but not kept, and a later call tries again.
+    """
+    names = o.axiom_signatures[i]
+    key = (
+        i,
+        flavor,
+        sig.concept_names & names.concept_names,
+        sig.role_names & names.role_names,
+    )
+    verdict = o.verdicts.get(key)
+    if verdict is None:
+        verdict = is_semantically_local(o.axioms[i], sig, flavor, budget)
+        if verdict.status is not Locality.UNKNOWN:
+            o.verdicts[key] = verdict
+    return verdict
 
 
 def _verdict_one(a: Axiom, sig: Signature, flavor: LocalityFlavor, budget: Budget) -> Verdict:

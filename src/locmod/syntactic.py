@@ -113,21 +113,10 @@ def _classify(c, sig, bot_flavor) -> SyntacticClass:
         if all(k is SyntacticClass.IN_BOT for k in kinds):
             return SyntacticClass.IN_BOT
         return SyntacticClass.NEITHER
-    if isinstance(c, Exists):
-        filler = _classify(c.filler, sig, bot_flavor)
-        outside = _role_outside(c.role, sig)
-        if bot_flavor:
-            if filler is SyntacticClass.IN_BOT or outside:
-                return SyntacticClass.IN_BOT
-            return SyntacticClass.NEITHER
-        if filler is SyntacticClass.IN_BOT:
-            return SyntacticClass.IN_BOT
-        if outside and filler is SyntacticClass.IN_TOP:
-            return SyntacticClass.IN_TOP
-        return SyntacticClass.NEITHER
-    if isinstance(c, AtLeast):
-        if c.n == 0:
-            return SyntacticClass.IN_TOP
+    if isinstance(c, AtLeast) and c.n == 0:
+        return SyntacticClass.IN_TOP
+    if isinstance(c, (Exists, AtLeast)):
+        # ∃R.C is ≥1 R.C
         filler = _classify(c.filler, sig, bot_flavor)
         outside = _role_outside(c.role, sig)
         if bot_flavor:

@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import Iterator
 
 from .model import (
     And,
@@ -276,24 +277,35 @@ def is_satisfiable(c: Concept, budget: Budget | None = None) -> SatResult:
 
 def _search(state: _State, meter: _Meter) -> _State | None:
     """Depth-first expansion. Returns a saturated open state or None when
-    every branch closes."""
+    every branch closes.
+
+    Choice points live on an explicit stack of (state at the choice, its
+    untried alternatives), so the number of nested choices is not bounded
+    by Python's recursion limit. One tick per expansion step."""
+    choices: list[tuple[_State, Iterator]] = []
     while True:
         meter.tick()
-        if state.find_clash():
+        if not state.find_clash():
+            if _apply_deterministic(state):
+                continue
+            alts = _branching_alternatives(state)
+            if alts is None:
+                return state
+            choices.append((state, iter(alts)))
+        # the branch closed or branches here: go on with the next untried
+        # alternative of the innermost open choice point
+        state = None
+        while state is None and choices:
+            base, untried = choices[-1]
+            for apply_alt in untried:
+                candidate = base.clone()
+                if apply_alt(candidate):  # False: it closed at once (bad merge)
+                    state = candidate
+                    break
+            else:
+                choices.pop()
+        if state is None:
             return None
-        if _apply_deterministic(state):
-            continue
-        alts = _branching_alternatives(state)
-        if alts is None:
-            return state
-        for apply_alt in alts:
-            candidate = state.clone()
-            if not apply_alt(candidate):
-                continue  # the alternative closed immediately (bad merge)
-            result = _search(candidate, meter)
-            if result is not None:
-                return result
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -360,57 +372,40 @@ def _apply_deterministic(state: _State) -> bool:
         if x not in state.nodes:
             continue
         for c in list(state.nodes[x].label):
+            # ∃R.C is ≥1 R.C
             if isinstance(c, Exists):
-                role = normalize_role(c.role)
-                if isinstance(role, EmptyRoleType):
-                    continue  # clash already reported
-                if isinstance(role, UniversalRoleType):
-                    if any(
-                        c.filler in state.nodes[y].label for y in state.nodes
-                    ):
-                        continue
-                    y = state.new_node()
-                    state.add(y, c.filler)
-                    return True
-                if any(
-                    c.filler in state.nodes[y].label
-                    for y in state.successors(x, role)
-                ):
+                n = 1
+            elif isinstance(c, AtLeast) and c.n >= 1:
+                n = c.n
+            else:
+                continue
+            role = normalize_role(c.role)
+            if isinstance(role, EmptyRoleType):
+                continue  # clash already reported
+            if isinstance(role, UniversalRoleType):
+                # n == 1 here; larger n is behind the safety valve
+                if any(c.filler in state.nodes[y].label for y in state.nodes):
                     continue
+                y = state.new_node()
+                state.add(y, c.filler)
+                return True
+            witnesses = [
+                y
+                for y in state.successors(x, role)
+                if c.filler in state.nodes[y].label
+            ]
+            if _has_distinct_subset(witnesses, n, state.distinct):
+                continue
+            fresh = []
+            for _ in range(n):
                 y = state.new_node()
                 state.nodes[x].edges.append((role, y))
                 state.add(y, c.filler)
-                return True
-            if isinstance(c, AtLeast) and c.n >= 1:
-                role = normalize_role(c.role)
-                if isinstance(role, EmptyRoleType):
-                    continue
-                if isinstance(role, UniversalRoleType):
-                    # n == 1 here; larger n is behind the safety valve
-                    if any(
-                        c.filler in state.nodes[y].label for y in state.nodes
-                    ):
-                        continue
-                    y = state.new_node()
-                    state.add(y, c.filler)
-                    return True
-                witnesses = [
-                    y
-                    for y in state.successors(x, role)
-                    if c.filler in state.nodes[y].label
-                ]
-                if _has_distinct_subset(witnesses, c.n, state.distinct):
-                    continue
-                fresh = []
-                for _ in range(c.n):
-                    y = state.new_node()
-                    state.nodes[x].edges.append((role, y))
-                    state.add(y, c.filler)
-                    fresh.append(y)
-                for i in range(len(fresh)):
-                    for j in range(i + 1, len(fresh)):
-                        state.distinct.add(frozenset((fresh[i], fresh[j])))
-                return True
+                fresh.append(y)
+            for i in range(len(fresh)):
+                for j in range(i + 1, len(fresh)):
+                    state.distinct.add(frozenset((fresh[i], fresh[j])))
+            return True
     return False
 
 

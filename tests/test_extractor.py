@@ -117,12 +117,17 @@ class TestExtractModule:
                     roles=sorted(entities.role_names),
                 )
                 runs = [(extract_module, flavor) for flavor in ALL_FLAVORS]
-                runs += [(extract_star, pair) for pair in (SYN_STAR, SEM_STAR)]
+                runs += [
+                    (extract, pair)
+                    for extract in (extract_nested, extract_star)
+                    for pair in (SYN_STAR, SEM_STAR)
+                ]
                 for extract, flavor in runs:
                     fast = extract(o, sig, flavor)
                     slow = extract(o, sig, flavor, naive=True)
                     assert module_set(fast) == module_set(slow)
                     assert fast.extended_signature == slow.extended_signature
+                    assert fast.extended_signature == sig | signature_of(fast.module)
         # genuine modules share one name index across all their extractions
         o = load_fixture("taxonomy.ofs")
         for flavor in ALL_FLAVORS:

@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 
 import pytest
 
@@ -161,10 +162,17 @@ class TestRunComparison:
 
     def test_jobs_do_not_change_records(self, koala):
         cfg = SamplingConfig(sample_count=60, rng_seed=6)
+        interval = sys.getswitchinterval()
         for mode in ("t1a", "t1b"):
             solo = run_comparison(koala, mode, cfg)
-            # a fresh instance: the threads meet its per-ontology caches cold
-            threaded = run_comparison(load_fixture("koala.ofs"), mode, cfg, jobs=4)
+            # a fresh instance: the threads meet its per-ontology caches and
+            # verdict memo cold, and switch often while filling them
+            fresh = load_fixture("koala.ofs")
+            sys.setswitchinterval(1e-5)
+            try:
+                threaded = run_comparison(fresh, mode, cfg, jobs=4)
+            finally:
+                sys.setswitchinterval(interval)
             assert solo == threaded
 
     def test_timings_are_recorded_on_request(self, koala):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from locmod import (
     AtLeast,
     BOTTOM,
     Budget,
+    Concept,
     ConceptName,
     EMPTY_ROLE,
     EquivalentClasses,
@@ -23,17 +25,19 @@ from locmod import (
     TOP,
     Transitive,
     UNIVERSAL_ROLE,
+    Ontology,
     conj,
+    eval_concept,
     exactly,
-    holds,
     is_semantically_local,
     is_syntactically_local,
     is_tautology,
     signature_of,
     simplify,
-    simplify_axiom,
     substitute,
 )
+from locmod.semantic import verdict_in
+from conftest import CORPUS_NAMES, load_fixture
 from genlib import random_axiom, random_interpretation, random_signature
 
 SEM_BOT = LocalityFlavor.SEM_BOT
@@ -121,7 +125,10 @@ class TestSimplify:
             a = random_axiom(rng)
             sub = substitute(a, random_signature(rng), rng.choice((SEM_BOT, SEM_TOP)))
             interp = random_interpretation(rng, rng.randint(1, 3))
-            assert holds(simplify_axiom(sub), interp) == holds(sub, interp)
+            for field in dataclasses.fields(sub):
+                c = getattr(sub, field.name)
+                if isinstance(c, Concept):
+                    assert eval_concept(simplify(c), interp) == eval_concept(c, interp)
 
 
 class TestIsTautology:
@@ -173,6 +180,39 @@ class TestLocality:
             hi = is_semantically_local(a, sig, flavor, big)
             if lo.status is not Locality.UNKNOWN:
                 assert lo.status == hi.status
+
+    def test_memoized_verdicts_equal_fresh_ones(self):
+        rng = random.Random(25)
+        for name in CORPUS_NAMES:
+            o = load_fixture(name)
+            entities = signature_of(o)
+            sigs = [
+                random_signature(
+                    rng,
+                    concepts=sorted(entities.concept_names),
+                    roles=sorted(entities.role_names),
+                )
+                for _ in range(50)
+            ]
+            cases = [
+                (i, sig, flavor)
+                for i in range(len(o))
+                for sig in sigs
+                for flavor in (SEM_BOT, SEM_TOP)
+            ]
+            rng.shuffle(cases)
+            for i, sig, flavor in cases:
+                fresh = is_semantically_local(o.axioms[i], sig, flavor)
+                assert verdict_in(o, i, sig, flavor) == fresh, (name, i, sig, flavor)
+            # verdicts were reused across signatures that agree on an axiom
+            assert 0 < len(o.verdicts) < len(cases)
+
+    def test_unknown_verdict_is_not_memoized(self):
+        o = Ontology((SubClassOf(A, Exists(R, B)),), name="starved")
+        sig = Signature({"A", "B"})
+        starved = verdict_in(o, 0, sig, SEM_BOT, Budget(max_steps=1))
+        assert starved.status is Locality.UNKNOWN
+        assert verdict_in(o, 0, sig, SEM_BOT).status is Locality.NON_LOCAL
 
     def test_rejects_syntactic_flavor(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 from locmod import (
     AtLeast,
@@ -12,6 +13,7 @@ from locmod import (
     Inverse,
     Not,
     OneOf,
+    Or,
     RoleName,
     SatStatus,
     SubClassOf,
@@ -132,6 +134,27 @@ class TestBudgetAndDeterminism:
         assert result.status in (SatStatus.UNKNOWN, SatStatus.SATISFIABLE, SatStatus.UNSATISFIABLE)
         tiny = is_satisfiable(nnf(conj(A, B, Exists(R, A))), Budget(max_steps=2))
         assert tiny.status is SatStatus.UNKNOWN
+
+    def test_choice_points_do_not_recurse(self):
+        # every binary disjunction is a choice point; a search that recursed
+        # once per choice would overflow the lowered limit
+        width = 250
+        probe = conj(
+            *(Or((ConceptName(f"A{i}"), ConceptName(f"B{i}"))) for i in range(width))
+        )
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 200)
+        try:
+            result = is_satisfiable(probe)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.status is SatStatus.SATISFIABLE
+        assert 0 in eval_concept(probe, result.model)
 
     def test_identical_runs_identical_results(self):
         rng = random.Random(6)
