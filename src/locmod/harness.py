@@ -264,16 +264,15 @@ def _module_case(o, axioms, sig, case_id, test, budget, timed):
     sem = extract_module(o, sig, LocalityFlavor.SEM_BOT, budget=budget)
     sem_time = time.perf_counter() - started if timed else 0.0
 
-    syn_set = set(syn.module.axioms)
-    sem_set = set(sem.module.axioms)
+    syn_set = set(syn.positions)
+    sem_set = set(sem.positions)
     if not sem_set <= syn_set:
-        extra = next(iter(sem_set - syn_set))
+        extra = axioms[min(sem_set - syn_set)]
         raise InvariantViolation(
             f"{o.name}: semantic module exceeds syntactic module w.r.t. {sig}; "
             f"first extra axiom: {extra}"
         )
-    dropped = syn_set - sem_set
-    diff = [i for i, a in enumerate(axioms) if a in dropped]
+    diff = sorted(syn_set - sem_set)
     if not diff:
         return None
     return DifferenceRecord(

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Iterable, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +426,10 @@ class Ontology:
     of the used signature when the source file declares unused names); it
     does not affect the ontology's own signature.
 
-    `axiom_signatures`, `name_index` and `verdicts` are made on first use
-    and kept by the instance (they are not fields, so equality, hashing and
-    repr ignore them); every extraction over the same instance shares them.
+    `axiom_signatures`, `name_index`, `verdicts` and `nonlocal_at_empty`
+    are made on first use and kept by the instance (they are not fields, so
+    equality, hashing and repr ignore them); every extraction over the same
+    instance shares them.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -465,6 +466,22 @@ class Ontology:
         `semantic.verdict_in`, which also defines the keys."""
         return {}
 
+    @cached_property
+    def nonlocal_at_empty(self) -> dict:
+        """Ascending positions of the axioms not known to be local w.r.t.
+        the empty signature, one tuple per locality test, filled by the
+        extractor, which also defines the keys."""
+        return {}
+
+    def restrict(self, positions: Sequence[int]) -> "Ontology":
+        """The axioms at `positions` (distinct, ascending) as an ontology
+        of the same name. It takes their signatures from this instance
+        instead of walking the axioms again."""
+        sigs = self.axiom_signatures
+        sub = Ontology(tuple(self.axioms[i] for i in positions), name=self.name)
+        sub.__dict__["axiom_signatures"] = tuple(sigs[i] for i in positions)
+        return sub
+
 
 # ---------------------------------------------------------------------------
 # signature_of
@@ -496,7 +513,6 @@ def _collect_concept(c: Concept, concepts: set[str], roles: set[str], individual
         # Top/Bottom: nothing
 
 
-@lru_cache(maxsize=None)
 def _axiom_signature(a: Axiom) -> Signature:
     concepts: set[str] = set()
     roles: set[str] = set()

@@ -1,11 +1,17 @@
+import gc
 import random
+import weakref
 
 from locmod import (
+    BOTTOM,
+    TOP,
     Budget,
     ConceptName,
+    DisjointClasses,
     EquivalentClasses,
     Exists,
     LocalityFlavor,
+    OneOf,
     Ontology,
     RoleName,
     SEM_STAR,
@@ -19,6 +25,8 @@ from locmod import (
     genuine_modules,
     is_semantically_local,
     is_syntactically_local,
+    model,
+    serialize_ontology,
     signature_of,
 )
 from conftest import CORPUS_NAMES, load_fixture
@@ -30,6 +38,41 @@ ALL_FLAVORS = tuple(LocalityFlavor)
 
 def module_set(result):
     return frozenset(result.module.axioms)
+
+
+def nonlocal_at_empty(o, flavor, budget=None):
+    """Positions of the axioms of `o` not known to be local w.r.t. the
+    empty signature, decided afresh."""
+    if flavor.is_syntactic:
+        return {
+            i
+            for i, a in enumerate(o.axioms)
+            if not is_syntactically_local(a, Signature(), flavor)
+        }
+    return {
+        i
+        for i, a in enumerate(o.axioms)
+        if not is_semantically_local(a, Signature(), flavor, budget).is_local
+    }
+
+
+def reference_nested(o, sig, pair, naive):
+    """Nested extraction as a chain of explicit ontologies."""
+    first, second = pair
+    inner = extract_module(o, sig, second, naive=naive)
+    outer = extract_module(inner.module, sig, first, naive=naive)
+    checks = inner.locality_checks + outer.locality_checks
+    return outer.module, outer.extended_signature, inner.rounds + outer.rounds, checks
+
+
+def reference_star(o, sig, pair, naive):
+    current, rounds, checks = o, 0, 0
+    while True:
+        module, extended, _, step_checks = reference_nested(current, sig, pair, naive)
+        checks += step_checks
+        if len(module) == len(current):
+            return current, extended, rounds, checks
+        current, rounds = module, rounds + 1
 
 
 class TestExtractModule:
@@ -174,6 +217,187 @@ class TestExtractModule:
         result = extract_module(o, Signature({"Duck"}), LocalityFlavor.SYN_BOT, trace=trace)
         assert trace
         assert sum(len(added) for _, added in trace) == len(result.module)
+
+
+class TestSeededFirstRound:
+    @staticmethod
+    def ontologies():
+        """Pairs of an ontology and the flavor under which its first two
+        axioms are not local w.r.t. the empty signature."""
+        C, D, E, F, G = (ConceptName(n) for n in "CDEFG")
+        r, s = RoleName("r"), RoleName("s")
+        off_topic = (SubClassOf(E, F), SubClassOf(F, Exists(s, G)), SubClassOf(D, G))
+        return [
+            (
+                Ontology(
+                    (SubClassOf(TOP, A), SubClassOf(OneOf("a"), B), SubClassOf(A, Exists(r, C)))
+                    + off_topic,
+                    name="bot-at-empty",
+                ),
+                LocalityFlavor.SYN_BOT,
+            ),
+            (
+                Ontology(
+                    (SubClassOf(A, BOTTOM), DisjointClasses(A, B), SubClassOf(B, C)) + off_topic,
+                    name="top-at-empty",
+                ),
+                LocalityFlavor.SYN_TOP,
+            ),
+        ]
+
+    def test_axioms_non_local_at_empty_are_found(self):
+        seeds = [
+            Signature(),
+            Signature({"E"}),
+            Signature({"G"}, {"s"}),
+            Signature({"D", "F"}),
+            Signature({"C"}),
+        ]
+        runs = [(extract_module, flavor) for flavor in ALL_FLAVORS]
+        runs += [(extract_star, pair) for pair in (SYN_STAR, SEM_STAR)]
+        for o, first_two_nonlocal in self.ontologies():
+            assert {0, 1} <= nonlocal_at_empty(o, first_two_nonlocal)
+            for sig in seeds:
+                for extract, flavor in runs:
+                    fast = extract(o, sig, flavor)
+                    slow = extract(o, sig, flavor, naive=True)
+                    assert fast.module.axioms == slow.module.axioms
+                    assert fast.extended_signature == slow.extended_signature
+                    assert fast.unknown_verdicts == slow.unknown_verdicts
+                    if extract is extract_star:
+                        assert fast.rounds == slow.rounds
+            # an axiom not local w.r.t. ∅ is in every module
+            for flavor in ALL_FLAVORS:
+                for sig in seeds:
+                    kept = set(extract_module(o, sig, flavor).positions)
+                    assert nonlocal_at_empty(o, flavor) <= kept
+
+    def test_warm_empty_module_checks_only_reached_axioms(self):
+        cases = 0
+        for name in CORPUS_NAMES:
+            o = load_fixture(name)
+            concepts = signature_of(o).concept_names
+            for flavor in ALL_FLAVORS:
+                extract_module(o, Signature(), flavor)  # warm the instance
+                at_empty = nonlocal_at_empty(o, flavor)
+                for term, positions in o.name_index.items():
+                    sig = (
+                        Signature({term}) if term in concepts else Signature(role_names={term})
+                    )
+                    if len(extract_module(o, sig, flavor, naive=True).module):
+                        continue
+                    result = extract_module(o, sig, flavor)
+                    assert len(result.module) == 0
+                    assert result.locality_checks == len(at_empty | set(positions)) < len(o)
+                    cases += 1
+        assert cases >= 20
+
+    def test_starved_budget_does_not_stick(self):
+        starved = Budget(max_steps=1)
+        rng = random.Random(46)
+        for name in CORPUS_NAMES:
+            entities = signature_of(load_fixture(name))
+            sigs = [Signature()] + [
+                random_signature(
+                    rng,
+                    concepts=sorted(entities.concept_names),
+                    roles=sorted(entities.role_names),
+                )
+                for _ in range(4)
+            ]
+            for flavor in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
+                for sig in sigs:
+                    o = load_fixture(name)
+                    assert nonlocal_at_empty(o, flavor) < nonlocal_at_empty(o, flavor, starved)
+                    first = extract_module(o, sig, flavor, budget=starved)
+                    assert first.unknown_verdicts >= 1
+                    warm = extract_module(o, sig, flavor)
+                    fresh = extract_module(load_fixture(name), sig, flavor)
+                    assert warm.module.axioms == fresh.module.axioms
+                    assert warm.extended_signature == fresh.extended_signature
+                    assert warm.rounds == fresh.rounds
+                    assert warm.unknown_verdicts == fresh.unknown_verdicts
+
+    def test_dropped_ontology_releases_its_axioms(self):
+        o = synthetic_ontology(2000)
+        extract_module(o, Signature({"C00000"}), LocalityFlavor.SYN_BOT, naive=True)
+        axiom = weakref.ref(o.axioms[-1])
+        del o
+        gc.collect()
+        assert axiom() is None
+
+
+class TestStepsOnPositions:
+    def test_nested_and_star_equal_a_chain_of_ontologies(self):
+        # both loops, against nested steps that each build an explicit
+        # ontology, so a fresh instance with cold caches
+        rng = random.Random(47)
+        inputs = [(load_fixture(name), 0.5) for name in CORPUS_NAMES]
+        inputs.append((synthetic_ontology(300), 0.03))
+        runs = [
+            (extract, reference, pair, naive)
+            for extract, reference in (
+                (extract_nested, reference_nested),
+                (extract_star, reference_star),
+            )
+            for pair in (SYN_STAR, SEM_STAR)
+            for naive in (False, True)
+        ]
+        for o, p in inputs:
+            entities = signature_of(o)
+            for _ in range(8):
+                sig = random_signature(
+                    rng,
+                    p,
+                    concepts=sorted(entities.concept_names),
+                    roles=sorted(entities.role_names),
+                )
+                for extract, reference, pair, naive in runs:
+                    result = extract(o, sig, pair, naive=naive)
+                    module, extended, rounds, _ = reference(o, sig, pair, naive)
+                    assert result.module.axioms == module.axioms
+                    assert result.extended_signature == extended
+                    assert result.rounds == rounds
+                    kept = set(module.axioms)
+                    assert result.positions == tuple(
+                        i for i, a in enumerate(o.axioms) if a in kept
+                    )
+
+    def test_steps_check_no_more_than_fresh_ontologies(self):
+        # on a fresh instance a step over part of the ontology checks its
+        # own positions, not every axiom against the empty signature
+        rng = random.Random(48)
+        inputs = [(load_fixture(name), 0.5) for name in CORPUS_NAMES]
+        inputs.append((synthetic_ontology(300), 0.03))
+        for o, p in inputs:
+            entities = signature_of(o)
+            for _ in range(3):
+                sig = random_signature(
+                    rng,
+                    p,
+                    concepts=sorted(entities.concept_names),
+                    roles=sorted(entities.role_names),
+                )
+                for extract, reference in (
+                    (extract_nested, reference_nested),
+                    (extract_star, reference_star),
+                ):
+                    for pair in (SYN_STAR, SEM_STAR):
+                        result = extract(Ontology(o.axioms, name=o.name), sig, pair)
+                        *_, checks = reference(Ontology(o.axioms, name=o.name), sig, pair, False)
+                        assert result.locality_checks <= checks
+
+    def test_module_takes_its_signatures_from_the_input(self, monkeypatch):
+        o = synthetic_ontology(300)
+        result = extract_star(o, Signature({"C00001"}), SEM_STAR)
+        assert len(result.module) > 0
+        walked = []
+        monkeypatch.setattr(model, "_axiom_signature", walked.append)
+        serialize_ontology(result.module)
+        sigs = result.module.axiom_signatures
+        assert walked == []
+        monkeypatch.undo()
+        assert sigs == tuple(signature_of(a) for a in result.module.axioms)
 
 
 class TestNestedAndStar:
