@@ -14,8 +14,9 @@ its verdict w.r.t. the empty signature. The first round therefore checks
 only the axioms not known to be local w.r.t. ∅ (kept per ontology and
 locality test in `Ontology.nonlocal_at_empty`, found by the first
 extraction over the whole ontology that needs them) and those that mention
-a name of Σ; a later round only those outside M that mention a name new in
-the round before. Locality is anti-monotone in Σ, so the fixpoint does not
+a name of Σ (`_Checker.candidates`, which the harness's T1a test uses
+too); a later round only those outside M that mention a name new in the
+round before. Locality is anti-monotone in Σ, so the fixpoint does not
 depend on when the signature grows, and the result equals that of the
 textbook loop, which rescans the axioms and grows the signature after every
 added axiom (`naive=True` runs it for differential testing).
@@ -141,6 +142,17 @@ class _Checker:
             self.o.nonlocal_at_empty[key] = found
         return found
 
+    def candidates(self, scope: Collection[int], sig: Signature) -> list[int]:
+        """Ascending positions in `scope` that may be non-local w.r.t.
+        `sig`: those not known to be local w.r.t. ∅ and those that mention
+        a name of `sig`. Any other axiom has its verdict w.r.t. ∅: local."""
+        index = self.o.name_index
+        seeded = chain(
+            self.nonlocal_at_empty(scope),
+            *(index.get(name, ()) for name in sig.concept_names | sig.role_names),
+        )
+        return sorted({i for i in seeded if i in scope})
+
 
 def _extract(
     c: _Checker,
@@ -175,11 +187,7 @@ def _extract(
                 trace.append((rounds, [o.axioms[i] for i in added]))
     else:
         index = o.name_index
-        seeded = chain(
-            c.nonlocal_at_empty(scope),
-            *(index.get(name, ()) for name in sig.concept_names | sig.role_names),
-        )
-        pending = sorted({i for i in seeded if i in scope})
+        pending = c.candidates(scope, sig)
         while True:
             added = [i for i in pending if not c.is_local(i, working)]
             if not added:

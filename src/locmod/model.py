@@ -426,10 +426,10 @@ class Ontology:
     of the used signature when the source file declares unused names); it
     does not affect the ontology's own signature.
 
-    `axiom_signatures`, `name_index`, `verdicts` and `nonlocal_at_empty`
-    are made on first use and kept by the instance (they are not fields, so
-    equality, hashing and repr ignore them); every extraction over the same
-    instance shares them.
+    `axiom_signatures`, `names`, `name_index`, `verdicts` and
+    `nonlocal_at_empty` are made on first use and kept by the instance
+    (they are not fields, so equality, hashing and repr ignore them); every
+    extraction over the same instance shares them.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -449,6 +449,11 @@ class Ontology:
     def axiom_signatures(self) -> tuple[Signature, ...]:
         """`signature_of` of each axiom, in axiom order."""
         return tuple(signature_of(a) for a in self.axioms)
+
+    @cached_property
+    def names(self) -> Signature:
+        """The declared names joined with the names the axioms use."""
+        return self.declared | signature_of(self)
 
     @cached_property
     def name_index(self) -> dict[str, list[int]]:
@@ -476,10 +481,16 @@ class Ontology:
     def restrict(self, positions: Sequence[int]) -> "Ontology":
         """The axioms at `positions` (distinct, ascending) as an ontology
         of the same name. It takes their signatures from this instance
-        instead of walking the axioms again."""
+        instead of walking the axioms again, and skips the deduplication
+        of `__post_init__`, which would hash every axiom again."""
         sigs = self.axiom_signatures
-        sub = Ontology(tuple(self.axioms[i] for i in positions), name=self.name)
-        sub.__dict__["axiom_signatures"] = tuple(sigs[i] for i in positions)
+        sub = object.__new__(Ontology)
+        sub.__dict__.update(
+            axioms=tuple(self.axioms[i] for i in positions),
+            name=self.name,
+            declared=EMPTY_SIGNATURE,
+            axiom_signatures=tuple(sigs[i] for i in positions),
+        )
         return sub
 
 

@@ -674,7 +674,7 @@ def parse_signature(text: str, against: Ontology) -> Signature:
     """Parse a newline-separated signature file. Entries may carry a
     `C:`/`R:`/`I:` kind prefix; unprefixed names are resolved against the
     ontology's declarations and used names."""
-    table = against.declared | signature_of(against)
+    table = against.names
     kinds: dict[str, str] = {}
     for n in table.concept_names:
         kinds[n] = "C"

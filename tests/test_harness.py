@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from locmod import (
+    TOP,
+    Budget,
     ConceptName,
     CulpritType,
     DifferenceRecord,
@@ -14,6 +16,7 @@ from locmod import (
     InvariantViolation,
     Inverse,
     InverseRoles,
+    LocalityFlavor,
     OneOf,
     Ontology,
     RoleName,
@@ -23,13 +26,17 @@ from locmod import (
     classify_culprit,
     conj,
     exactly,
+    is_semantically_local,
+    is_syntactically_local,
     render_report,
     run_comparison,
     sample_signatures,
     signature_of,
 )
+import locmod.extractor as extractor
 import locmod.harness as harness
-from conftest import load_fixture
+from locmod.semantic import Locality
+from conftest import CORPUS_NAMES, load_fixture
 from genlib import synthetic_ontology
 
 
@@ -181,17 +188,129 @@ class TestRunComparison:
         assert records
         assert all(r.sem_time > 0 and r.syn_time >= 0 for r in records)
 
-    def test_direction_violations_abort(self, taxonomy, monkeypatch):
-        # a lying syntactic checker must trip the direction assertion
-        monkeypatch.setattr(
-            harness, "is_syntactically_local", lambda *args, **kw: True
-        )
+    def test_direction_violations_abort(self, monkeypatch):
+        # a lying syntactic checker must trip the direction assertion, also
+        # where the axioms not local w.r.t. the empty signature are found
+        # (fresh instances, so the liar finds them)
+        liar = lambda *args, **kw: True  # noqa: E731
+        monkeypatch.setattr(harness, "is_syntactically_local", liar)
+        monkeypatch.setattr(extractor, "is_syntactically_local", liar)
         with pytest.raises(InvariantViolation):
-            run_comparison(taxonomy, "t1a", SamplingConfig(sample_count=20, rng_seed=8))
+            run_comparison(
+                load_fixture("taxonomy.ofs"), "t1a", SamplingConfig(sample_count=20, rng_seed=8)
+            )
+        # ⊤ ⊑ C is non-local w.r.t. every signature; the first case, the
+        # empty signature, shares no name with it and must already abort
+        A, B, C = (ConceptName(n) for n in "ABC")
+        o = Ontology((SubClassOf(A, B), SubClassOf(TOP, C)), name="top-sub")
+        with pytest.raises(InvariantViolation, match=r"axiom ax1 .* w\.r\.t\. \{\}"):
+            run_comparison(o, "t1a", SamplingConfig())
 
     def test_unknown_mode_is_rejected(self, taxonomy):
         with pytest.raises(ValueError):
             run_comparison(taxonomy, "t3", SamplingConfig())
+
+
+def reference_t1a(o, cfg, budget):
+    """T1a records from a plain check of every axiom against every seed."""
+    records = []
+    for k, sig in enumerate(sample_signatures(o, cfg)):
+        syn = {
+            i
+            for i, a in enumerate(o.axioms)
+            if not is_syntactically_local(a, sig, LocalityFlavor.SYN_BOT)
+        }
+        sem, unknowns = set(), 0
+        for i, a in enumerate(o.axioms):
+            status = is_semantically_local(a, sig, LocalityFlavor.SEM_BOT, budget).status
+            if status is not Locality.LOCAL:
+                sem.add(i)
+                unknowns += status is Locality.UNKNOWN
+        diff = sorted(syn - sem)
+        if not diff:
+            continue
+        culprits = [(f"ax{i}", classify_culprit(o.axioms[i])) for i in diff]
+        records.append(
+            DifferenceRecord(
+                ontology=o.name,
+                axiom_count=len(o),
+                test="T1a",
+                case_id=f"s{k}",
+                seed_signature=sig,
+                syntactic_size=len(syn),
+                semantic_size=len(sem),
+                difference_axioms=tuple(f"ax{i}" for i in diff),
+                relative_difference=len(diff) / len(syn),
+                syn_time=0.0,
+                sem_time=0.0,
+                culprits=tuple((aid, kind) for aid, kind in culprits if kind is not CulpritType.NONE),
+                unknown_verdicts=unknowns,
+            )
+        )
+    return records
+
+
+class TestSeededT1a:
+    @staticmethod
+    def ontologies():
+        """Fresh instances: every fixture, the koala plus two axioms not
+        ⊥-local w.r.t. any signature, and a 300-axiom synthetic ontology."""
+        koala = load_fixture("koala.ofs")
+        extra = (SubClassOf(TOP, ConceptName("Extra")), SubClassOf(OneOf("a"), ConceptName("Other")))
+        out = [load_fixture(name) for name in CORPUS_NAMES]
+        out.append(Ontology(koala.axioms + extra, name="koala+at-empty"))
+        out.append(synthetic_ontology(300))
+        return out
+
+    def test_records_equal_a_check_of_every_axiom(self):
+        cfg = SamplingConfig(sample_count=25, rng_seed=21)
+        records = unknowns = 0
+        for budget in (None, Budget(max_steps=1)):
+            for o in self.ontologies():
+                expected = reference_t1a(o, cfg, budget)
+                assert run_comparison(o, "t1a", cfg, budget=budget) == expected
+                records += len(expected)
+                unknowns += sum(r.unknown_verdicts for r in expected)
+        assert records >= 20 and unknowns >= 1
+
+    def test_warm_case_checks_only_reachable_axioms(self, monkeypatch):
+        counts = {"syn": 0, "sem": 0}
+
+        def counted(key, check):
+            def wrapper(*args, **kw):
+                counts[key] += 1
+                return check(*args, **kw)
+
+            return wrapper
+
+        cases = 0
+        for o in self.ontologies():
+            run_comparison(o, "t1a", SamplingConfig(sample_count=1))  # warm the instance
+            syn_at_empty = {
+                i
+                for i, a in enumerate(o.axioms)
+                if not is_syntactically_local(a, Signature(), LocalityFlavor.SYN_BOT)
+            }
+            sem_at_empty = {
+                i
+                for i, a in enumerate(o.axioms)
+                if not is_semantically_local(a, Signature(), LocalityFlavor.SEM_BOT).is_local
+            }
+            with monkeypatch.context() as m:
+                m.setattr(harness, "is_syntactically_local", counted("syn", is_syntactically_local))
+                m.setattr(harness, "verdict_in", counted("sem", harness.verdict_in))
+                for term in sorted(o.names.concept_names):
+                    counts.update(syn=0, sem=0)
+                    harness._t1a_case(o, o.axioms, Signature({term}), "s0", None, False)
+                    mentions = set(o.name_index.get(term, ()))
+                    reached = {
+                        "syn": len(syn_at_empty | mentions),
+                        "sem": len(sem_at_empty | mentions),
+                    }
+                    assert counts == reached
+                    assert max(reached.values()) < len(o)
+                    cases += 1
+        assert cases >= 100
 
 
 class TestRenderReport:

@@ -35,6 +35,7 @@ from locmod import (
     normalize_role,
     signature_of,
 )
+from conftest import CORPUS_NAMES, load_fixture
 from genlib import random_axiom, random_concept, random_interpretation
 
 A, B = ConceptName("A"), ConceptName("B")
@@ -182,6 +183,20 @@ class TestConstruction:
     def test_ontology_deduplicates(self):
         o = Ontology((SubClassOf(A, B), SubClassOf(A, B), EquivalentClasses(A, B)))
         assert len(o) == 2
+
+    def test_restrict_equals_a_built_ontology(self):
+        rng = random.Random(12)
+        for name in CORPUS_NAMES:
+            o = load_fixture(name)
+            n = len(o)
+            subsets = [range(n), range(0), range(1, n, 2)]
+            subsets += [sorted(rng.sample(range(n), rng.randint(1, n))) for _ in range(5)]
+            for p in subsets:
+                sub = o.restrict(p)
+                built = Ontology(tuple(o.axioms[i] for i in p), name=o.name)
+                assert sub == built and hash(sub) == hash(built)
+                assert sub.axiom_signatures == built.axiom_signatures
+                assert sub.names == built.names
 
 
 # a small hypothesis strategy over concepts, to shake out constructor edge cases
