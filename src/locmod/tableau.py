@@ -11,13 +11,22 @@ Branch exploration is deterministic: nodes are visited in ascending id,
 labels in insertion order, disjuncts in syntactic order, and merge
 candidates in ascending id pairs, so identical inputs and budgets always
 produce identical results.
+
+A node with ≤n R.C and n+1 pairwise-distinct R-neighbours carrying C is a
+clash at once (Horrocks, Sattler & Tobies 2000), found by a greedy walk in
+ascending id; a clique it misses is closed later by the merge rule. This
+is exact: labels only grow and distinct nodes never merge, so every
+extension of such a branch closes too and the search returns the same
+first open state, whose model is built on first access. Ticks count
+expansion steps and the subsets the witness rule examines.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -37,6 +46,7 @@ from .model import (
     Or,
     Role,
     RoleName,
+    Signature,
     UniversalRoleType,
     complement,
     normalize_role,
@@ -69,12 +79,16 @@ class SatResult:
     """Outcome of a satisfiability check.
 
     For SATISFIABLE, `model` is a finite interpretation in which element 0
-    satisfies the input concept.
+    satisfies the input concept, built from the open state on first access.
     """
 
     status: SatStatus
-    model: Interpretation | None = None
     reason: str | None = None
+    _open: "_State | None" = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def model(self) -> Interpretation | None:
+        return None if self._open is None else _extract_model(self._open)
 
 
 class _OutOfBudget(Exception):
@@ -96,28 +110,32 @@ class _Meter:
             raise _OutOfBudget("time limit reached")
 
 
-def _unsupported_counting(c: Concept) -> bool:
-    """Constructs routed to the Unknown safety valve: counting over the
-    universal role needs domain-cardinality reasoning this tableau does
-    not implement (AtLeast(0/1) is fine: a single global witness)."""
+def _individuals(c: Concept) -> set[str] | None:
+    """The individual names in `c`, or None for the constructs routed to
+    the Unknown safety valve: counting over the universal role needs
+    domain-cardinality reasoning this tableau does not implement
+    (AtLeast(0/1) is fine: a single global witness)."""
+    found: set[str] = set()
     stack = [c]
     while stack:
         cur = stack.pop()
         if isinstance(cur, AtMost) and isinstance(
             normalize_role(cur.role), UniversalRoleType
         ):
-            return True
+            return None
         if isinstance(cur, AtLeast):
             if cur.n >= 2 and isinstance(normalize_role(cur.role), UniversalRoleType):
-                return True
+                return None
             stack.append(cur.filler)
+        elif isinstance(cur, OneOf):
+            found.add(cur.individual)
         elif isinstance(cur, Not):
             stack.append(cur.arg)
         elif isinstance(cur, (And, Or)):
             stack.extend(cur.args)
         elif isinstance(cur, (Exists, ForAll, AtMost)):
             stack.append(cur.filler)
-    return False
+    return found
 
 
 class _Node:
@@ -226,7 +244,7 @@ class _State:
     # -- clash detection ----------------------------------------------
 
     def find_clash(self) -> bool:
-        for node in self.nodes.values():
+        for x, node in self.nodes.items():
             label = node.label
             for c in label:
                 if isinstance(c, BottomType):
@@ -241,7 +259,19 @@ class _State:
                 ):
                     if isinstance(c, Exists) or c.n >= 1:
                         return True
+                if isinstance(c, AtMost) and _greedy_clique(
+                    self.qualified(x, c.role, c.filler), c.n + 1, self.distinct
+                ):
+                    return True
         return False
+
+    def qualified(self, x: int, role: Role, filler: Concept) -> list[int]:
+        """R-neighbours of x whose labels hold `filler`, in ascending id;
+        none over the empty or the universal role, which label no edge."""
+        return [
+            y for y in sorted(self.successors(x, role))
+            if filler in self.nodes[y].label
+        ]
 
 
 def is_satisfiable(c: Concept, budget: Budget | None = None) -> SatResult:
@@ -252,17 +282,17 @@ def is_satisfiable(c: Concept, budget: Budget | None = None) -> SatResult:
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    if _unsupported_counting(c):
+    individuals = _individuals(c)
+    if individuals is None:
         return SatResult(
             SatStatus.UNKNOWN, reason="counting over the universal role"
         )
-    sig = signature_of(c)
     state = _State()
     root = state.new_node()
     state.add(root, c)
     # every individual denotes: give each mentioned individual a node up
     # front so universal-role propagation and nominal clashes reach it
-    for ind in sorted(sig.individual_names):
+    for ind in sorted(individuals):
         node = state.new_node()
         state.nodes[node].tags[ind] = None
     meter = _Meter(budget)
@@ -272,7 +302,7 @@ def is_satisfiable(c: Concept, budget: Budget | None = None) -> SatResult:
         return SatResult(SatStatus.UNKNOWN, reason=str(exc))
     if result is None:
         return SatResult(SatStatus.UNSATISFIABLE)
-    return SatResult(SatStatus.SATISFIABLE, model=_extract_model(result, sig))
+    return SatResult(SatStatus.SATISFIABLE, _open=result)
 
 
 def _search(state: _State, meter: _Meter) -> _State | None:
@@ -286,7 +316,7 @@ def _search(state: _State, meter: _Meter) -> _State | None:
     while True:
         meter.tick()
         if not state.find_clash():
-            if _apply_deterministic(state):
+            if _apply_deterministic(state, meter):
                 continue
             alts = _branching_alternatives(state)
             if alts is None:
@@ -312,7 +342,7 @@ def _search(state: _State, meter: _Meter) -> _State | None:
 # Deterministic rules
 # ---------------------------------------------------------------------------
 
-def _apply_deterministic(state: _State) -> bool:
+def _apply_deterministic(state: _State, meter: _Meter) -> bool:
     node_ids = sorted(state.nodes)
 
     # conjunction decomposition
@@ -389,12 +419,8 @@ def _apply_deterministic(state: _State) -> bool:
                 y = state.new_node()
                 state.add(y, c.filler)
                 return True
-            witnesses = [
-                y
-                for y in state.successors(x, role)
-                if c.filler in state.nodes[y].label
-            ]
-            if _has_distinct_subset(witnesses, n, state.distinct):
+            witnesses = state.qualified(x, role, c.filler)
+            if _has_distinct_subset(witnesses, n, state.distinct, meter):
                 continue
             fresh = []
             for _ in range(n):
@@ -409,15 +435,26 @@ def _apply_deterministic(state: _State) -> bool:
     return False
 
 
-def _has_distinct_subset(nodes: list[int], n: int, distinct) -> bool:
+def _greedy_clique(nodes: list[int], n: int, distinct) -> bool:
+    """Whether walking `nodes` in order, keeping each one asserted distinct
+    from all kept so far, keeps n of them. Sound, not complete."""
+    kept: list[int] = []
+    for y in nodes:
+        if all(frozenset((y, k)) in distinct for k in kept):
+            kept.append(y)
+            if len(kept) == n:
+                return True
+    return False
+
+
+def _has_distinct_subset(nodes: list[int], n: int, distinct, meter: _Meter) -> bool:
     """Whether `nodes` contains n members that are pairwise asserted
-    distinct. Exhaustive over subsets; n is a cardinality bound from the
-    input concept, so it stays tiny."""
-    if len(nodes) < n:
-        return False
-    if n == 1:
+    distinct: greedy walks both ways first (the newest nodes may be this
+    rule's own fresh witnesses), then every subset, one tick each."""
+    if _greedy_clique(nodes, n, distinct) or _greedy_clique(nodes[::-1], n, distinct):
         return True
     for combo in combinations(nodes, n):
+        meter.tick()
         if all(
             frozenset((a, b)) in distinct
             for a, b in combinations(combo, 2)
@@ -475,14 +512,7 @@ def _branching_alternatives(state: _State):
         for c in state.nodes[x].label:
             if not isinstance(c, AtMost):
                 continue
-            role = normalize_role(c.role)
-            if isinstance(role, (EmptyRoleType, UniversalRoleType)):
-                continue
-            qualified = [
-                y
-                for y in sorted(state.successors(x, role))
-                if c.filler in state.nodes[y].label
-            ]
+            qualified = state.qualified(x, c.role, c.filler)
             if len(qualified) <= c.n:
                 continue
             alts = []
@@ -505,24 +535,18 @@ def _branching_alternatives(state: _State):
 # Model extraction
 # ---------------------------------------------------------------------------
 
-def _extract_model(state: _State, sig) -> Interpretation:
+def _extract_model(state: _State) -> Interpretation:
     """Read a finite interpretation off a saturated open state. Element 0
-    is the root representative."""
+    is the root representative, whose label holds the input concept, so
+    the label signatures cover the input's."""
     order = [state.root] + [i for i in sorted(state.nodes) if i != state.root]
     index = {node_id: pos for pos, node_id in enumerate(order)}
 
-    concept_names: set[str] = set(sig.concept_names)
-    role_names: set[str] = set(sig.role_names)
-    individual_names: set[str] = set(sig.individual_names)
-    for node in state.nodes.values():
-        for c in node.label:
-            s = signature_of(c)
-            concept_names |= s.concept_names
-            role_names |= s.role_names
-            individual_names |= s.individual_names
-
-    concept_ext = {a: set() for a in concept_names}
-    role_ext = {r: set() for r in role_names}
+    sig = Signature.union(
+        signature_of(c) for node in state.nodes.values() for c in node.label
+    )
+    concept_ext = {a: set() for a in sorted(sig.concept_names)}
+    role_ext = {r: set() for r in sorted(sig.role_names)}
     individual_ext: dict[str, int] = {}
 
     for node_id, node in state.nodes.items():
@@ -541,7 +565,7 @@ def _extract_model(state: _State, sig) -> Interpretation:
 
     # individuals mentioned only under negation still denote something;
     # park them on an element that nothing forbids
-    for ind in sorted(individual_names - set(individual_ext)):
+    for ind in sorted(sig.individual_names - set(individual_ext)):
         allowed = [
             index[i]
             for i in sorted(state.nodes)

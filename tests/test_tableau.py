@@ -1,6 +1,8 @@
 import random
 import sys
+import time
 
+import locmod.tableau
 from locmod import (
     AtLeast,
     AtMost,
@@ -19,12 +21,16 @@ from locmod import (
     SubClassOf,
     TOP,
     UNIVERSAL_ROLE,
+    LocalityFlavor,
+    Signature,
     conj,
     eval_concept,
     find_countermodel,
     is_satisfiable,
+    is_semantically_local,
     nnf,
 )
+from conftest import CORPUS_NAMES, load_fixture
 from genlib import random_concept
 
 A, B = ConceptName("A"), ConceptName("B")
@@ -179,3 +185,73 @@ class TestAgainstOracle:
                 assert tableau.status is not SatStatus.UNSATISFIABLE
             if tableau.status is SatStatus.SATISFIABLE:
                 assert 0 in eval_concept(c, tableau.model)
+
+
+def pigeonhole(k, a, b, role=R, x=A, y=B):
+    """≥k R.(X ⊔ Y) ⊓ ≤a R.X ⊓ ≤b R.Y: unsatisfiable exactly when k > a + b."""
+    return conj(AtLeast(k, role, Or((x, y))), AtMost(a, role, x), AtMost(b, role, y))
+
+
+class TestAtMostClash:
+    def test_pigeonholes_close_within_a_small_budget(self):
+        # an over-full ≤ closes the branch before every disjunction and
+        # choose decision below it is made
+        for k, a, b in ((4, 2, 1), (5, 2, 2), (6, 3, 2)):
+            result = sat(pigeonhole(k, a, b), Budget(max_steps=100))
+            assert result.status is SatStatus.UNSATISFIABLE, (k, a, b)
+
+    def test_random_counting_probes_agree_with_oracle(self):
+        rng = random.Random(11)
+        fillers = (A, B, Not(A), Not(B))
+        seen = set()
+        for _ in range(30):
+            role = R if rng.random() < 0.5 else Inverse(R)
+            probe = pigeonhole(
+                rng.randint(1, 4), rng.randint(0, 2), rng.randint(0, 2), role
+            )
+            if rng.random() < 0.5:
+                probe = conj(probe, ForAll(role, rng.choice(fillers)))
+            if rng.random() < 0.5:
+                # a neighbour not asserted distinct from the others
+                probe = conj(probe, Exists(role, rng.choice(fillers)))
+            result = sat(probe, Budget(max_steps=20_000))
+            seen.add(result.status)
+            if result.status is SatStatus.SATISFIABLE:
+                assert 0 in eval_concept(probe, result.model), probe
+            else:
+                assert result.status is SatStatus.UNSATISFIABLE, probe
+                assert find_countermodel(SubClassOf(probe, BOTTOM), 3) is None, probe
+        assert seen == {SatStatus.SATISFIABLE, SatStatus.UNSATISFIABLE}
+
+    def test_wide_counting_finishes_quickly(self):
+        # neither the ≤-clash nor the witness rule enumerates subsets of
+        # many neighbours; the witness rule's fallback is budgeted
+        C = ConceptName("C")
+        wide = conj(AtLeast(20, R, A), AtLeast(20, R, B), AtMost(30, R, TOP))
+        start = time.monotonic()
+        assert sat(wide, Budget(max_seconds=60.0)).status is SatStatus.SATISFIABLE
+        assert time.monotonic() - start < 2.0
+        # the largest clique of A/B-witnesses has 8 nodes, so the witness
+        # rule examines all 9-subsets before it adds 9 fresh C-witnesses
+        starved = conj(AtLeast(8, R, A), AtLeast(8, R, B), ForAll(R, C), AtLeast(9, R, C))
+        start = time.monotonic()
+        sat(starved, Budget(max_steps=1000, max_seconds=60.0))
+        assert time.monotonic() - start < 2.0
+        # the fresh witnesses are the newest nodes: no second enumeration
+        ample = sat(starved, Budget(max_steps=100_000, max_seconds=60.0))
+        assert ample.status is SatStatus.SATISFIABLE
+        assert 0 in eval_concept(starved, ample.model)
+
+
+class TestLazyModel:
+    def test_verdict_path_builds_no_model(self, monkeypatch):
+        def refuse(state):
+            raise AssertionError("a model was built on the verdict path")
+
+        monkeypatch.setattr(locmod.tableau, "_extract_model", refuse)
+        for name in CORPUS_NAMES:
+            o = load_fixture(name)
+            for sig in (Signature(), o.names):
+                for axiom in o.axioms:
+                    for flavor in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
+                        is_semantically_local(axiom, sig, flavor)
