@@ -6,27 +6,32 @@ changes nothing. The result is independent of the order in which axioms
 are examined. Nested extraction alternates two flavors once; star
 extraction repeats the nested step until the module stops shrinking.
 
-The extractor works in rounds: each round checks the pending axioms against
-one signature, moves the non-local ones into M, and then grows the signature
-once by their names. A verdict depends on the signature only through the
-names it shares with the axiom, so an axiom that shares no name with Σ has
-its verdict w.r.t. the empty signature. The first round therefore checks
-only the axioms not known to be local w.r.t. ∅ (kept per ontology and
-locality test in `Ontology.nonlocal_at_empty`, found by the first
-extraction over the whole ontology that needs them) and those that mention
-a name of Σ (`_Checker.candidates`, which the harness's T1a test uses
-too); a later round only those outside M that mention a name new in the
-round before. Locality is anti-monotone in Σ, so the fixpoint does not
-depend on when the signature grows, and the result equals that of the
-textbook loop, which rescans the axioms and grows the signature after every
-added axiom (`naive=True` runs it for differential testing).
+The extractor works in rounds: each round moves the axioms not local
+w.r.t. one signature into M, and then grows the signature once by their
+names. A verdict depends on the signature only through the names it
+shares with the axiom, so an axiom that shares no name with Σ has its
+verdict w.r.t. the empty signature. A semantic round therefore checks only
+candidates: in the first round, the axioms not known to be local w.r.t. ∅
+(`Ontology.nonlocal_at_empty`, found by the first extraction over the
+whole ontology that needs them) and those that mention a name of Σ
+(`_Checker.candidates`, which the harness's T1a test uses too); later,
+those outside M that mention a name new in the round before. A syntactic
+round is one wave of counter propagation over the ontology's compiled
+`syntactic.Circuit`: the names new to the signature fire, each gate counts
+down as its inputs fire, and an axiom whose root fires joins M; the axioms
+non-local w.r.t. ∅ join in the first round. Locality is anti-monotone in
+Σ, so the fixpoint does not depend on when the signature grows, and the
+result equals that of the textbook loop, which rescans the axioms and
+grows the signature after every added axiom (`naive=True` runs it for
+differential testing).
 
-Both loops check axioms by their position in the input ontology and run
-over a set of its positions: the steps of a nested or star extraction
-narrow the positions, not the ontology. So the axiom signatures, the name
-index, the semantic verdict memo (`semantic.verdict_in`) and the sets for
-∅ are shared by all steps and by every extraction over one instance. Only
-the module that is returned becomes an `Ontology`.
+All loops work on positions of the input ontology: the steps of a nested
+or star extraction narrow the positions, not the ontology, and a wave
+counts down only the gates of axioms at those positions. So the axiom
+signatures, the name index, the circuits, the semantic verdict memo
+(`semantic.verdict_in`) and the sets for ∅ are shared by all steps and by
+every extraction over one instance. Only the module that is returned
+becomes an `Ontology`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .model import (
     Signature,
 )
 from .semantic import Locality, verdict_in
-from .syntactic import is_syntactically_local
+from .syntactic import Circuit, compile_circuit, is_syntactically_local
 from .tableau import Budget
 
 __all__ = [
@@ -71,12 +76,14 @@ class ModuleResult:
     tallied in `unknown_verdicts`). `positions` are the ascending
     positions of the module's axioms in the input ontology. For a plain
     extraction `rounds` counts the rounds that added axioms (passes over
-    the whole ontology with `naive=True`), and `locality_checks` counts
-    every check made, one per pending axiom per round, plus the checks
-    against the empty signature when this extraction was the first over
-    the instance to need them. A nested extraction sums both over its two
-    passes; a star extraction counts nested iterations in `rounds` and sums
-    the checks of all of them.
+    the whole ontology with `naive=True`). For a semantic flavor, and with
+    `naive=True`, `locality_checks` counts every check made, one per
+    pending axiom per round, plus the checks against the empty signature
+    when this extraction was the first over the instance to need them; for
+    a syntactic flavor it counts the counter updates of the propagation,
+    one per gate input that fired. A nested extraction sums both over its
+    two passes; a star extraction counts nested iterations in `rounds` and
+    sums the checks of all of them.
     """
 
     module: Ontology
@@ -93,7 +100,8 @@ class ModuleResult:
 class _Checker:
     """Locality test of the axioms of one ontology, by position, with
     check/unknown counters. Semantic verdicts go through the ontology's
-    memo (`semantic.verdict_in`)."""
+    memo (`semantic.verdict_in`); syntactic extraction runs over the
+    ontology's `Circuit`."""
 
     def __init__(
         self,
@@ -121,16 +129,26 @@ class _Checker:
             return False
         return verdict.is_local
 
+    def circuit(self) -> Circuit:
+        """The ontology's circuit for this syntactic test, kept once built."""
+        key = (self.flavor, self.refined)
+        found = self.o.circuits.get(key)
+        if found is None:
+            found = self.o.circuits[key] = compile_circuit(self.axioms, self.flavor, self.refined)
+        return found
+
     def nonlocal_at_empty(self, scope: Collection[int]) -> Collection[int]:
         """Positions of the axioms not known to be local w.r.t. the empty
-        signature, kept by the ontology once complete. Finding them checks
-        every axiom once, and those checks count; until they are known, an
-        extraction over fewer positions than the ontology has (a step of a
-        nested or star extraction) gets all of `scope` instead. An UNKNOWN
-        leaves its axiom in the set, to be checked again against the seed,
-        and is not tallied here."""
-        key = (self.flavor, self.refined)
-        found = self.o.nonlocal_at_empty.get(key)
+        signature: the circuit's `always`, or, semantically, kept by the
+        ontology once complete. Finding them checks every axiom once, and
+        those checks count; until they are known, an extraction over fewer
+        positions than the ontology has (a step of a nested or star
+        extraction) gets all of `scope` instead. An UNKNOWN leaves its axiom
+        in the set, to be checked again against the seed, and is not
+        tallied here."""
+        if self.syntactic:
+            return self.circuit().always
+        found = self.o.nonlocal_at_empty.get(self.flavor)
         if found is None:
             if len(scope) < len(self.axioms):
                 return scope
@@ -139,7 +157,7 @@ class _Checker:
                 i for i in range(len(self.axioms)) if not self.is_local(i, EMPTY_SIGNATURE)
             )
             self.unknowns = unknowns
-            self.o.nonlocal_at_empty[key] = found
+            self.o.nonlocal_at_empty[self.flavor] = found
         return found
 
     def candidates(self, scope: Collection[int], sig: Signature) -> list[int]:
@@ -186,10 +204,22 @@ def _extract(
             if trace is not None:
                 trace.append((rounds, [o.axioms[i] for i in added]))
     else:
-        index = o.name_index
-        pending = c.candidates(scope, sig)
+        if c.syntactic:
+            circuit = c.circuit()
+            need = list(circuit.need)
+            added = [i for i in circuit.always if i in scope]
+        else:
+            index = o.name_index
+            pending = c.candidates(scope, sig)
+        fresh = (sig.concept_names, sig.role_names)
         while True:
-            added = [i for i in pending if not c.is_local(i, working)]
+            if c.syntactic:
+                # one wave: the names new in the round before fire
+                fired, updates = circuit.fire(need, *fresh, scope)
+                added = sorted(added + fired)
+                c.checks += updates
+            else:
+                added = [i for i in pending if not c.is_local(i, working)]
             if not added:
                 break
             rounds += 1
@@ -197,13 +227,15 @@ def _extract(
                 trace.append((rounds, [o.axioms[i] for i in added]))
             module.update(added)
             gained = Signature.union(sigs[i] for i in added)
-            fresh = (gained.concept_names - working.concept_names) | (
-                gained.role_names - working.role_names
+            fresh = (
+                gained.concept_names - working.concept_names,
+                gained.role_names - working.role_names,
             )
             working = working | gained
-            pending = sorted(
-                {j for name in fresh for j in index[name] if j in scope and j not in module}
-            )
+            added = []
+            if not c.syntactic:
+                names = chain(*fresh)
+                pending = sorted({j for n in names for j in index[n] if j in scope} - module)
 
     return dict.fromkeys(sorted(module)), working, rounds
 

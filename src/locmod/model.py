@@ -426,10 +426,10 @@ class Ontology:
     of the used signature when the source file declares unused names); it
     does not affect the ontology's own signature.
 
-    `axiom_signatures`, `names`, `name_index`, `verdicts` and
-    `nonlocal_at_empty` are made on first use and kept by the instance
-    (they are not fields, so equality, hashing and repr ignore them); every
-    extraction over the same instance shares them.
+    `axiom_signatures`, `names`, `name_index`, `verdicts`,
+    `nonlocal_at_empty` and `circuits` are made on first use and kept by
+    the instance (they are not fields, so equality, hashing and repr
+    ignore them); every extraction over the same instance shares them.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -473,9 +473,15 @@ class Ontology:
 
     @cached_property
     def nonlocal_at_empty(self) -> dict:
-        """Ascending positions of the axioms not known to be local w.r.t.
-        the empty signature, one tuple per locality test, filled by the
-        extractor, which also defines the keys."""
+        """Ascending positions of the axioms not known to be semantically
+        local w.r.t. the empty signature, one tuple per semantic flavor,
+        filled by the extractor."""
+        return {}
+
+    @cached_property
+    def circuits(self) -> dict:
+        """The syntactic locality circuits, read-only once stored, filled
+        and keyed by the extractor."""
         return {}
 
     def restrict(self, positions: Sequence[int]) -> "Ontology":

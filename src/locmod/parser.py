@@ -66,6 +66,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# Forms nest at most this deep (the Ontology block is depth 1; atoms count),
+# so the recursive walks over a concept stay inside Python's default limit:
+# the deepest, printing, runs out near depth 225 at the top of the stack.
+MAX_NESTING = 160
+
 _OWL_THING_IRIS = {"owl:Thing", "<http://www.w3.org/2002/07/owl#Thing>"}
 _OWL_NOTHING_IRIS = {"owl:Nothing", "<http://www.w3.org/2002/07/owl#Nothing>"}
 
@@ -207,10 +212,12 @@ class _Reader:
             self.pos += 1
         return t
 
-    def read_form(self) -> _Form:
+    def read_form(self, depth: int = 1) -> _Form:
         t = self.next()
         if t is None:
             raise _ReaderError("unexpected end of input", self._last_pos())
+        if depth > MAX_NESTING:
+            raise _ReaderError(f"forms nested deeper than {MAX_NESTING}", (t.line, t.column))
         if t.text == ")":
             raise _ReaderError("unexpected ')'", (t.line, t.column))
         if t.text == "(":
@@ -228,7 +235,7 @@ class _Reader:
                 if cur.text == ")":
                     self.next()
                     break
-                children.append(self.read_form())
+                children.append(self.read_form(depth + 1))
             return _Form(t, tuple(children))
         return _Form(t, None)
 

@@ -43,3 +43,14 @@ def mixed() -> Ontology:
 @pytest.fixture(scope="session")
 def corpus() -> list[Ontology]:
     return [load_fixture(n) for n in CORPUS_NAMES]
+
+
+def nested_text(depth: int) -> str:
+    """An ontology whose deepest form, the only `B` in the text, sits at
+    `depth`, the Ontology block counting as depth 1. Complements and
+    intersections alternate around it, a complement innermost, so `B` is
+    also the first form read at that depth."""
+    inner = "B"
+    for k in range(depth - 3):
+        inner = f"ObjectComplementOf({inner})" if k % 2 == 0 else f"ObjectIntersectionOf(C {inner})"
+    return f"Ontology(t SubClassOf(A {inner}) SubClassOf(C A))"

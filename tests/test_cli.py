@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from locmod import parse_ontology
 from locmod.cli import main
-from conftest import fixture_path
+from locmod.parser import MAX_NESTING
+from conftest import fixture_path, nested_text
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fx(name):
@@ -74,6 +82,30 @@ class TestExtract:
         )
         assert code == 0
         assert "round 1" in capsys.readouterr().err
+
+    def test_verbose_output_does_not_depend_on_the_hash_seed(self):
+        # string hashing differs between the two interpreters, and with it
+        # the order of every set of names the extraction walks
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+            )
+            outputs = []
+            for flavor in ("bot", "top"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "locmod", "extract", "--flavor", flavor]
+                    + ["--ontology", fx("taxonomy.ofs"), "--terms", "C:Duck,C:Plant"]
+                    + ["--verbose"],
+                    env=env,
+                    capture_output=True,
+                    check=True,
+                )
+                outputs.append((proc.stdout, proc.stderr))
+            runs.append(outputs)
+        assert runs[0] == runs[1]
+        assert all(b"round 2" in err for _, err in runs[0])
 
     def test_malformed_input_exits_1(self, capsys):
         code = main(
@@ -274,3 +306,31 @@ class TestUsage:
 def main_help(capsys):
     main(["--help"])
     return capsys.readouterr().out
+
+
+class TestNestingLimit:
+    COMMANDS = [["check", "--flavor", flavor] for flavor in ("bot", "top", "sem-bot", "sem-top")]
+    COMMANDS += [
+        ["extract", "--flavor", flavor, "--terms", "C:A,C:C"]
+        for flavor in ("bot", "top", "star", "sem-bot", "sem-star")
+    ]
+    COMMANDS += [["extract", "--verbose", "--flavor", "bot", "--terms", "C:A"]]
+
+    def run(self, depth, tmp_path, capsys):
+        path = tmp_path / "deep.ofs"
+        path.write_text(nested_text(depth), encoding="utf-8")
+        for command in self.COMMANDS:
+            code = main(command[:1] + ["--ontology", str(path)] + command[1:])
+            yield command, code, capsys.readouterr()
+
+    def test_every_command_works_at_the_limit(self, tmp_path, capsys):
+        for command, code, captured in self.run(MAX_NESTING, tmp_path, capsys):
+            assert code == 0, command
+            if command[0] == "check":
+                assert len(captured.out.splitlines()) == 2
+
+    def test_one_form_deeper_exits_1_with_the_position(self, tmp_path, capsys):
+        column = nested_text(MAX_NESTING + 1).index("B") + 1
+        for command, code, captured in self.run(MAX_NESTING + 1, tmp_path, capsys):
+            assert code == 1, command
+            assert f"deep.ofs:1:{column}: Syntax: forms nested deeper than" in captured.err

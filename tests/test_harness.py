@@ -190,8 +190,8 @@ class TestRunComparison:
 
     def test_direction_violations_abort(self, monkeypatch):
         # a lying syntactic checker must trip the direction assertion, also
-        # where the axioms not local w.r.t. the empty signature are found
-        # (fresh instances, so the liar finds them)
+        # on the axioms not local w.r.t. the empty signature, which the
+        # compiled circuit finds and the liar then checks (fresh instances)
         liar = lambda *args, **kw: True  # noqa: E731
         monkeypatch.setattr(harness, "is_syntactically_local", liar)
         monkeypatch.setattr(extractor, "is_syntactically_local", liar)

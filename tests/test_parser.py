@@ -23,11 +23,28 @@ from locmod import (
     serialize_ontology,
     signature_of,
 )
-from conftest import CORPUS_NAMES, fixture_path, load_fixture
+from locmod.parser import MAX_NESTING
+from conftest import CORPUS_NAMES, fixture_path, load_fixture, nested_text
 
 
 def wrap(*axiom_lines):
     return "Ontology(t\n" + "\n".join(f"  {l}" for l in axiom_lines) + "\n)\n"
+
+
+class TestNestingLimit:
+    def test_forms_nest_up_to_the_limit(self):
+        o = parse_ontology(nested_text(MAX_NESTING))
+        assert len(o) == 2
+        assert parse_ontology(serialize_ontology(o)) == o
+
+    def test_one_form_deeper_is_a_syntax_error_at_its_position(self):
+        text = nested_text(MAX_NESTING + 1)
+        with pytest.raises(ParseFailure) as err:
+            parse_ontology(text)
+        (error,) = err.value.errors
+        assert error.kind is ParseErrorKind.SYNTAX
+        assert (error.line, error.column) == (1, text.index("B") + 1)
+        assert f"nested deeper than {MAX_NESTING}" in error.message
 
 
 class TestParseOntology:

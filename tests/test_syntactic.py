@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import grammar_walker as walker
+
 from locmod import (
     AtLeast,
     BOTTOM,
@@ -24,7 +26,9 @@ from locmod import (
     conj,
     exactly,
     is_syntactically_local,
+    substitute,
 )
+from locmod.syntactic import compile_circuit
 from genlib import random_axiom, random_concept, random_signature
 
 BOT = LocalityFlavor.SYN_BOT
@@ -142,3 +146,57 @@ class TestAxiomLocality:
 
                     assert normalize_role(Inverse(axiom.left)) == normalize_role(axiom.right)
                     assert refined and not plain
+
+
+class TestOneGrammar:
+    """The grammar written once over a builder decides as the recursive
+    classifier it replaced (`grammar_walker`)."""
+
+    def test_evaluation_equals_the_walker(self):
+        rng = random.Random(14)
+        compared = 0
+        for _ in range(3000):
+            concept = random_concept(rng, depth=4)
+            axiom = random_axiom(rng, depth=3)
+            sig = random_signature(rng)
+            for flavor in (BOT, TOPF):
+                assert classify_concept(concept, sig, flavor) is walker.classify_concept(
+                    concept, sig, flavor
+                )
+                for refined in (False, True):
+                    assert is_syntactically_local(
+                        axiom, sig, flavor, refined
+                    ) == walker.is_syntactically_local(axiom, sig, flavor, refined)
+                compared += 2
+        assert compared >= 6000
+
+    def test_substituted_role_constants_still_raise(self):
+        # substitution sends roles outside Σ to the empty or universal role;
+        # wherever the walker refused such an input, so does the grammar
+        rng = random.Random(15)
+        raised = 0
+        for _ in range(1500):
+            axiom = random_axiom(rng, depth=3)
+            sig = random_signature(rng)
+            for sem in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
+                probe = substitute(axiom, sig, sem)
+                concept = substitute(SubClassOf(random_concept(rng), TOP), sig, sem).sub
+                for flavor in (BOT, TOPF):
+                    for check, reference, x in (
+                        (is_syntactically_local, walker.is_syntactically_local, probe),
+                        (classify_concept, walker.classify_concept, concept),
+                    ):
+                        try:
+                            expected = reference(x, sig, flavor)
+                        except ValueError:
+                            raised += 1
+                            with pytest.raises(ValueError):
+                                check(x, sig, flavor)
+                            with pytest.raises(ValueError):
+                                compile_circuit([SubClassOf(x, x) if x is concept else x], flavor)
+                            continue
+                        try:
+                            assert check(x, sig, flavor) == expected
+                        except ValueError:
+                            pass  # the walker skipped the constant; the grammar need not
+        assert raised >= 500
