@@ -8,30 +8,31 @@ extraction repeats the nested step until the module stops shrinking.
 
 The extractor works in rounds: each round moves the axioms not local
 w.r.t. one signature into M, and then grows the signature once by their
-names. A verdict depends on the signature only through the names it
-shares with the axiom, so an axiom that shares no name with Σ has its
-verdict w.r.t. the empty signature. A semantic round therefore checks only
-candidates: in the first round, the axioms not known to be local w.r.t. ∅
-(`Ontology.nonlocal_at_empty`, found by the first extraction over the
-whole ontology that needs them) and those that mention a name of Σ
-(`_Checker.candidates`, which the harness's T1a test uses too); later,
-those outside M that mention a name new in the round before. A syntactic
-round is one wave of counter propagation over the ontology's compiled
-`syntactic.Circuit`: the names new to the signature fire, each gate counts
-down as its inputs fire, and an axiom whose root fires joins M; the axioms
-non-local w.r.t. ∅ join in the first round. Locality is anti-monotone in
-Σ, so the fixpoint does not depend on when the signature grows, and the
-result equals that of the textbook loop, which rescans the axioms and
-grows the signature after every added axiom (`naive=True` runs it for
-differential testing).
+names. Every round is one wave of counter propagation over the ontology's
+compiled `syntactic.Circuit`: the names new to the signature fire, each
+gate counts down as its inputs fire, and an axiom whose root fires is
+syntactically non-local w.r.t. the working signature (the circuit's
+`always` are non-local even w.r.t. ∅ and fire in the first round). A
+syntactic round moves the fired axioms into M. A semantic round runs over
+the circuit of the matching syntactic flavor and checks only fired axioms:
+syntactic locality implies semantic locality, so any other axiom is local.
+It checks those that fired in this wave and those that fired earlier, were
+found local, and mention a name new in the round before; a verdict depends
+on the signature only through the names it shares with the axiom, so the
+verdicts of the rest still hold. Locality is anti-monotone in Σ, so the
+fixpoint does not depend on when the signature grows, and the result
+equals that of the textbook loop, which rescans the axioms and grows the
+signature after every added axiom (`naive=True` runs it for differential
+testing), wherever that loop meets no UNKNOWN verdict. An UNKNOWN counts
+as non-local; the rounds meet one only on a fired axiom, so a semantic
+module stays inside the syntactic module of the same polarity.
 
 All loops work on positions of the input ontology: the steps of a nested
 or star extraction narrow the positions, not the ontology, and a wave
 counts down only the gates of axioms at those positions. So the axiom
-signatures, the name index, the circuits, the semantic verdict memo
-(`semantic.verdict_in`) and the sets for ∅ are shared by all steps and by
-every extraction over one instance. Only the module that is returned
-becomes an `Ontology`.
+signatures, the name index, the circuits and the semantic verdict memo
+(`semantic.verdict_in`) are shared by all steps and by every extraction
+over one instance. Only the module that is returned becomes an `Ontology`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .model import (
-    EMPTY_SIGNATURE,
     Axiom,
     LocalityFlavor,
     Ontology,
@@ -76,14 +76,13 @@ class ModuleResult:
     tallied in `unknown_verdicts`). `positions` are the ascending
     positions of the module's axioms in the input ontology. For a plain
     extraction `rounds` counts the rounds that added axioms (passes over
-    the whole ontology with `naive=True`). For a semantic flavor, and with
-    `naive=True`, `locality_checks` counts every check made, one per
-    pending axiom per round, plus the checks against the empty signature
-    when this extraction was the first over the instance to need them; for
-    a syntactic flavor it counts the counter updates of the propagation,
-    one per gate input that fired. A nested extraction sums both over its
-    two passes; a star extraction counts nested iterations in `rounds` and
-    sums the checks of all of them.
+    the whole ontology with `naive=True`). For a semantic flavor
+    `locality_checks` counts the semantic checks, one per fired axiom per
+    round that checks it (with `naive=True`, one per axiom outside M per
+    pass); for a syntactic flavor it counts the counter updates of the
+    propagation, one per gate input that fired. A nested extraction sums
+    both over its two passes; a star extraction counts nested iterations in
+    `rounds` and sums the checks of all of them.
     """
 
     module: Ontology
@@ -100,8 +99,9 @@ class ModuleResult:
 class _Checker:
     """Locality test of the axioms of one ontology, by position, with
     check/unknown counters. Semantic verdicts go through the ontology's
-    memo (`semantic.verdict_in`); syntactic extraction runs over the
-    ontology's `Circuit`."""
+    memo (`semantic.verdict_in`); extraction runs over the ontology's
+    `Circuit` for `syn_flavor`, the flavor itself or, for a semantic one,
+    the syntactic flavor of the same polarity."""
 
     def __init__(
         self,
@@ -115,6 +115,9 @@ class _Checker:
         self.flavor = flavor
         self.syntactic = flavor.is_syntactic
         self.refined = refined and self.syntactic
+        self.syn_flavor = flavor if self.syntactic else (
+            LocalityFlavor.SYN_BOT if flavor.is_bottom else LocalityFlavor.SYN_TOP
+        )
         self.budget = budget
         self.checks = 0
         self.unknowns = 0
@@ -130,43 +133,22 @@ class _Checker:
         return verdict.is_local
 
     def circuit(self) -> Circuit:
-        """The ontology's circuit for this syntactic test, kept once built."""
-        key = (self.flavor, self.refined)
+        """The ontology's circuit for this syntactic test, or for the
+        matching syntactic flavor of a semantic one, kept once built."""
+        key = (self.syn_flavor, self.refined)
         found = self.o.circuits.get(key)
         if found is None:
-            found = self.o.circuits[key] = compile_circuit(self.axioms, self.flavor, self.refined)
-        return found
-
-    def nonlocal_at_empty(self, scope: Collection[int]) -> Collection[int]:
-        """Positions of the axioms not known to be local w.r.t. the empty
-        signature: the circuit's `always`, or, semantically, kept by the
-        ontology once complete. Finding them checks every axiom once, and
-        those checks count; until they are known, an extraction over fewer
-        positions than the ontology has (a step of a nested or star
-        extraction) gets all of `scope` instead. An UNKNOWN leaves its axiom
-        in the set, to be checked again against the seed, and is not
-        tallied here."""
-        if self.syntactic:
-            return self.circuit().always
-        found = self.o.nonlocal_at_empty.get(self.flavor)
-        if found is None:
-            if len(scope) < len(self.axioms):
-                return scope
-            unknowns = self.unknowns
-            found = tuple(
-                i for i in range(len(self.axioms)) if not self.is_local(i, EMPTY_SIGNATURE)
-            )
-            self.unknowns = unknowns
-            self.o.nonlocal_at_empty[self.flavor] = found
+            found = self.o.circuits[key] = compile_circuit(self.axioms, *key)
         return found
 
     def candidates(self, scope: Collection[int], sig: Signature) -> list[int]:
         """Ascending positions in `scope` that may be non-local w.r.t.
-        `sig`: those not known to be local w.r.t. ∅ and those that mention
-        a name of `sig`. Any other axiom has its verdict w.r.t. ∅: local."""
+        `sig`: those syntactically non-local w.r.t. ∅ (the circuit's
+        `always`) and those that mention a name of `sig`. Any other axiom
+        has its verdict w.r.t. ∅: local."""
         index = self.o.name_index
         seeded = chain(
-            self.nonlocal_at_empty(scope),
+            self.circuit().always,
             *(index.get(name, ()) for name in sig.concept_names | sig.role_names),
         )
         return sorted({i for i in seeded if i in scope})
@@ -187,10 +169,10 @@ def _extract(
     o = c.o
     sigs = o.axiom_signatures
     module: set[int] = set()
-    working = sig
     rounds = 0
 
     if naive:
+        working = sig
         while True:
             added: list[int] = []
             for i in scope:
@@ -203,41 +185,53 @@ def _extract(
             rounds += 1
             if trace is not None:
                 trace.append((rounds, [o.axioms[i] for i in added]))
-    else:
-        if c.syntactic:
-            circuit = c.circuit()
-            need = list(circuit.need)
-            added = [i for i in circuit.always if i in scope]
-        else:
-            index = o.name_index
-            pending = c.candidates(scope, sig)
-        fresh = (sig.concept_names, sig.role_names)
-        while True:
-            if c.syntactic:
-                # one wave: the names new in the round before fire
-                fired, updates = circuit.fire(need, *fresh, scope)
-                added = sorted(added + fired)
-                c.checks += updates
-            else:
-                added = [i for i in pending if not c.is_local(i, working)]
-            if not added:
-                break
-            rounds += 1
-            if trace is not None:
-                trace.append((rounds, [o.axioms[i] for i in added]))
-            module.update(added)
-            gained = Signature.union(sigs[i] for i in added)
-            fresh = (
-                gained.concept_names - working.concept_names,
-                gained.role_names - working.role_names,
-            )
-            working = working | gained
-            added = []
-            if not c.syntactic:
-                names = chain(*fresh)
-                pending = sorted({j for n in names for j in index[n] if j in scope} - module)
+        return dict.fromkeys(sorted(module)), working, rounds
 
-    return dict.fromkeys(sorted(module)), working, rounds
+    circuit = c.circuit()
+    need = list(circuit.need)
+    within = None if len(scope) == len(c.axioms) else scope
+    fired = [i for i in circuit.always if i in scope]
+    waiting: set[int] = set()  # fired, but semantically local so far
+    concepts, roles = set(sig.concept_names), set(sig.role_names)
+    individuals = set(sig.individual_names)
+    fresh = (sig.concept_names, sig.role_names)
+    working = sig
+    while True:
+        # one wave: the names new in the round before fire
+        roots, updates = circuit.fire(need, *fresh, within)
+        fired += roots
+        if c.syntactic:
+            c.checks += updates
+            added = sorted(fired)
+        else:
+            # an axiom found local in an earlier round keeps its verdict
+            # unless it mentions a new name; one that never fired is
+            # syntactically local
+            if waiting:
+                reached = chain.from_iterable(o.name_index[n] for n in chain(*fresh))
+                fired += waiting.intersection(reached)
+            added = [i for i in sorted(fired) if not c.is_local(i, working)]
+            waiting.update(fired)
+            waiting.difference_update(added)
+        if not added:
+            break
+        rounds += 1
+        if trace is not None:
+            trace.append((rounds, [o.axioms[i] for i in added]))
+        module.update(added)
+        kept = [sigs[i] for i in added]
+        fresh = (
+            set().union(*[s.concept_names for s in kept]) - concepts,
+            set().union(*[s.role_names for s in kept]) - roles,
+        )
+        concepts |= fresh[0]
+        roles |= fresh[1]
+        individuals.update(*[s.individual_names for s in kept])
+        if not c.syntactic:
+            working = Signature(frozenset(concepts), frozenset(roles))
+        fired = []
+
+    return dict.fromkeys(sorted(module)), Signature(concepts, roles, individuals), rounds
 
 
 def _nested(

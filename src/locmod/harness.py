@@ -14,11 +14,13 @@ enough that all 2^m signatures are enumerated instead. Binned sampling
 spreads target sizes evenly over sub-ranges of 0..m, which the plain
 binomial draw never does.
 
-A T1a case checks, per notion, only the axioms the seed can reach, as an
-extraction's first round does: those not known to be local w.r.t. ∅
-(`Ontology.nonlocal_at_empty`) and those that mention a seed name. Any
-other axiom has its verdict w.r.t. ∅, a definite LOCAL, so this is exact;
-`syn_time` and `sem_time` time the checks of these candidates.
+A T1a case checks, for both notions, only the axioms the seed can reach:
+those syntactically ⊥-non-local w.r.t. ∅ (the `always` of the ontology's
+SYN_BOT circuit) and those that mention a seed name. Any other axiom has
+its verdict w.r.t. ∅, syntactically and so semantically LOCAL, so this is
+exact. Every candidate gets a real semantic verdict, even a syntactically
+local one, so the direction check below sees each of them; `syn_time` and
+`sem_time` time the checks of these candidates.
 
 A difference record is produced only for cases where the two notions
 disagree; the direction is checked on every case and a syntactically-local

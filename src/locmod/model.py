@@ -426,10 +426,11 @@ class Ontology:
     of the used signature when the source file declares unused names); it
     does not affect the ontology's own signature.
 
-    `axiom_signatures`, `names`, `name_index`, `verdicts`,
-    `nonlocal_at_empty` and `circuits` are made on first use and kept by
-    the instance (they are not fields, so equality, hashing and repr
-    ignore them); every extraction over the same instance shares them.
+    `axiom_signatures`, `names`, `name_index`, `verdicts` and `circuits`
+    are made on first use and kept by the instance (they are not fields, so
+    equality, hashing and repr ignore them); every extraction over the same
+    instance shares them. A semantic extraction runs over the circuit of
+    the matching syntactic flavor, so both flavors share it too.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -469,13 +470,6 @@ class Ontology:
     def verdicts(self) -> dict:
         """Definite semantic locality verdicts of the axioms, filled by
         `semantic.verdict_in`, which also defines the keys."""
-        return {}
-
-    @cached_property
-    def nonlocal_at_empty(self) -> dict:
-        """Ascending positions of the axioms not known to be semantically
-        local w.r.t. the empty signature, one tuple per semantic flavor,
-        filled by the extractor."""
         return {}
 
     @cached_property
@@ -667,13 +661,11 @@ class LocalityFlavor(Enum):
     SEM_BOT = "sem-bot"
     SEM_TOP = "sem-top"
 
-    @property
-    def is_syntactic(self) -> bool:
-        return self in (LocalityFlavor.SYN_BOT, LocalityFlavor.SYN_TOP)
-
-    @property
-    def is_bottom(self) -> bool:
-        return self in (LocalityFlavor.SYN_BOT, LocalityFlavor.SEM_BOT)
+    def __init__(self, value: str):
+        # plain attributes: every locality check reads them, and an enum
+        # property that looks up members costs about half a microsecond
+        self.is_syntactic: bool = not value.startswith("sem-")
+        self.is_bottom: bool = value.endswith("bot")
 
     def __str__(self):
         return self.value

@@ -5,14 +5,17 @@ sending every non-Σ concept name to ⊥ (bottom flavor) or ⊤ (top flavor)
 and every non-Σ role to the empty or universal relation is valid: the
 non-Σ part of any interpretation can always be rewired to those constants
 without touching Σ, so locality reduces to a tautology test. Role axioms
-over the constants are decided structurally; concept axioms go through
-constant propagation and then the tableau.
+over the constants are decided structurally. Substitution folds the
+constants it brings in, so a concept axiom that collapses to ⊥ ⊑ D or
+C ⊑ ⊤ is valid at once; the others go through constant propagation and
+then the tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import is_
 
 from .model import (
     And,
@@ -55,7 +58,7 @@ from .model import (
     normalize_role,
     role_name_of,
 )
-from .tableau import Budget, DEFAULT_BUDGET, SatStatus, is_satisfiable
+from .tableau import Budget, DEFAULT_BUDGET, SatResult, SatStatus, is_satisfiable
 
 __all__ = [
     "Locality",
@@ -101,6 +104,9 @@ def _check_semantic(flavor: LocalityFlavor):
 # Substitution
 # ---------------------------------------------------------------------------
 
+_RESTRICTIONS = (Exists, ForAll, AtLeast, AtMost)
+
+
 def _sub_role(r: Role, sig: Signature, repl: Role) -> Role:
     name = role_name_of(r)
     if name is None:
@@ -111,31 +117,34 @@ def _sub_role(r: Role, sig: Signature, repl: Role) -> Role:
 
 
 def _sub_concept(c: Concept, sig: Signature, repl_c: Concept, repl_r: Role) -> Concept:
+    """`c` with the names outside `sig` replaced: a subterm left unchanged is
+    the same object, and a changed one is folded by the rule of `simplify`
+    for its constructor, so only the constants substitution brings in fold."""
     if isinstance(c, ConceptName):
         return c if c.name in sig.concept_names else repl_c
-    if isinstance(c, (TopType, BottomType, OneOf)):
+    if isinstance(c, (And, Or)):
+        role, args = None, c.args
+    elif isinstance(c, Not):
+        role, args = None, (c.arg,)
+    elif isinstance(c, _RESTRICTIONS):
+        role, args = _sub_role(c.role, sig, repl_r), (c.filler,)
+    elif isinstance(c, (TopType, BottomType, OneOf)):
         return c
-    if isinstance(c, Not):
-        return Not(_sub_concept(c.arg, sig, repl_c, repl_r))
-    if isinstance(c, And):
-        return conj(*[_sub_concept(a, sig, repl_c, repl_r) for a in c.args])
-    if isinstance(c, Or):
-        return disj(*[_sub_concept(a, sig, repl_c, repl_r) for a in c.args])
-    if isinstance(c, Exists):
-        return Exists(_sub_role(c.role, sig, repl_r), _sub_concept(c.filler, sig, repl_c, repl_r))
-    if isinstance(c, ForAll):
-        return ForAll(_sub_role(c.role, sig, repl_r), _sub_concept(c.filler, sig, repl_c, repl_r))
-    if isinstance(c, AtLeast):
-        return AtLeast(c.n, _sub_role(c.role, sig, repl_r), _sub_concept(c.filler, sig, repl_c, repl_r))
-    if isinstance(c, AtMost):
-        return AtMost(c.n, _sub_role(c.role, sig, repl_r), _sub_concept(c.filler, sig, repl_c, repl_r))
-    raise TypeError(f"not a concept: {c!r}")
+    else:
+        raise TypeError(f"not a concept: {c!r}")
+    subbed = [_sub_concept(a, sig, repl_c, repl_r) for a in args]
+    if role is getattr(c, "role", None) and all(map(is_, subbed, args)):
+        return c
+    return _fold(c, role, subbed)
 
 
 def substitute(a: Axiom, sig: Signature, flavor: LocalityFlavor) -> Axiom:
     """Replace every concept name outside `sig` by ⊥/⊤ and every role whose
     name is outside `sig` by the empty/universal relation. Nominals are
-    untouched: an individual denotes one element no matter the signature."""
+    untouched: an individual denotes one element no matter the signature.
+    The constants brought in are folded as `simplify` folds them (so an
+    axiom whose names `sig` covers comes back unchanged); probes built from
+    the result equal those built from the unfolded substitution."""
     _check_semantic(flavor)
     if flavor.is_bottom:
         repl_c: Concept = BOTTOM
@@ -181,64 +190,44 @@ def simplify(c: Concept) -> Concept:
     universal role is left in place for the tableau. One bottom-up pass
     reaches the fixpoint because every rewrite yields an already-simple
     result."""
+    if isinstance(c, (And, Or)):
+        return _fold(c, None, map(simplify, c.args))
     if isinstance(c, Not):
-        a = simplify(c.arg)
-        if isinstance(a, TopType):
-            return BOTTOM
-        if isinstance(a, BottomType):
-            return TOP
-        if isinstance(a, Not):
-            return a.arg
-        return Not(a)
-    if isinstance(c, And):
-        args = []
-        for a in c.args:
-            s = simplify(a)
-            if isinstance(s, BottomType):
-                return BOTTOM
-            if not isinstance(s, TopType):
-                args.append(s)
-        return conj(*args)
-    if isinstance(c, Or):
-        args = []
-        for a in c.args:
-            s = simplify(a)
-            if isinstance(s, TopType):
-                return TOP
-            if not isinstance(s, BottomType):
-                args.append(s)
-        return disj(*args)
-    if isinstance(c, Exists):
-        filler = simplify(c.filler)
-        if isinstance(normalize_role(c.role), EmptyRoleType):
-            return BOTTOM
-        if isinstance(filler, BottomType):
-            return BOTTOM
-        return Exists(c.role, filler)
-    if isinstance(c, ForAll):
-        filler = simplify(c.filler)
-        if isinstance(normalize_role(c.role), EmptyRoleType):
-            return TOP
-        if isinstance(filler, TopType):
-            return TOP
-        return ForAll(c.role, filler)
-    if isinstance(c, AtLeast):
-        filler = simplify(c.filler)
-        if c.n == 0:
-            return TOP
-        if isinstance(normalize_role(c.role), EmptyRoleType):
-            return BOTTOM
-        if isinstance(filler, BottomType):
-            return BOTTOM
-        return AtLeast(c.n, c.role, filler)
-    if isinstance(c, AtMost):
-        filler = simplify(c.filler)
-        if isinstance(normalize_role(c.role), EmptyRoleType):
-            return TOP
-        if isinstance(filler, BottomType):
-            return TOP
-        return AtMost(c.n, c.role, filler)
+        return _fold(c, None, (simplify(c.arg),))
+    if isinstance(c, AtLeast) and c.n == 0:
+        return TOP
+    if isinstance(c, _RESTRICTIONS):
+        return _fold(c, c.role, (simplify(c.filler),))
     return c
+
+
+def _fold(c: Concept, role: Role | None, args) -> Concept:
+    """`c` rebuilt over `role` and its simplified arguments `args`, with the
+    constants folded by the rule for its constructor. An absorbing argument
+    stops a lazy `args`. ≥0 is left to `simplify`: folding it here would
+    change the probe that the negation of ≥0 R.C yields in `nnf`."""
+    if isinstance(c, (And, Or)):
+        absorbing, unit = (BottomType, TopType) if isinstance(c, And) else (TopType, BottomType)
+        kept = []
+        for a in args:
+            if isinstance(a, absorbing):
+                return BOTTOM if absorbing is BottomType else TOP
+            if not isinstance(a, unit):
+                kept.append(a)
+        return conj(*kept) if absorbing is BottomType else disj(*kept)
+    (a,) = args
+    if isinstance(c, Not):
+        if isinstance(a, (TopType, BottomType)):
+            return BOTTOM if isinstance(a, TopType) else TOP
+        return a.arg if isinstance(a, Not) else Not(a)
+    empty = isinstance(normalize_role(role), EmptyRoleType)
+    if isinstance(c, ForAll):
+        return TOP if empty or isinstance(a, TopType) else ForAll(role, a)
+    if isinstance(c, AtMost):
+        return TOP if empty or isinstance(a, BottomType) else AtMost(c.n, role, a)
+    if (empty or isinstance(a, BottomType)) and getattr(c, "n", 1):
+        return BOTTOM
+    return Exists(role, a) if isinstance(c, Exists) else AtLeast(c.n, role, a)
 
 
 # ---------------------------------------------------------------------------
@@ -250,31 +239,34 @@ def is_tautology(a: Axiom, budget: Budget | None = None) -> bool | None:
     negation: C ⊑ D is valid iff nnf(C ⊓ ¬D) has no model. Equivalences
     check both directions. None means the reasoner gave up (budget or
     safety valve)."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
+    status = _refutation(a, budget or DEFAULT_BUDGET).status
+    return None if status is SatStatus.UNKNOWN else status is SatStatus.UNSATISFIABLE
+
+
+def _refutation(a: Axiom, budget: Budget) -> SatResult:
+    """The search for a counterexample to the concept axiom `a`:
+    UNSATISFIABLE when it is valid, SATISFIABLE when it is not, and an
+    UNKNOWN with the tableau's reason when the search gave up."""
     if isinstance(a, SubClassOf):
-        return _subsumption_valid(a.sub, a.sup, budget)
+        return _counterexample(a.sub, a.sup, budget)
     if isinstance(a, EquivalentClasses):
-        forward = _subsumption_valid(a.left, a.right, budget)
-        if forward is False:
-            return False
-        backward = _subsumption_valid(a.right, a.left, budget)
-        if backward is False:
-            return False
-        if forward is None or backward is None:
-            return None
-        return True
+        forward = _counterexample(a.left, a.right, budget)
+        if forward.status is SatStatus.SATISFIABLE:
+            return forward
+        backward = _counterexample(a.right, a.left, budget)
+        return forward if backward.status is SatStatus.UNSATISFIABLE else backward
     raise TypeError(f"expected a concept axiom after substitution, got {a!r}")
 
 
-def _subsumption_valid(sub: Concept, sup: Concept, budget: Budget) -> bool | None:
-    probe = simplify(nnf(conj(sub, Not(sup))))
-    result = is_satisfiable(probe, budget)
-    if result.status is SatStatus.UNSATISFIABLE:
-        return True
-    if result.status is SatStatus.SATISFIABLE:
-        return False
-    return None
+_NO_COUNTEREXAMPLE = SatResult(SatStatus.UNSATISFIABLE)
+
+
+def _counterexample(sub: Concept, sup: Concept, budget: Budget) -> SatResult:
+    """Satisfiability of sub ⊓ ¬sup. A substituted ⊥ ⊑ D or C ⊑ ⊤ has no
+    counterexample, found before any probe is built."""
+    if isinstance(sub, BottomType) or isinstance(sup, TopType):
+        return _NO_COUNTEREXAMPLE
+    return is_satisfiable(simplify(nnf(conj(sub, Not(sup)))), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +331,10 @@ def verdict_in(
 def _verdict_one(a: Axiom, sig: Signature, flavor: LocalityFlavor, budget: Budget) -> Verdict:
     s = substitute(a, sig, flavor)
     if isinstance(s, (SubClassOf, EquivalentClasses)):
-        taut = is_tautology(s, budget)
-        if taut is True:
-            return LOCAL
-        if taut is False:
-            return NON_LOCAL
-        return Verdict(Locality.UNKNOWN, reason="tautology check gave up")
+        result = _refutation(s, budget)
+        if result.status is SatStatus.UNKNOWN:
+            return Verdict(Locality.UNKNOWN, reason=result.reason)
+        return LOCAL if result.status is SatStatus.UNSATISFIABLE else NON_LOCAL
     # role axioms: validity over the substitution constants is structural
     if isinstance(s, SubRoleOf):
         valid = (

@@ -208,23 +208,25 @@ class Circuit:
     def __init__(self, uses, need, owner, up, always):
         self.uses, self.need, self.owner, self.up, self.always = uses, need, owner, up, always
 
-    def fire(self, need: list[int], concepts, roles, scope: Collection[int]):
+    def fire(self, need: list[int], concepts, roles, scope: Collection[int] | None):
         """Fire the names in `concepts` and `roles` and count down `need`,
         one extraction's copy of the counts, at the gates of the axioms at
-        `scope`. Returns the axioms made non-local and the number of counter
-        updates, one per target reached."""
+        `scope` (None: of every axiom). Returns the axioms made non-local
+        and the number of counter updates, one per target reached."""
         owner, up = self.owner, self.up
         pairs = zip(self.uses, (concepts, roles))
         named = [uses.get(n, ()) for uses, names in pairs for n in names]
-        hits = [t for ts in named for t in ts if (owner[t] if t >= 0 else ~t) in scope]
+        if scope is None:
+            hits = [t for ts in named for t in ts]
+        else:
+            hits = [t for ts in named for t in ts if (owner[t] if t >= 0 else ~t) in scope]
         roots, updates = [], len(hits)
-        while hits:
-            t = hits.pop()
+        for t in hits:  # a gate that fires appends its target
             if t < 0:
                 roots.append(~t)
                 continue
-            need[t] -= 1
-            if not need[t]:
+            left = need[t] = need[t] - 1
+            if not left:
                 hits.append(up[t])
                 updates += 1
         return roots, updates

@@ -177,6 +177,17 @@ class TestCheck:
         assert main(args + ["--strict-verdicts"]) == 3
         capsys.readouterr()
         assert main(args) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("unknown (counting over the universal role)\t")
+
+    def test_unknown_verdict_names_the_step_limit(self, tmp_path, capsys):
+        onto = tmp_path / "starved.ofs"
+        onto.write_text("Ontology(starved\n  SubClassOf(A ObjectSomeValuesFrom(r B))\n)\n")
+        args = ["check", "--flavor", "sem-bot", "--ontology", str(onto), "--terms", "C:A,C:B"]
+        assert main(args + ["--max-steps", "1"]) == 0
+        assert capsys.readouterr().out.startswith("unknown (rule application limit reached)\t")
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("non-local\t")
 
 
 class TestGenuine:

@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 import locmod.extractor as extractor
+import locmod.semantic as semantic
 from locmod import (
     BOTTOM,
     TOP,
@@ -43,9 +44,9 @@ def module_set(result):
     return frozenset(result.module.axioms)
 
 
-def nonlocal_at_empty(o, flavor, budget=None):
-    """Positions of the axioms of `o` not known to be local w.r.t. the
-    empty signature, decided afresh."""
+def nonlocal_at_empty(o, flavor):
+    """Positions of the axioms of `o` not local w.r.t. the empty signature,
+    decided afresh."""
     if flavor.is_syntactic:
         return {
             i
@@ -55,8 +56,14 @@ def nonlocal_at_empty(o, flavor, budget=None):
     return {
         i
         for i, a in enumerate(o.axioms)
-        if not is_semantically_local(a, Signature(), flavor, budget).is_local
+        if not is_semantically_local(a, Signature(), flavor).is_local
     }
+
+
+def matching_syntactic(flavor):
+    if flavor.is_syntactic:
+        return flavor
+    return LocalityFlavor.SYN_BOT if flavor.is_bottom else LocalityFlavor.SYN_TOP
 
 
 def reference_nested(o, sig, pair, naive):
@@ -281,8 +288,9 @@ class TestSeededFirstRound:
             o = load_fixture(name)
             concepts = signature_of(o).concept_names
             for flavor in ALL_FLAVORS:
+                syn = matching_syntactic(flavor)
                 extract_module(o, Signature(), flavor)  # warm the instance
-                at_empty = nonlocal_at_empty(o, flavor)
+                at_empty = nonlocal_at_empty(o, syn)
                 for term, positions in o.name_index.items():
                     sig = (
                         Signature({term}) if term in concepts else Signature(role_names={term})
@@ -302,13 +310,19 @@ class TestSeededFirstRound:
                             == extract_module(reached, sig, flavor).locality_checks
                         )
                     else:
-                        assert result.locality_checks == len(at_empty | set(positions)) < len(o)
+                        # only the axioms whose root fired are checked:
+                        # those syntactically non-local w.r.t. the seed
+                        reached = at_empty | set(positions)
+                        assert result.locality_checks == sum(
+                            not is_syntactically_local(o.axioms[i], sig, syn) for i in reached
+                        )
                     cases += 1
         assert cases >= 20
 
     def test_starved_budget_does_not_stick(self):
         starved = Budget(max_steps=1)
         rng = random.Random(46)
+        unknown_cases = 0
         for name in CORPUS_NAMES:
             entities = signature_of(load_fixture(name))
             sigs = [Signature()] + [
@@ -322,15 +336,74 @@ class TestSeededFirstRound:
             for flavor in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
                 for sig in sigs:
                     o = load_fixture(name)
-                    assert nonlocal_at_empty(o, flavor) < nonlocal_at_empty(o, flavor, starved)
                     first = extract_module(o, sig, flavor, budget=starved)
-                    assert first.unknown_verdicts >= 1
                     warm = extract_module(o, sig, flavor)
                     fresh = extract_module(load_fixture(name), sig, flavor)
                     assert warm.module.axioms == fresh.module.axioms
                     assert warm.extended_signature == fresh.extended_signature
                     assert warm.rounds == fresh.rounds
                     assert warm.unknown_verdicts == fresh.unknown_verdicts
+                    if first.unknown_verdicts:
+                        unknown_cases += 1
+                        continue
+                    # substitution and the syntactic gate decided every
+                    # check without the tableau, so the budget did not bind
+                    assert first.positions == fresh.positions
+                    assert first.extended_signature == fresh.extended_signature
+                    assert first.rounds == fresh.rounds
+        assert unknown_cases >= 32
+
+    def test_semantic_rounds_check_only_fired_axioms(self, monkeypatch):
+        # every axiom a semantic round checks is syntactically non-local
+        # w.r.t. the signature it is checked against, and the modules equal
+        # those of the textbook loop, which checks every axiom
+        rng = random.Random(50)
+        inputs = [(name, 0.5) for name in CORPUS_NAMES] + [(None, 0.03)]
+        seen = []
+
+        def recording(a, sig, flavor, budget=None):
+            seen.append((a, sig, flavor))
+            return is_semantically_local(a, sig, flavor, budget)
+
+        runs = [
+            (extract_module, LocalityFlavor.SEM_BOT),
+            (extract_module, LocalityFlavor.SEM_TOP),
+            (extract_star, SEM_STAR),
+        ]
+        checked = exact = 0
+        for name, p in inputs:
+            load = (lambda: load_fixture(name)) if name else (lambda: synthetic_ontology(300))
+            entities = signature_of(load())
+            for _ in range(6):
+                sig = random_signature(
+                    rng,
+                    p,
+                    concepts=sorted(entities.concept_names),
+                    roles=sorted(entities.role_names),
+                )
+                for extract, flavor in runs:
+                    o, trace = load(), []
+                    monkeypatch.setattr(semantic, "is_semantically_local", recording)
+                    fast = extract(o, sig, flavor, trace=trace)
+                    monkeypatch.undo()
+                    for a, at, sem in seen:
+                        assert not is_syntactically_local(a, at, matching_syntactic(sem))
+                    checked += len(seen)
+                    seen.clear()
+                    slow = extract(load(), sig, flavor, naive=True)
+                    if slow.unknown_verdicts:
+                        # the textbook loop also keeps the axioms it could
+                        # not decide, syntactically local ones included
+                        assert set(fast.positions) <= set(slow.positions)
+                        continue
+                    exact += 1
+                    assert fast.positions == slow.positions
+                    assert fast.extended_signature == slow.extended_signature
+                    if extract is extract_star:
+                        assert fast.rounds == slow.rounds
+                    else:
+                        assert [added for _, added in trace] == reference_rounds(o, sig, flavor)
+        assert checked > 1_000 and exact >= 75
 
     def test_dropped_ontology_releases_its_axioms(self):
         o = synthetic_ontology(2000)
@@ -480,7 +553,12 @@ def reference_rounds(o, sig, flavor):
         added = [
             i
             for i, a in enumerate(o.axioms)
-            if i not in module and not is_syntactically_local(a, working, flavor)
+            if i not in module
+            and not (
+                is_syntactically_local(a, working, flavor)
+                if flavor.is_syntactic
+                else is_semantically_local(a, working, flavor).is_local
+            )
         ]
         if not added:
             return trace

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import locmod.semantic as semantic
+import plain_substitution
 from locmod import (
     AtLeast,
     BOTTOM,
@@ -17,6 +19,7 @@ from locmod import (
     InverseRoles,
     Locality,
     LocalityFlavor,
+    Not,
     OneOf,
     RoleName,
     Signature,
@@ -27,15 +30,19 @@ from locmod import (
     UNIVERSAL_ROLE,
     Ontology,
     conj,
+    disj,
     eval_concept,
     exactly,
     is_semantically_local,
     is_syntactically_local,
     is_tautology,
+    nnf,
+    normalize_axiom,
     signature_of,
     simplify,
     substitute,
 )
+from locmod.model import BottomType, TopType
 from locmod.semantic import verdict_in
 from conftest import CORPUS_NAMES, load_fixture
 from genlib import random_axiom, random_interpretation, random_signature
@@ -59,6 +66,13 @@ def koala_axiom():
 
 
 KOALA_SIG = Signature({"S"}, {"c", "g"})
+
+
+def directions(a):
+    """The (sub, sup) pairs whose validity makes the concept axiom `a` valid."""
+    if isinstance(a, SubClassOf):
+        return [(a.sub, a.sup)]
+    return [(a.left, a.right), (a.right, a.left)]
 
 
 class TestSubstitute:
@@ -90,6 +104,56 @@ class TestSubstitute:
         sig = Signature(role_names={"R"})
         for flavor in (SEM_BOT, SEM_TOP):
             assert substitute(axiom, sig, flavor) == axiom
+
+    def test_folds_only_what_it_changes(self):
+        outside = SubClassOf(disj(A, Exists(R, B)), ForAll(P, A))
+        assert substitute(outside, Signature({"A"}, {"P"}), SEM_BOT) == \
+            SubClassOf(A, ForAll(P, A))
+        assert substitute(outside, Signature({"A"}), SEM_BOT).sup == TOP
+        assert substitute(outside, Signature(), SEM_BOT).sub == BOTTOM
+        # a subterm substitution leaves alone is the same object, constants
+        # of the input included
+        kept = conj(A, ForAll(R, BOTTOM))
+        assert substitute(SubClassOf(kept, B), Signature({"A"}, {"R"}), SEM_BOT).sub is kept
+        # ≥0 stays as it is written: it is ⊤ whatever the role
+        assert substitute(SubClassOf(AtLeast(0, R, B), A), Signature({"A"}), SEM_BOT) == \
+            SubClassOf(AtLeast(0, EMPTY_ROLE, BOTTOM), A)
+
+    def test_folding_keeps_probes_and_verdicts(self, monkeypatch):
+        # against a plain substitution: every probe the tableau gets from
+        # the folded substitution equals the one from the plain one, and a
+        # direction decided before the tableau (⊥ ⊑ D or C ⊑ ⊤) has the
+        # probe ⊥, so tick counts and UNKNOWNs at a budget do not move
+        rng = random.Random(26)
+        cases = [
+            (random_axiom(rng), random_signature(rng), flavor)
+            for _ in range(2_000)
+            for flavor in (SEM_BOT, SEM_TOP)
+        ]
+        reached = skipped = 0
+        for a, sig, flavor in cases:
+            for part in normalize_axiom(a):
+                folded = substitute(part, sig, flavor)
+                plain = plain_substitution.substitute(part, sig, flavor)
+                if not isinstance(plain, (SubClassOf, EquivalentClasses)):
+                    assert folded == plain
+                    continue
+                for (sub, sup), (psub, psup) in zip(directions(folded), directions(plain)):
+                    expected = simplify(nnf(conj(psub, Not(psup))))
+                    if isinstance(sub, BottomType) or isinstance(sup, TopType):
+                        assert expected == BOTTOM, (part, sig, flavor)
+                        skipped += 1
+                    else:
+                        assert simplify(nnf(conj(sub, Not(sup)))) == expected, (part, sig, flavor)
+                        reached += 1
+        assert reached > 1_000 and skipped > 1_000
+        # a step budget alone, so that the UNKNOWNs do not hang on the clock
+        budget = Budget(max_steps=300, max_seconds=1e9)
+        verdicts = [is_semantically_local(a, sig, flavor, budget) for a, sig, flavor in cases]
+        assert {v.status for v in verdicts} == set(Locality)
+        monkeypatch.setattr(semantic, "substitute", plain_substitution.substitute)
+        plain = [is_semantically_local(a, sig, flavor, budget) for a, sig, flavor in cases]
+        assert plain == verdicts
 
     def test_role_constants_for_outside_roles(self):
         axiom = SubRoleOf(R, Inverse(P))
@@ -166,7 +230,14 @@ class TestLocality:
         axiom = SubClassOf(B, AtLeast(2, R, A))
         v = is_semantically_local(axiom, Signature({"B", "A"}), SEM_TOP)
         assert v.status is Locality.UNKNOWN
-        assert v.reason
+        assert v.reason == "counting over the universal role"
+
+    def test_unknown_names_the_step_limit(self):
+        axiom = EquivalentClasses(A, conj(B, Exists(R, A)))
+        v = is_semantically_local(axiom, Signature({"A", "B"}, {"R"}), SEM_BOT, Budget(max_steps=1))
+        assert v.status is Locality.UNKNOWN
+        assert v.reason == "rule application limit reached"
+        assert is_tautology(substitute(axiom, Signature(), SEM_TOP), Budget(max_steps=1)) is None
 
     def test_local_verdicts_survive_budget_growth(self):
         rng = random.Random(23)
