@@ -429,8 +429,8 @@ class Ontology:
     `axiom_signatures`, `names`, `name_index`, `verdicts` and `circuits`
     are made on first use and kept by the instance (they are not fields, so
     equality, hashing and repr ignore them); every extraction over the same
-    instance shares them. A semantic extraction runs over the circuit of
-    the matching syntactic flavor, so both flavors share it too.
+    instance shares them. SEM_BOT extraction runs over the SYN_BOT
+    circuit, so the two flavors share it.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -652,6 +652,15 @@ def normalize_axiom(a: Axiom) -> list[Axiom]:
 # Locality flavors
 # ---------------------------------------------------------------------------
 
+# (is_syntactic, is_bottom) of each locality flavor, by its value
+_FLAVOR_KINDS = {
+    "bot": (True, True),
+    "top": (True, False),
+    "sem-bot": (False, True),
+    "sem-top": (False, False),
+}
+
+
 class LocalityFlavor(Enum):
     """The four locality notions: syntactic bottom/top and semantic
     bottom/top."""
@@ -664,8 +673,7 @@ class LocalityFlavor(Enum):
     def __init__(self, value: str):
         # plain attributes: every locality check reads them, and an enum
         # property that looks up members costs about half a microsecond
-        self.is_syntactic: bool = not value.startswith("sem-")
-        self.is_bottom: bool = value.endswith("bot")
+        self.is_syntactic, self.is_bottom = _FLAVOR_KINDS[value]
 
     def __str__(self):
         return self.value

@@ -133,7 +133,7 @@ def _sub_concept(c: Concept, sig: Signature, repl_c: Concept, repl_r: Role) -> C
     else:
         raise TypeError(f"not a concept: {c!r}")
     subbed = [_sub_concept(a, sig, repl_c, repl_r) for a in args]
-    if role is getattr(c, "role", None) and all(map(is_, subbed, args)):
+    if (role is None or role is c.role) and all(map(is_, subbed, args)):
         return c
     return _fold(c, role, subbed)
 
@@ -225,7 +225,7 @@ def _fold(c: Concept, role: Role | None, args) -> Concept:
         return TOP if empty or isinstance(a, TopType) else ForAll(role, a)
     if isinstance(c, AtMost):
         return TOP if empty or isinstance(a, BottomType) else AtMost(c.n, role, a)
-    if (empty or isinstance(a, BottomType)) and getattr(c, "n", 1):
+    if (empty or isinstance(a, BottomType)) and not (isinstance(c, AtLeast) and c.n == 0):
         return BOTTOM
     return Exists(role, a) if isinstance(c, Exists) else AtLeast(c.n, role, a)
 

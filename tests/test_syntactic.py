@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from locmod import (
     ForAll,
     Inverse,
     InverseRoles,
+    Locality,
     LocalityFlavor,
     OneOf,
     RoleName,
@@ -22,9 +24,11 @@ from locmod import (
     SyntacticClass,
     TOP,
     Transitive,
+    brute_force_refutes_locality,
     classify_concept,
     conj,
     exactly,
+    is_semantically_local,
     is_syntactically_local,
     substitute,
 )
@@ -200,3 +204,56 @@ class TestOneGrammar:
                         except ValueError:
                             pass  # the walker skipped the constant; the grammar need not
         assert raised >= 500
+
+
+class TestSoundGrammar:
+    """Asked for a semantic flavor, the grammar keeps only the productions
+    sound for it: the bottom grammar as it stands, and the top grammar
+    without ≥n R.C ∈ Top(Σ) for n ≥ 2."""
+
+    def test_only_counting_into_top_is_left_out(self):
+        rng = random.Random(16)
+        dropped = 0
+        for _ in range(4000):
+            axiom = random_axiom(rng, depth=3)
+            sig = random_signature(rng)
+            bot = is_syntactically_local(axiom, sig, BOT)
+            assert is_syntactically_local(axiom, sig, LocalityFlavor.SEM_BOT) == bot
+            top = is_syntactically_local(axiom, sig, TOPF)
+            if is_syntactically_local(axiom, sig, LocalityFlavor.SEM_TOP) != top:
+                assert top and re.search(r"AtLeast\(n=([2-9]|\d\d)", repr(axiom))
+                dropped += 1
+        assert dropped >= 20
+        counting = SubClassOf(A, AtLeast(2, R, B))
+        assert is_syntactically_local(counting, Signature({"A"}), TOPF)
+        assert not is_syntactically_local(counting, Signature({"A"}), LocalityFlavor.SEM_TOP)
+        one = SubClassOf(A, AtLeast(1, R, B))
+        assert is_syntactically_local(one, Signature({"A"}), LocalityFlavor.SEM_TOP)
+
+    def test_local_is_never_refuted(self):
+        rng = random.Random(17)
+        local = 0
+        for _ in range(600):
+            axiom = random_axiom(rng, depth=2)
+            sig = random_signature(rng)
+            for sem in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
+                if is_syntactically_local(axiom, sig, sem):
+                    local += 1
+                    assert not brute_force_refutes_locality(axiom, sig, sem, max_domain=2)
+                    verdict = is_semantically_local(axiom, sig, sem)
+                    assert verdict.status is not Locality.NON_LOCAL
+        assert local >= 300
+
+    def test_circuit_equals_evaluation(self):
+        rng = random.Random(18)
+        axioms = [random_axiom(rng, depth=3) for _ in range(300)]
+        for sem in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
+            circuit = compile_circuit(axioms, sem)
+            for _ in range(40):
+                sig = random_signature(rng)
+                roots, _ = circuit.fire(
+                    list(circuit.need), sig.concept_names, sig.role_names, range(len(axioms))
+                )
+                assert set(roots) | set(circuit.always) == {
+                    i for i, a in enumerate(axioms) if not is_syntactically_local(a, sig, sem)
+                }
