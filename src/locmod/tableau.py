@@ -4,21 +4,38 @@ Handles booleans, ∃/∀, qualified ≥/≤, inverse roles, singleton nominals,
 and the universal-role artifacts produced by semantic substitution. With
 an empty TBox no blocking is needed: the quantifier depth of labels
 strictly decreases along tree edges, so expansion depth is bounded by the
-nesting depth of the input; merging only shrinks the graph. A step/time
-budget caps pathological branching.
+nesting depth of the input; merging only shrinks the graph. ∀R∆.C acts
+as the axiom ⊤ ⊑ C, though, and an existential in C can make every new
+node ask for another. A step/time budget caps that and pathological
+branching.
 
-Branch exploration is deterministic: nodes are visited in ascending id,
-labels in insertion order, disjuncts in syntactic order, and merge
-candidates in ascending id pairs, so identical inputs and budgets always
-produce identical results.
+The search keeps one state and an agenda (Tsarkov & Horrocks 2006).
+Adding a concept to a label puts the (node, concept) pair on a FIFO
+agenda and flags at once the clashes it causes: ⊥, a complementary
+literal, ¬{o} on a node tagged o, ∃/≥n≥1 over the empty role. Popping a
+pair applies its deterministic rule once (⊓, nominal tag and merge, ∀,
+∃/≥ witnesses); ⊔ and ≤ go on per-node pending lists. A new or
+redirected edge carries the expanded ∀-concepts of both its ends. Every
+mutation appends an undo entry to a trail; a choice point keeps the trail
+length and its untried alternatives, and backtracking undoes down to that
+length, so nothing is cloned.
 
-A node with ≤n R.C and n+1 pairwise-distinct R-neighbours carrying C is a
-clash at once (Horrocks, Sattler & Tobies 2000), found by a greedy walk in
-ascending id; a clique it misses is closed later by the merge rule. This
-is exact: labels only grow and distinct nodes never merge, so every
-extension of such a branch closes too and the search returns the same
-first open state, whose model is built on first access. Ticks count
-expansion steps and the subsets the witness rule examines.
+With the agenda empty, a node with ≤n R.C and n+1 pairwise-distinct
+R-neighbours carrying C closes the branch (Horrocks, Sattler & Tobies
+2000), found by a greedy walk; a clique it misses is closed later by the
+merge rule. Otherwise the search branches on the first open ⊔, then the
+choose rule, then the merge rule, taking nodes in ascending id and each
+node's pending concepts, neighbours and disjuncts in insertion order, so
+identical inputs and budgets produce identical results and models.
+
+The witness rule fires once per (node, ≥n R.C): a record kept through
+merges says its witnesses are in place. This is exact: fresh witnesses
+are pairwise distinct and labels only grow, so a satisfied ≥ stays
+satisfied. A tick is one agenda pair expanded, one merge, or one clique
+extension the witness rule examines. A ⊔ or choose decision adds one new
+pair, so it costs the tick of that pair's expansion; a merge may add
+none, so it ticks itself. The model of the open state is built on first
+access.
 """
 
 from __future__ import annotations
@@ -26,9 +43,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
-from typing import Iterator
 
 from .model import (
     And,
@@ -139,139 +155,277 @@ def _individuals(c: Concept) -> set[str] | None:
 
 
 class _Node:
-    __slots__ = ("label", "edges", "tags")
+    __slots__ = ("label", "nbrs", "tags", "distinct", "alls", "ors", "or_at",
+                 "atmosts", "fired")
 
     def __init__(self):
         self.label: dict[Concept, None] = {}
-        self.edges: list[tuple[Role, int]] = []
+        # role → neighbours, each edge stored at both ends
+        self.nbrs: dict[Role, dict[int, None]] = {}
         self.tags: dict[str, None] = {}
-
-    def clone(self) -> "_Node":
-        n = _Node.__new__(_Node)
-        n.label = dict(self.label)
-        n.edges = list(self.edges)
-        n.tags = dict(self.tags)
-        return n
+        self.distinct: set[int] = set()
+        self.alls: list[tuple[Role, Concept]] = []  # expanded ∀R.C
+        self.ors: list[Or] = []
+        self.or_at = 0  # the disjunctions before it hold a disjunct
+        self.atmosts: list[tuple[AtMost, Role, Concept]] = []  # (≤n R.C, R, ¬C)
+        self.fired: dict[Concept, None] = {}  # ≥/∃ whose witnesses are in place
 
 
 class _State:
-    __slots__ = ("nodes", "distinct", "next_id", "root")
+    __slots__ = ("nodes", "dead", "trail", "agenda", "head", "univ", "clash", "meter")
 
-    def __init__(self):
-        self.nodes: dict[int, _Node] = {}
-        self.distinct: set[frozenset[int]] = set()
-        self.next_id = 0
-        self.root = 0
-
-    def clone(self) -> "_State":
-        s = _State.__new__(_State)
-        s.nodes = {i: n.clone() for i, n in self.nodes.items()}
-        s.distinct = set(self.distinct)
-        s.next_id = self.next_id
-        s.root = self.root
-        return s
+    def __init__(self, meter: _Meter):
+        self.nodes: list[_Node] = []
+        self.dead: set[int] = set()  # nodes merged into a smaller id
+        self.trail: list[tuple] = []  # (undo function, its argument)
+        self.agenda: list[tuple[int, Concept]] = []
+        self.head = 0
+        self.univ: list[Concept] = []  # fillers of expanded ∀U.C
+        self.clash = False
+        self.meter = meter
 
     def new_node(self) -> int:
-        i = self.next_id
-        self.next_id += 1
-        self.nodes[i] = _Node()
-        return i
+        y = len(self.nodes)
+        self.nodes.append(_Node())
+        self.trail.append((self.nodes.pop, -1))
+        for f in self.univ:
+            self.add(y, f)
+        return y
 
-    def add(self, node_id: int, c: Concept) -> bool:
-        label = self.nodes[node_id].label
+    def add(self, x: int, c: Concept) -> None:
+        """Put c in x's label and on the agenda; flag the clash it causes."""
+        node = self.nodes[x]
+        label = node.label
         if c in label:
-            return False
+            return
         label[c] = None
-        return True
+        self.trail.append((label.pop, c))
+        t = type(c)
+        if t is ConceptName or t is OneOf:
+            self.clash |= Not(c) in label
+        elif t is Not:
+            arg = c.arg
+            self.clash |= arg in label or (
+                type(arg) is OneOf and arg.individual in node.tags
+            )
+        elif t is BottomType:
+            self.clash = True
+        elif (t is Exists or t is AtLeast and c.n >= 1) and type(
+            normalize_role(c.role)
+        ) is EmptyRoleType:
+            self.clash = True
+        self.agenda.append((x, c))
+
+    def add_edge(self, x: int, role: Role, y: int) -> None:
+        """Add the R-edge x→y and push the ∀-concepts of both ends along it."""
+        if y in self.nodes[x].nbrs.get(role, ()):
+            return
+        inv = normalize_role(Inverse(role))
+        for a, r, b in ((x, role, y), (y, inv, x)):
+            ends = self.nodes[a].nbrs.setdefault(r, {})
+            ends[b] = None
+            self.trail.append((ends.pop, b))
+        for r, f in self.nodes[x].alls:
+            if r == role:
+                self.add(y, f)
+        for r, f in self.nodes[y].alls:
+            if r == inv:
+                self.add(x, f)
+
+    def tag(self, x: int, o: str) -> None:
+        """x is the individual o: merge it with the node already tagged o."""
+        node = self.nodes[x]
+        if o in node.tags:
+            return
+        node.tags[o] = None
+        self.trail.append((node.tags.pop, o))
+        self.clash |= Not(OneOf(o)) in node.label
+        for y, other in enumerate(self.nodes):
+            if y != x and o in other.tags and y not in self.dead:
+                self.merge(min(x, y), max(x, y))
+                return
+
+    def merge(self, keep: int, drop: int) -> None:
+        """Merge `drop` into `keep` < `drop`, so the root stays; a clash
+        when the two are asserted distinct."""
+        self.meter.tick()
+        k, d = self.nodes[keep], self.nodes[drop]
+        if drop in k.distinct:
+            self.clash = True
+            return
+        self.dead.add(drop)
+        self.trail.append((self.dead.discard, drop))
+        for w in sorted(d.distinct - k.distinct - self.dead):
+            for u, v in ((keep, w), (w, keep)):
+                apart = self.nodes[u].distinct
+                apart.add(v)
+                self.trail.append((apart.discard, v))
+        for c in d.fired:
+            if c not in k.fired:
+                k.fired[c] = None
+                self.trail.append((k.fired.pop, c))
+        for o in d.tags:
+            if o not in k.tags:
+                k.tags[o] = None
+                self.trail.append((k.tags.pop, o))
+                self.clash |= Not(OneOf(o)) in k.label
+        for c in d.label:
+            self.add(keep, c)
+        for role, ends in d.nbrs.items():
+            for y in ends:
+                if y == drop or y not in self.dead:
+                    self.add_edge(keep, role, keep if y == drop else y)
 
     # -- graph queries ------------------------------------------------
 
     def successors(self, x: int, role: Role) -> list[int]:
-        """R-successors of x, following forward edges and inverse edges
-        from other nodes, in discovery order without duplicates."""
-        want = normalize_role(role)
-        found: dict[int, None] = {}
-        for s, y in self.nodes[x].edges:
-            if normalize_role(s) == want:
-                found[y] = None
-        for z in sorted(self.nodes):
-            for s, t in self.nodes[z].edges:
-                if t == x and normalize_role(Inverse(s)) == want:
-                    found[z] = None
-        return list(found)
-
-    def merge(self, keep: int, drop: int) -> bool:
-        """Merge `drop` into `keep`. Returns False when the two nodes are
-        asserted distinct (the branch closes)."""
-        if frozenset((keep, drop)) in self.distinct:
-            return False
-        keep_node = self.nodes[keep]
-        drop_node = self.nodes.pop(drop)
-        for c in drop_node.label:
-            keep_node.label.setdefault(c, None)
-        for e in drop_node.edges:
-            role, tgt = e
-            if tgt == drop:
-                tgt = keep
-            if (role, tgt) not in keep_node.edges:
-                keep_node.edges.append((role, tgt))
-        for tag in drop_node.tags:
-            keep_node.tags.setdefault(tag, None)
-        for node in self.nodes.values():
-            changed = False
-            for idx, (role, tgt) in enumerate(node.edges):
-                if tgt == drop:
-                    node.edges[idx] = (role, keep)
-                    changed = True
-            if changed:
-                deduped: list[tuple[Role, int]] = []
-                for e in node.edges:
-                    if e not in deduped:
-                        deduped.append(e)
-                node.edges = deduped
-        new_distinct = set()
-        for pair in self.distinct:
-            if drop in pair:
-                other = next(iter(pair - {drop}), keep)
-                new_distinct.add(frozenset((keep, other)))
-            else:
-                new_distinct.add(pair)
-        self.distinct = new_distinct
-        if self.root == drop:
-            self.root = keep
-        return True
-
-    # -- clash detection ----------------------------------------------
-
-    def find_clash(self) -> bool:
-        for x, node in self.nodes.items():
-            label = node.label
-            for c in label:
-                if isinstance(c, BottomType):
-                    return True
-                if isinstance(c, (ConceptName, OneOf)) and Not(c) in label:
-                    return True
-                if isinstance(c, Not) and isinstance(c.arg, OneOf):
-                    if c.arg.individual in node.tags:
-                        return True
-                if isinstance(c, (Exists, AtLeast)) and isinstance(
-                    normalize_role(c.role), EmptyRoleType
-                ):
-                    if isinstance(c, Exists) or c.n >= 1:
-                        return True
-                if isinstance(c, AtMost) and _greedy_clique(
-                    self.qualified(x, c.role, c.filler), c.n + 1, self.distinct
-                ):
-                    return True
-        return False
+        """Live R-neighbours of x in the order their edges were added."""
+        dead = self.dead
+        return [y for y in self.nodes[x].nbrs.get(role, ()) if y not in dead]
 
     def qualified(self, x: int, role: Role, filler: Concept) -> list[int]:
-        """R-neighbours of x whose labels hold `filler`, in ascending id;
-        none over the empty or the universal role, which label no edge."""
-        return [
-            y for y in sorted(self.successors(x, role))
-            if filler in self.nodes[y].label
-        ]
+        """R-neighbours of x whose labels hold `filler`."""
+        nodes = self.nodes
+        return [y for y in self.successors(x, role) if filler in nodes[y].label]
+
+    # -- rules --------------------------------------------------------
+
+    def expand(self, x: int, c: Concept) -> None:
+        """Apply the deterministic rule of a popped agenda pair."""
+        node = self.nodes[x]
+        t = type(c)
+        if t is And:
+            for a in c.args:
+                self.add(x, a)
+        elif t is Or:
+            node.ors.append(c)
+            self.trail.append((node.ors.pop, -1))
+        elif t is OneOf:
+            self.tag(x, c.individual)
+        elif t is ForAll:
+            role = normalize_role(c.role)
+            if type(role) is UniversalRoleType:
+                self.univ.append(c.filler)
+                self.trail.append((self.univ.pop, -1))
+                for y in range(len(self.nodes)):
+                    if y not in self.dead:
+                        self.add(y, c.filler)
+            elif type(role) is not EmptyRoleType:
+                node.alls.append((role, c.filler))
+                self.trail.append((node.alls.pop, -1))
+                for y in self.successors(x, role):
+                    self.add(y, c.filler)
+        elif t is AtMost:
+            # ≤ over the universal role is behind the safety valve; over
+            # the empty role it always holds
+            role = normalize_role(c.role)
+            if type(role) is not EmptyRoleType:
+                node.atmosts.append((c, role, complement(c.filler)))
+                self.trail.append((node.atmosts.pop, -1))
+        elif (t is Exists or t is AtLeast and c.n >= 1) and c not in node.fired:
+            self.witness(x, c, 1 if t is Exists else c.n)
+            node.fired[c] = None
+            self.trail.append((node.fired.pop, c))
+
+    def witness(self, x: int, c: Exists | AtLeast, n: int) -> None:
+        """Give x n pairwise-distinct R-neighbours carrying C unless it has them."""
+        role = normalize_role(c.role)
+        if type(role) is UniversalRoleType:
+            # n == 1 here; larger n is behind the safety valve
+            if not any(
+                c.filler in node.label
+                for y, node in enumerate(self.nodes) if y not in self.dead
+            ):
+                self.add(self.new_node(), c.filler)
+            return
+        if _has_clique(self.qualified(x, role, c.filler), n, self.nodes, self.meter):
+            return
+        fresh = [self.new_node() for _ in range(n)]
+        for y in fresh:
+            # untrailed: undoing the creation of y drops its set too
+            self.nodes[y].distinct.update(fresh)
+            self.nodes[y].distinct.discard(y)
+            self.add_edge(x, role, y)
+            self.add(y, c.filler)
+
+    def branching(self) -> list[tuple] | None:
+        """The alternatives of the first nondeterministic rule that applies:
+        [] when an over-full ≤ closes the branch, None when saturated."""
+        live = [(x, node) for x, node in enumerate(self.nodes) if x not in self.dead]
+        for x, node in live:
+            for c, role, _ in node.atmosts:
+                if _has_clique(self.qualified(x, role, c.filler), c.n + 1, self.nodes):
+                    return []
+        # disjunction: each disjunct in syntactic order
+        for x, node in live:
+            ors, label, at = node.ors, node.label, node.or_at
+            while at < len(ors) and not label.keys().isdisjoint(ors[at].args):
+                at += 1
+            if at != node.or_at:
+                self.trail.append((partial(setattr, node, "or_at"), node.or_at))
+                node.or_at = at
+            if at < len(ors):
+                return [(self.add, x, a) for a in ors[at].args]
+        # choose rule: decide the qualifier on every neighbour of a ≤
+        for x, node in live:
+            for c, role, neg in node.atmosts:
+                for y in self.successors(x, role):
+                    label = self.nodes[y].label
+                    if c.filler not in label and neg not in label:
+                        return [(self.add, y, c.filler), (self.add, y, neg)]
+        # merge rule: too many qualified neighbours for a ≤; no mergeable
+        # pair leaves no alternative and the branch closes
+        for x, node in live:
+            for c, role, _ in node.atmosts:
+                qualified = self.qualified(x, role, c.filler)
+                if len(qualified) > c.n:
+                    return [
+                        (self.merge, min(a, b), max(a, b))
+                        for a, b in combinations(qualified, 2)
+                        if b not in self.nodes[a].distinct
+                    ]
+        return None
+
+    def search(self) -> bool:
+        """Depth-first expansion. True when a saturated open state is
+        reached, False when every branch closes.
+
+        Choice points live on an explicit stack of (trail length, untried
+        alternatives), so the number of nested choices is not bounded by
+        Python's recursion limit. The agenda is empty at every choice
+        point, so backtracking clears it."""
+        choices: list[tuple[int, object]] = []
+        agenda, trail, tick = self.agenda, self.trail, self.meter.tick
+        while True:
+            if not self.clash:
+                if self.head < len(agenda):
+                    x, c = agenda[self.head]
+                    self.head += 1
+                    if x not in self.dead:  # else its keeper got the concept
+                        tick()
+                        self.expand(x, c)
+                    continue
+                alts = self.branching()
+                if alts is None:
+                    return True
+                choices.append((len(trail), iter(alts)))
+            # the branch closed or branches here: go on with the next
+            # untried alternative of the innermost open choice point
+            while choices:
+                mark, untried = choices[-1]
+                alt = next(untried, None)
+                if alt is not None:
+                    break
+                choices.pop()
+            else:
+                return False
+            while len(trail) > mark:
+                undo, arg = trail.pop()
+                undo(arg)
+            agenda.clear()
+            self.head = 0
+            self.clash = False
+            alt[0](*alt[1:])
 
 
 def is_satisfiable(c: Concept, budget: Budget | None = None) -> SatResult:
@@ -287,248 +441,44 @@ def is_satisfiable(c: Concept, budget: Budget | None = None) -> SatResult:
         return SatResult(
             SatStatus.UNKNOWN, reason="counting over the universal role"
         )
-    state = _State()
-    root = state.new_node()
-    state.add(root, c)
+    state = _State(_Meter(budget))
+    state.add(state.new_node(), c)
     # every individual denotes: give each mentioned individual a node up
     # front so universal-role propagation and nominal clashes reach it
     for ind in sorted(individuals):
-        node = state.new_node()
-        state.nodes[node].tags[ind] = None
-    meter = _Meter(budget)
+        state.nodes[state.new_node()].tags[ind] = None
     try:
-        result = _search(state, meter)
+        is_open = state.search()
     except _OutOfBudget as exc:
         return SatResult(SatStatus.UNKNOWN, reason=str(exc))
-    if result is None:
+    if not is_open:
         return SatResult(SatStatus.UNSATISFIABLE)
-    return SatResult(SatStatus.SATISFIABLE, _open=result)
+    return SatResult(SatStatus.SATISFIABLE, _open=state)
 
 
-def _search(state: _State, meter: _Meter) -> _State | None:
-    """Depth-first expansion. Returns a saturated open state or None when
-    every branch closes.
+def _has_clique(nodes: list[int], n: int, graph: list[_Node], meter=None) -> bool:
+    """Whether `nodes` holds n members pairwise asserted distinct.
 
-    Choice points live on an explicit stack of (state at the choice, its
-    untried alternatives), so the number of nested choices is not bounded
-    by Python's recursion limit. One tick per expansion step."""
-    choices: list[tuple[_State, Iterator]] = []
-    while True:
-        meter.tick()
-        if not state.find_clash():
-            if _apply_deterministic(state, meter):
-                continue
-            alts = _branching_alternatives(state)
-            if alts is None:
-                return state
-            choices.append((state, iter(alts)))
-        # the branch closed or branches here: go on with the next untried
-        # alternative of the innermost open choice point
-        state = None
-        while state is None and choices:
-            base, untried = choices[-1]
-            for apply_alt in untried:
-                candidate = base.clone()
-                if apply_alt(candidate):  # False: it closed at once (bad merge)
-                    state = candidate
-                    break
-            else:
-                choices.pop()
-        if state is None:
-            return None
-
-
-# ---------------------------------------------------------------------------
-# Deterministic rules
-# ---------------------------------------------------------------------------
-
-def _apply_deterministic(state: _State, meter: _Meter) -> bool:
-    node_ids = sorted(state.nodes)
-
-    # conjunction decomposition
-    for x in node_ids:
-        for c in list(state.nodes[x].label):
-            if isinstance(c, And):
-                changed = False
-                for arg in c.args:
-                    changed |= state.add(x, arg)
-                if changed:
-                    return True
-
-    # nominal tagging: a node whose label contains {m} is m
-    for x in node_ids:
-        for c in list(state.nodes[x].label):
-            if isinstance(c, OneOf) and c.individual not in state.nodes[x].tags:
-                state.nodes[x].tags[c.individual] = None
-                return True
-
-    # nominal merging: two nodes carrying the same tag are the same element
-    tag_owner: dict[str, int] = {}
-    for x in node_ids:
-        for tag in state.nodes[x].tags:
-            if tag in tag_owner:
-                keep, drop = tag_owner[tag], x
-                if not state.merge(keep, drop):
-                    # distinct nodes forced equal: surface as a clash
-                    state.add(keep, BottomType())
-                return True
-            tag_owner[tag] = x
-
-    # universal quantification
-    for x in node_ids:
-        if x not in state.nodes:
-            continue
-        for c in list(state.nodes[x].label):
-            if not isinstance(c, ForAll):
-                continue
-            role = normalize_role(c.role)
-            if isinstance(role, EmptyRoleType):
-                continue
-            if isinstance(role, UniversalRoleType):
-                changed = False
-                for y in sorted(state.nodes):
-                    changed |= state.add(y, c.filler)
-                if changed:
-                    return True
-                continue
-            changed = False
-            for y in state.successors(x, role):
-                changed |= state.add(y, c.filler)
-            if changed:
-                return True
-
-    # existential witnesses
-    for x in node_ids:
-        if x not in state.nodes:
-            continue
-        for c in list(state.nodes[x].label):
-            # ∃R.C is ≥1 R.C
-            if isinstance(c, Exists):
-                n = 1
-            elif isinstance(c, AtLeast) and c.n >= 1:
-                n = c.n
-            else:
-                continue
-            role = normalize_role(c.role)
-            if isinstance(role, EmptyRoleType):
-                continue  # clash already reported
-            if isinstance(role, UniversalRoleType):
-                # n == 1 here; larger n is behind the safety valve
-                if any(c.filler in state.nodes[y].label for y in state.nodes):
-                    continue
-                y = state.new_node()
-                state.add(y, c.filler)
-                return True
-            witnesses = state.qualified(x, role, c.filler)
-            if _has_distinct_subset(witnesses, n, state.distinct, meter):
-                continue
-            fresh = []
-            for _ in range(n):
-                y = state.new_node()
-                state.nodes[x].edges.append((role, y))
-                state.add(y, c.filler)
-                fresh.append(y)
-            for i in range(len(fresh)):
-                for j in range(i + 1, len(fresh)):
-                    state.distinct.add(frozenset((fresh[i], fresh[j])))
+    Depth-first over cliques grown in list order, dropping a branch once
+    too few candidates are left, one tick per clique extended. Without a
+    meter only the first branch is walked: a greedy walk, sound, not
+    complete."""
+    stack = [(nodes, 0)]  # (candidates distinct from the clique, its size)
+    while stack:
+        cands, size = stack.pop()
+        if size == n:
             return True
+        if size + len(cands) < n:
+            if meter is None:
+                return False
+            continue
+        if meter is not None:
+            meter.tick()
+        v, rest = cands[0], cands[1:]
+        stack.append((rest, size))
+        apart = graph[v].distinct
+        stack.append(([w for w in rest if w in apart], size + 1))
     return False
-
-
-def _greedy_clique(nodes: list[int], n: int, distinct) -> bool:
-    """Whether walking `nodes` in order, keeping each one asserted distinct
-    from all kept so far, keeps n of them. Sound, not complete."""
-    kept: list[int] = []
-    for y in nodes:
-        if all(frozenset((y, k)) in distinct for k in kept):
-            kept.append(y)
-            if len(kept) == n:
-                return True
-    return False
-
-
-def _has_distinct_subset(nodes: list[int], n: int, distinct, meter: _Meter) -> bool:
-    """Whether `nodes` contains n members that are pairwise asserted
-    distinct: greedy walks both ways first (the newest nodes may be this
-    rule's own fresh witnesses), then every subset, one tick each."""
-    if _greedy_clique(nodes, n, distinct) or _greedy_clique(nodes[::-1], n, distinct):
-        return True
-    for combo in combinations(nodes, n):
-        meter.tick()
-        if all(
-            frozenset((a, b)) in distinct
-            for a, b in combinations(combo, 2)
-        ):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Branching rules
-# ---------------------------------------------------------------------------
-
-def _branching_alternatives(state: _State):
-    node_ids = sorted(state.nodes)
-
-    # disjunction: try each disjunct in syntactic order
-    for x in node_ids:
-        for c in state.nodes[x].label:
-            if isinstance(c, Or) and not any(
-                a in state.nodes[x].label for a in c.args
-            ):
-                def make(arg, x=x):
-                    def apply(s: _State) -> bool:
-                        s.add(x, arg)
-                        return True
-
-                    return apply
-
-                return [make(a) for a in c.args]
-
-    # choose rule: decide the qualifier on every neighbor of an AtMost
-    for x in node_ids:
-        for c in state.nodes[x].label:
-            if not isinstance(c, AtMost):
-                continue
-            role = normalize_role(c.role)
-            if isinstance(role, (EmptyRoleType, UniversalRoleType)):
-                continue
-            neg = complement(c.filler)
-            for y in state.successors(x, role):
-                label = state.nodes[y].label
-                if c.filler not in label and neg not in label:
-                    def with_pos(s: _State, y=y, f=c.filler) -> bool:
-                        s.add(y, f)
-                        return True
-
-                    def with_neg(s: _State, y=y, f=neg) -> bool:
-                        s.add(y, f)
-                        return True
-
-                    return [with_pos, with_neg]
-
-    # merge rule: too many qualified neighbors for an AtMost
-    for x in node_ids:
-        for c in state.nodes[x].label:
-            if not isinstance(c, AtMost):
-                continue
-            qualified = state.qualified(x, c.role, c.filler)
-            if len(qualified) <= c.n:
-                continue
-            alts = []
-            for i in range(len(qualified)):
-                for j in range(i + 1, len(qualified)):
-                    a, b = qualified[i], qualified[j]
-                    if frozenset((a, b)) in state.distinct:
-                        continue
-
-                    def do_merge(s: _State, a=a, b=b) -> bool:
-                        return s.merge(a, b)
-
-                    alts.append(do_merge)
-            # no mergeable pair: every alternative fails, branch closes
-            return alts
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -537,43 +487,39 @@ def _branching_alternatives(state: _State):
 
 def _extract_model(state: _State) -> Interpretation:
     """Read a finite interpretation off a saturated open state. Element 0
-    is the root representative, whose label holds the input concept, so
-    the label signatures cover the input's."""
-    order = [state.root] + [i for i in sorted(state.nodes) if i != state.root]
-    index = {node_id: pos for pos, node_id in enumerate(order)}
+    is the root, whose label holds the input concept, so the label
+    signatures cover the input's."""
+    live = [x for x in range(len(state.nodes)) if x not in state.dead]
+    index = {x: pos for pos, x in enumerate(live)}
 
     sig = Signature.union(
-        signature_of(c) for node in state.nodes.values() for c in node.label
+        signature_of(c) for x in live for c in state.nodes[x].label
     )
     concept_ext = {a: set() for a in sorted(sig.concept_names)}
     role_ext = {r: set() for r in sorted(sig.role_names)}
     individual_ext: dict[str, int] = {}
 
-    for node_id, node in state.nodes.items():
-        elem = index[node_id]
+    for x in live:
+        node, elem = state.nodes[x], index[x]
         for c in node.label:
             if isinstance(c, ConceptName):
                 concept_ext[c.name].add(elem)
         for tag in node.tags:
             individual_ext[tag] = elem
-        for role, tgt in node.edges:
-            nr = normalize_role(role)
-            if isinstance(nr, RoleName):
-                role_ext[nr.name].add((elem, index[tgt]))
-            elif isinstance(nr, Inverse):
-                role_ext[nr.role.name].add((index[tgt], elem))
+        # each edge is stored at both ends: read the forward copies
+        for role, ends in node.nbrs.items():
+            if isinstance(role, RoleName):
+                role_ext[role.name].update((elem, index[y]) for y in ends if y in index)
 
     # individuals mentioned only under negation still denote something;
     # park them on an element that nothing forbids
     for ind in sorted(sig.individual_names - set(individual_ext)):
         allowed = [
-            index[i]
-            for i in sorted(state.nodes)
-            if Not(OneOf(ind)) not in state.nodes[i].label
+            index[x] for x in live if Not(OneOf(ind)) not in state.nodes[x].label
         ]
-        individual_ext[ind] = allowed[0] if allowed else len(order)
+        individual_ext[ind] = allowed[0] if allowed else len(live)
 
-    domain_size = max([len(order)] + [e + 1 for e in individual_ext.values()])
+    domain_size = max([len(live)] + [e + 1 for e in individual_ext.values()])
     return Interpretation(
         domain_size=domain_size,
         concept_ext={a: frozenset(s) for a, s in concept_ext.items()},

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -9,6 +10,7 @@ from locmod import (
     BOTTOM,
     Budget,
     ConceptName,
+    EquivalentClasses,
     Exists,
     ForAll,
     Interpretation,
@@ -143,8 +145,9 @@ class TestBudgetAndDeterminism:
 
     def test_choice_points_do_not_recurse(self):
         # every binary disjunction is a choice point; a search that recursed
-        # once per choice would overflow the lowered limit
-        width = 250
+        # once per choice would overflow the lowered limit, and one that
+        # rescanned every label per decision would be quadratic in the width
+        width = 600
         probe = conj(
             *(Or((ConceptName(f"A{i}"), ConceptName(f"B{i}"))) for i in range(width))
         )
@@ -156,11 +159,32 @@ class TestBudgetAndDeterminism:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 200)
         try:
+            start = time.monotonic()
             result = is_satisfiable(probe)
+            elapsed = time.monotonic() - start
         finally:
             sys.setrecursionlimit(limit)
         assert result.status is SatStatus.SATISFIABLE
+        assert elapsed < 0.25
         assert 0 in eval_concept(probe, result.model)
+
+    def test_step_cost_stays_flat(self):
+        # ∀R∆.∃r⁻.≥1 R∆.⊤ after SEM_TOP substitution asks every node for a
+        # fresh r⁻-neighbour, so the search runs until the step limit; each
+        # step costs the same however large the state has grown
+        C, s_role = ConceptName("C"), RoleName("s")
+        r_role = RoleName("r")
+        axiom = EquivalentClasses(
+            AtMost(0, r_role, Or((C, OneOf("i")))),
+            ForAll(Inverse(s_role), Exists(Inverse(r_role), AtLeast(1, s_role, B))),
+        )
+        sig = Signature({"C"}, {"r"})
+        start = time.monotonic()
+        verdict = is_semantically_local(
+            axiom, sig, LocalityFlavor.SEM_TOP, Budget(max_steps=800, max_seconds=1e9)
+        )
+        assert time.monotonic() - start < 0.5
+        assert verdict.reason == "rule application limit reached"
 
     def test_identical_runs_identical_results(self):
         rng = random.Random(6)
@@ -231,16 +255,59 @@ class TestAtMostClash:
         start = time.monotonic()
         assert sat(wide, Budget(max_seconds=60.0)).status is SatStatus.SATISFIABLE
         assert time.monotonic() - start < 2.0
-        # the largest clique of A/B-witnesses has 8 nodes, so the witness
-        # rule examines all 9-subsets before it adds 9 fresh C-witnesses
+        # the largest clique of A/B-witnesses has 8 nodes: the fallback
+        # drops every clique with too few candidates left to reach 9, so it
+        # spends 8 ticks, not one per 9-subset (C(16, 9) = 11 440); it adds
+        # 9 fresh C-witnesses and records that ≥9 R.C fired, so no step
+        # asks again
         starved = conj(AtLeast(8, R, A), AtLeast(8, R, B), ForAll(R, C), AtLeast(9, R, C))
         start = time.monotonic()
-        sat(starved, Budget(max_steps=1000, max_seconds=60.0))
+        result = sat(starved, Budget(max_steps=1000, max_seconds=60.0))
         assert time.monotonic() - start < 2.0
-        # the fresh witnesses are the newest nodes: no second enumeration
-        ample = sat(starved, Budget(max_steps=100_000, max_seconds=60.0))
-        assert ample.status is SatStatus.SATISFIABLE
-        assert 0 in eval_concept(starved, ample.model)
+        assert result.status is SatStatus.SATISFIABLE
+        assert 0 in eval_concept(starved, result.model)
+
+
+def status_corpus():
+    """6000 random concepts and 1200 counting probes with inverse roles
+    and nominals, seeded."""
+    rng = random.Random(0)
+    corpus = [nnf(random_concept(rng, depth=3)) for _ in range(6000)]
+    S = RoleName("S")
+    fillers = (A, B, Not(A), Not(B), OneOf("m"), Not(OneOf("m")))
+    for _ in range(1200):
+        role = rng.choice((R, Inverse(R)))
+        x, y = rng.sample(fillers, 2)
+        probe = pigeonhole(
+            rng.randint(1, 4), rng.randint(0, 2), rng.randint(0, 2), role, x, y
+        )
+        if rng.random() < 0.5:
+            probe = conj(probe, ForAll(rng.choice((role, S)), rng.choice(fillers)))
+        if rng.random() < 0.5:
+            some = rng.choice((role, Inverse(role), Inverse(S)))
+            probe = conj(probe, Exists(some, rng.choice(fillers)))
+        if rng.random() < 0.25:
+            probe = conj(probe, rng.choice(fillers))
+        corpus.append(nnf(probe))
+    return corpus
+
+
+class TestPinnedStatuses:
+    def test_statuses_equal_the_pinned_ones(self):
+        # pinned from the rescanning, cloning search this one replaced:
+        # 5307 SAT and 693 UNSAT random concepts, 494 SAT and 706 UNSAT
+        # counting probes, none UNKNOWN; a step budget alone, so that no
+        # status depends on machine load
+        budget = Budget(max_steps=1_000_000, max_seconds=1e9)
+        corpus = status_corpus()
+        results = [is_satisfiable(c, budget) for c in corpus]
+        statuses = "".join(r.status.name + "\n" for r in results)
+        assert hashlib.sha256(statuses.encode()).hexdigest() == (
+            "2eb08c7c56fc6f4b32837b0eb63b2ef04051879073d1fe7fef5f763eea77a1bc"
+        )
+        for c, result in zip(corpus, results):
+            if result.status is SatStatus.SATISFIABLE:
+                assert 0 in eval_concept(c, result.model), c
 
 
 class TestLazyModel:
