@@ -50,7 +50,7 @@ from .model import (
     Ontology,
     Signature,
 )
-from .semantic import Locality, verdict_in
+from .semantic import IS_UNKNOWN, verdict_in
 from .syntactic import Circuit, compile_circuit, is_syntactically_local
 from .tableau import Budget
 
@@ -127,7 +127,7 @@ class _Checker:
         if self.syntactic:
             return is_syntactically_local(self.axioms[i], sig, self.flavor, self.refined)
         verdict = verdict_in(self.o, i, sig, self.flavor, self.budget)
-        if verdict.status is Locality.UNKNOWN:
+        if verdict.status is IS_UNKNOWN:
             self.unknowns += 1
             return False
         return verdict.is_local

@@ -627,6 +627,11 @@ def complement(c: Concept) -> Concept:
     return _nnf_neg(c)
 
 
+def is_name_literal(c: Concept) -> bool:
+    """Whether `c` is a concept name or the negation of one."""
+    return type(c) is ConceptName or type(c) is Not and type(c.arg) is ConceptName
+
+
 # ---------------------------------------------------------------------------
 # Axiom normalization
 # ---------------------------------------------------------------------------

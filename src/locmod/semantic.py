@@ -7,8 +7,10 @@ non-Σ part of any interpretation can always be rewired to those constants
 without touching Σ, so locality reduces to a tautology test. Role axioms
 over the constants are decided structurally. Substitution folds the
 constants it brings in, so a concept axiom that collapses to ⊥ ⊑ D or
-C ⊑ ⊤ is valid at once; the others go through constant propagation and
-then the tableau.
+C ⊑ ⊤ is valid at once. A counterexample probe sub ⊓ ¬sup that is a
+conjunction of name literals is decided from them before it is built
+(`tableau.decide_literals`); the others go through negation normal form,
+constant propagation and then the tableau.
 """
 
 from __future__ import annotations
@@ -53,12 +55,15 @@ from .model import (
     UniversalRoleType,
     conj,
     disj,
+    is_name_literal,
     nnf,
     normalize_axiom,
     normalize_role,
     role_name_of,
 )
-from .tableau import Budget, DEFAULT_BUDGET, SatResult, SatStatus, is_satisfiable
+from .tableau import (
+    Budget, DEFAULT_BUDGET, SatResult, SatStatus, decide_literals, is_satisfiable
+)
 
 __all__ = [
     "Locality",
@@ -77,6 +82,11 @@ class Locality(Enum):
     UNKNOWN = "unknown"
 
 
+# a check reads several enum members: off the class each read is ~10x slower
+IS_LOCAL, IS_NON_LOCAL, IS_UNKNOWN = Locality.LOCAL, Locality.NON_LOCAL, Locality.UNKNOWN
+_SAT, _UNSAT, _GAVE_UP = SatStatus.SATISFIABLE, SatStatus.UNSATISFIABLE, SatStatus.UNKNOWN
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Outcome of a semantic locality check. UNKNOWN comes only from the
@@ -88,11 +98,11 @@ class Verdict:
 
     @property
     def is_local(self) -> bool:
-        return self.status is Locality.LOCAL
+        return self.status is IS_LOCAL
 
 
-LOCAL = Verdict(Locality.LOCAL)
-NON_LOCAL = Verdict(Locality.NON_LOCAL)
+LOCAL = Verdict(IS_LOCAL)
+NON_LOCAL = Verdict(IS_NON_LOCAL)
 
 
 def _check_semantic(flavor: LocalityFlavor):
@@ -240,7 +250,7 @@ def is_tautology(a: Axiom, budget: Budget | None = None) -> bool | None:
     check both directions. None means the reasoner gave up (budget or
     safety valve)."""
     status = _refutation(a, budget or DEFAULT_BUDGET).status
-    return None if status is SatStatus.UNKNOWN else status is SatStatus.UNSATISFIABLE
+    return None if status is _GAVE_UP else status is _UNSAT
 
 
 def _refutation(a: Axiom, budget: Budget) -> SatResult:
@@ -251,22 +261,34 @@ def _refutation(a: Axiom, budget: Budget) -> SatResult:
         return _counterexample(a.sub, a.sup, budget)
     if isinstance(a, EquivalentClasses):
         forward = _counterexample(a.left, a.right, budget)
-        if forward.status is SatStatus.SATISFIABLE:
+        if forward.status is _SAT:
             return forward
         backward = _counterexample(a.right, a.left, budget)
-        return forward if backward.status is SatStatus.UNSATISFIABLE else backward
+        return forward if backward.status is _UNSAT else backward
     raise TypeError(f"expected a concept axiom after substitution, got {a!r}")
 
 
-_NO_COUNTEREXAMPLE = SatResult(SatStatus.UNSATISFIABLE)
-
-
 def _counterexample(sub: Concept, sup: Concept, budget: Budget) -> SatResult:
-    """Satisfiability of sub ⊓ ¬sup. A substituted ⊥ ⊑ D or C ⊑ ⊤ has no
-    counterexample, found before any probe is built."""
-    if isinstance(sub, BottomType) or isinstance(sup, TopType):
-        return _NO_COUNTEREXAMPLE
+    """Satisfiability of the probe simplify(nnf(sub ⊓ ¬sup)). A probe of
+    name literals is decided from them before it is built."""
+    literals = _probe_literals(sub, sup)
+    if literals is not None:
+        return decide_literals(literals, budget)
     return is_satisfiable(simplify(nnf(conj(sub, Not(sup)))), budget)
+
+
+def _probe_literals(sub: Concept, sup: Concept) -> tuple[Concept, ...] | None:
+    """The conjuncts of the probe of sub ⊑ sup when sub is ⊤, a name
+    literal or a ⊓ of them and sup is ⊥, a name literal or a ⊔ of them:
+    sub's literals, then the complements of sup's, none for the probe ⊤.
+    A substituted ⊥ ⊑ D or C ⊑ ⊤ has the probe ⊥; other shapes give None."""
+    if type(sub) is BottomType or type(sup) is TopType:
+        return (BOTTOM,)
+    subs = () if type(sub) is TopType else sub.args if type(sub) is And else (sub,)
+    sups = () if type(sup) is BottomType else sup.args if type(sup) is Or else (sup,)
+    if not (all(map(is_name_literal, subs)) and all(map(is_name_literal, sups))):
+        return None
+    return (*subs, *(c.arg if type(c) is Not else Not(c) for c in sups))
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +313,9 @@ def is_semantically_local(
     worst = LOCAL
     for part in normalize_axiom(a):
         v = _verdict_one(part, sig, flavor, budget)
-        if v.status is Locality.NON_LOCAL:
+        if v.status is IS_NON_LOCAL:
             return v
-        if v.status is Locality.UNKNOWN:
+        if v.status is IS_UNKNOWN:
             worst = v
     return worst
 
@@ -323,7 +345,7 @@ def verdict_in(
     verdict = o.verdicts.get(key)
     if verdict is None:
         verdict = is_semantically_local(o.axioms[i], sig, flavor, budget)
-        if verdict.status is not Locality.UNKNOWN:
+        if verdict.status is not IS_UNKNOWN:
             o.verdicts[key] = verdict
     return verdict
 
@@ -332,9 +354,9 @@ def _verdict_one(a: Axiom, sig: Signature, flavor: LocalityFlavor, budget: Budge
     s = substitute(a, sig, flavor)
     if isinstance(s, (SubClassOf, EquivalentClasses)):
         result = _refutation(s, budget)
-        if result.status is SatStatus.UNKNOWN:
-            return Verdict(Locality.UNKNOWN, reason=result.reason)
-        return LOCAL if result.status is SatStatus.UNSATISFIABLE else NON_LOCAL
+        if result.status is _GAVE_UP:
+            return Verdict(IS_UNKNOWN, reason=result.reason)
+        return LOCAL if result.status is _UNSAT else NON_LOCAL
     # role axioms: validity over the substitution constants is structural
     if isinstance(s, SubRoleOf):
         valid = (
