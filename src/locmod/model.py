@@ -430,7 +430,9 @@ class Ontology:
     are made on first use and kept by the instance (they are not fields, so
     equality, hashing and repr ignore them); every extraction over the same
     instance shares them. SEM_BOT extraction runs over the SYN_BOT
-    circuit, so the two flavors share it.
+    circuit, so the two flavors share it. A verdict in `verdicts` serves
+    every axiom of the instance that is a renamed copy of the one checked,
+    with the same names in the seed signature.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -469,7 +471,8 @@ class Ontology:
     @cached_property
     def verdicts(self) -> dict:
         """Definite semantic locality verdicts of the axioms, filled by
-        `semantic.verdict_in`, which also defines the keys."""
+        `semantic.verdict_in`, which also defines the keys: one per axiom
+        and shared names, and one per axiom shape."""
         return {}
 
     @cached_property

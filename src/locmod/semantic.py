@@ -45,6 +45,7 @@ from .model import (
     Or,
     Range,
     Role,
+    RoleName,
     Signature,
     SubClassOf,
     SubRoleOf,
@@ -327,13 +328,22 @@ def verdict_in(
     flavor: LocalityFlavor,
     budget: Budget | None = None,
 ) -> Verdict:
-    """`is_semantically_local` of axiom `i` of `o`, memoized in `o.verdicts`.
+    """`is_semantically_local` of axiom `i` of `o`, memoized in `o.verdicts`
+    under two keys.
 
     Substitution reads only the concept and role names of the axiom, so the
-    verdict depends on `sig` only through the names the two share; the key
-    is the axiom index, the flavor and those shared names. LOCAL and
-    NON_LOCAL hold under every budget, so no budget enters the key; an
-    UNKNOWN is returned but not kept, and a later call tries again.
+    verdict depends on `sig` only through the names the two share: the
+    exact key is the axiom index, the flavor and those shared names. It
+    depends on the names themselves only through which of them lie in
+    `sig`, since an injective renaming of concepts and roles maps each
+    probe to an isomorphic one: the shape key (`_shape_key`) is the flavor
+    and the axiom's structure with each name replaced by its number and
+    Σ-membership, so renamed copies of an axiom share one check. The exact
+    key is looked up first, as it is cheaper to build; a verdict found or
+    computed under the shape key is stored under the exact key too. LOCAL
+    and NON_LOCAL hold under every budget, so no budget enters either key;
+    an UNKNOWN is returned but kept under neither, and a later call tries
+    again.
     """
     names = o.axiom_signatures[i]
     key = (
@@ -342,12 +352,83 @@ def verdict_in(
         sig.concept_names & names.concept_names,
         sig.role_names & names.role_names,
     )
-    verdict = o.verdicts.get(key)
+    verdicts = o.verdicts
+    verdict = verdicts.get(key)
     if verdict is None:
-        verdict = is_semantically_local(o.axioms[i], sig, flavor, budget)
-        if verdict.status is not IS_UNKNOWN:
-            o.verdicts[key] = verdict
+        a = o.axioms[i]
+        shape = _shape_key(a, sig, flavor)
+        verdict = verdicts.get(shape)
+        if verdict is None:
+            verdict = is_semantically_local(a, sig, flavor, budget)
+            if verdict.status is IS_UNKNOWN:
+                return verdict
+            verdicts[shape] = verdict
+        verdicts[key] = verdict
     return verdict
+
+
+def _shape_key(a: Axiom, sig: Signature, flavor: LocalityFlavor) -> tuple:
+    """`(flavor, shape)`: `a` as nested tuples of constructor classes,
+    cardinalities and constants, with the k-th distinct concept name met
+    (left to right, depth first) written 2k + 1 if it lies in `sig` and
+    2k if not, and role names numbered the same way on their own. Two
+    axioms get equal shapes exactly when an injective renaming of concepts
+    and roles that keeps membership in `sig` maps one onto the other.
+    Nominals, ⊤, ⊥ and the constant roles stand for themselves."""
+    # (numbers given so far, names in sig), one pair per kind of name
+    concepts = ({}, sig.concept_names)
+    roles = ({}, sig.role_names)
+    t = type(a)
+    if t is SubClassOf:
+        shape = (t, _concept_shape(a.sub, concepts, roles),
+                 _concept_shape(a.sup, concepts, roles))
+    elif t is EquivalentClasses or t is DisjointClasses:
+        shape = (t, _concept_shape(a.left, concepts, roles),
+                 _concept_shape(a.right, concepts, roles))
+    elif t is Domain or t is Range:
+        shape = (t, _role_shape(a.role, roles), _concept_shape(a.filler, concepts, roles))
+    elif t is SubRoleOf:
+        shape = (t, _role_shape(a.sub, roles), _role_shape(a.sup, roles))
+    elif t is EquivalentRoles or t is InverseRoles:
+        shape = (t, _role_shape(a.left, roles), _role_shape(a.right, roles))
+    elif t is Transitive:
+        shape = (t, _role_shape(a.role, roles))
+    else:
+        raise TypeError(f"not an axiom: {a!r}")
+    return flavor, shape
+
+
+def _concept_shape(c: Concept, concepts: tuple, roles: tuple):
+    """The shape of `c` for `_shape_key`, numbering names in `concepts`
+    and `roles`. Module-level functions with explicit state walk about
+    twice as fast as closures here."""
+    t = type(c)
+    if t is ConceptName:
+        numbers, members = concepts
+        return numbers.setdefault(c.name, 2 * len(numbers) + (c.name in members))
+    if t is Exists or t is ForAll:
+        return (t, _role_shape(c.role, roles), _concept_shape(c.filler, concepts, roles))
+    if t is And or t is Or:
+        return (t, *[_concept_shape(x, concepts, roles) for x in c.args])
+    if t is Not:
+        return (t, _concept_shape(c.arg, concepts, roles))
+    if t is AtLeast or t is AtMost:
+        return (t, c.n, _role_shape(c.role, roles), _concept_shape(c.filler, concepts, roles))
+    if t is TopType or t is BottomType or t is OneOf:
+        return c
+    raise TypeError(f"not a concept: {c!r}")
+
+
+def _role_shape(r: Role, roles: tuple):
+    t = type(r)
+    if t is RoleName:
+        numbers, members = roles
+        return numbers.setdefault(r.name, 2 * len(numbers) + (r.name in members))
+    if t is Inverse:
+        return (t, _role_shape(r.role, roles))
+    if t is EmptyRoleType or t is UniversalRoleType:
+        return r
+    raise TypeError(f"not a role: {r!r}")
 
 
 def _verdict_one(a: Axiom, sig: Signature, flavor: LocalityFlavor, budget: Budget) -> Verdict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from locmod import (
@@ -123,6 +124,42 @@ def random_signature(
         frozenset(a for a in concepts if rng.random() < p),
         frozenset(a for a in roles if rng.random() < p),
     )
+
+
+def renamed(x, concepts: dict[str, str], roles: dict[str, str]):
+    """The axiom, concept or role `x` with its concept and role names mapped
+    through `concepts` and `roles`; names missing from a map, individuals
+    and constants are kept."""
+    if isinstance(x, ConceptName):
+        return ConceptName(concepts.get(x.name, x.name))
+    if isinstance(x, RoleName):
+        return RoleName(roles.get(x.name, x.name))
+    if isinstance(x, (And, Or)):
+        return type(x)(tuple(renamed(a, concepts, roles) for a in x.args))
+    if dataclasses.is_dataclass(x):
+        return dataclasses.replace(
+            x,
+            **{
+                f.name: renamed(getattr(x, f.name), concepts, roles)
+                for f in dataclasses.fields(x)
+                if isinstance(getattr(x, f.name), (Concept, Role))
+            },
+        )
+    return x
+
+
+def renamed_signature(sig: Signature, concepts: dict[str, str], roles: dict[str, str]) -> Signature:
+    """`sig` with its concept and role names mapped as `renamed` maps them."""
+    return Signature(
+        frozenset(concepts.get(n, n) for n in sig.concept_names),
+        frozenset(roles.get(n, n) for n in sig.role_names),
+        sig.individual_names,
+    )
+
+
+def random_renaming(rng: random.Random, names, pool) -> dict[str, str]:
+    """An injective map of `names` into `pool`, drawn at random."""
+    return dict(zip(names, rng.sample(list(pool), len(names))))
 
 
 def random_interpretation(

@@ -365,9 +365,10 @@ class TestSeededFirstRound:
         inputs = [(name, 0.5) for name in CORPUS_NAMES] + [(None, 0.03)]
         seen = []
 
-        def recording(a, sig, flavor, budget=None):
-            seen.append((a, sig, flavor))
-            return is_semantically_local(a, sig, flavor, budget)
+        def recording(o, i, sig, flavor, budget=None):
+            # every check a round makes, memo hits included
+            seen.append((o.axioms[i], sig, flavor))
+            return semantic.verdict_in(o, i, sig, flavor, budget)
 
         runs = [
             (extract_module, LocalityFlavor.SEM_BOT),
@@ -387,7 +388,7 @@ class TestSeededFirstRound:
                 )
                 for extract, flavor in runs:
                     o, trace = load(), []
-                    monkeypatch.setattr(semantic, "is_semantically_local", recording)
+                    monkeypatch.setattr(extractor, "verdict_in", recording)
                     fast = extract(o, sig, flavor, trace=trace)
                     monkeypatch.undo()
                     for a, at, sem in seen:

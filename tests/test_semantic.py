@@ -49,7 +49,16 @@ from locmod import (
 from locmod.model import BottomType, TopType
 from locmod.semantic import verdict_in
 from conftest import CORPUS_NAMES, load_fixture
-from genlib import random_axiom, random_interpretation, random_signature
+from genlib import (
+    CONCEPTS,
+    ROLES,
+    random_axiom,
+    random_interpretation,
+    random_renaming,
+    random_signature,
+    renamed,
+    renamed_signature,
+)
 
 SEM_BOT = LocalityFlavor.SEM_BOT
 SEM_TOP = LocalityFlavor.SEM_TOP
@@ -288,6 +297,15 @@ class TestLocality:
         starved = verdict_in(o, 0, sig, SEM_BOT, Budget(max_steps=1))
         assert starved.status is Locality.UNKNOWN
         assert verdict_in(o, 0, sig, SEM_BOT).status is Locality.NON_LOCAL
+        # β is α renamed, so the two share a shape key: a starved check of
+        # α is kept under neither its exact key nor that shape key
+        alpha = o.axioms[0]
+        beta = renamed(alpha, {"A": "S", "B": "F"}, {"R": "P"})
+        o = Ontology((alpha, beta), name="starved")
+        sig = Signature({"A", "B", "S", "F"})
+        assert verdict_in(o, 0, sig, SEM_BOT, Budget(max_steps=1)) == starved
+        assert not o.verdicts
+        assert verdict_in(o, 1, sig, SEM_BOT).status is Locality.NON_LOCAL
 
     def test_rejects_syntactic_flavor(self):
         with pytest.raises(ValueError):
@@ -387,3 +405,138 @@ class TestLiteralProbes:
                 assert g == w, (case, budget)
         assert len(decided) > 2 * len(cases)
         assert {v.status for v in ours[2]} == set(Locality)
+
+
+shape_key = semantic._shape_key
+
+
+class TestShapeKey:
+    def test_renaming_keeps_verdicts(self):
+        # the fact the shape key rests on: an injective renaming of concepts
+        # and roles, applied to Σ as well, changes no definite status, and
+        # an UNKNOWN on either side is met by an equal one, reason included
+        rng = random.Random(31)
+        budgets = [Budget(max_steps=n, max_seconds=1e9) for n in (20, 5_000)]
+        definite, reasons = 0, set()
+        for _ in range(1_000):
+            a, sig = random_axiom(rng), random_signature(rng)
+            concepts = random_renaming(rng, CONCEPTS, ("A", "B", "C", "D", "E"))
+            roles = random_renaming(rng, ROLES, ("r", "s", "t"))
+            b, sig_b = renamed(a, concepts, roles), renamed_signature(sig, concepts, roles)
+            for flavor in (SEM_BOT, SEM_TOP):
+                for budget in budgets:
+                    x = is_semantically_local(a, sig, flavor, budget)
+                    y = is_semantically_local(b, sig_b, flavor, budget)
+                    if Locality.UNKNOWN in (x.status, y.status):
+                        assert x == y, (a, sig, b, sig_b, flavor, budget)
+                        reasons.add(x.reason)
+                    else:
+                        assert x.status is y.status, (a, sig, b, sig_b, flavor)
+                        definite += 1
+        assert definite > 3_000
+        assert reasons == {"rule application limit reached", "counting over the universal role"}
+
+    def test_shapes_separate_what_renaming_cannot_map(self):
+        C, r = ConceptName("C"), RoleName("r")
+        sig = Signature({"A", "B", "C"}, {"r"})
+        pairs = [
+            (SubClassOf(A, disj(A, B)), SubClassOf(A, disj(C, B))),
+            (SubClassOf(A, Exists(r, A)), SubClassOf(A, Exists(r, B))),
+            (SubClassOf(B, Exists(Inverse(r), A)), SubClassOf(B, Exists(r, A))),
+            (SubClassOf(A, OneOf("a")), SubClassOf(A, OneOf("b"))),
+            (SubClassOf(B, AtLeast(2, r, A)), SubClassOf(B, AtLeast(3, r, A))),
+        ]
+        # a renamed copy of either side, with Σ moved along, keeps its key
+        concepts, roles = {"A": "X", "B": "Y", "C": "Z"}, {"r": "q"}
+        sig_copy = renamed_signature(sig, concepts, roles)
+        for flavor in (SEM_BOT, SEM_TOP):
+            for left, right in pairs:
+                assert shape_key(left, sig, flavor) != shape_key(right, sig, flavor)
+                for a in (left, right):
+                    copy = renamed(a, concepts, roles)
+                    assert shape_key(copy, sig_copy, flavor) == shape_key(a, sig, flavor)
+            # the concept r and the role r: names are numbered and
+            # Σ-membership is read per kind
+            neither, as_concept = Signature({"A", "B"}), Signature({"A", "B", "r"})
+            as_role = Signature({"A", "B"}, {"r"})
+            a = SubClassOf(A, Exists(r, B))
+            assert shape_key(a, as_concept, flavor) == shape_key(a, neither, flavor)
+            assert shape_key(a, as_role, flavor) != shape_key(a, neither, flavor)
+            a = SubClassOf(ConceptName("r"), Exists(r, TOP))
+            assert len({shape_key(a, s, flavor) for s in (neither, as_concept, as_role)}) == 3
+            # which names lie in Σ, not how many
+            a = SubClassOf(A, B)
+            assert shape_key(a, Signature({"A"}), flavor) != shape_key(a, Signature({"B"}), flavor)
+        a = SubClassOf(A, B)
+        assert shape_key(a, sig, SEM_BOT) != shape_key(a, sig, SEM_TOP)
+
+    def test_renamed_copies_share_one_check(self, monkeypatch):
+        # an ontology of each fixture and two renamed copies of it: the memo
+        # answers as a fresh check would, and checks each shape once it has
+        # a definite verdict for it
+        rng = random.Random(33)
+        check = semantic.is_semantically_local
+        settled, calls = set(), []
+
+        def counted(a, sig, flavor, budget=None):
+            key = shape_key(a, sig, flavor)
+            assert key not in settled, (a, sig, flavor)
+            calls.append(key)
+            verdict = check(a, sig, flavor, budget)
+            if verdict.status is not Locality.UNKNOWN:
+                settled.add(key)
+            return verdict
+
+        monkeypatch.setattr(semantic, "is_semantically_local", counted)
+        for name in CORPUS_NAMES:
+            base = load_fixture(name)
+            entities = signature_of(base)
+            concepts, roles = sorted(entities.concept_names), sorted(entities.role_names)
+            copies = [
+                (
+                    random_renaming(rng, concepts, [f"c{j}_{k}" for j in range(len(concepts))]),
+                    random_renaming(rng, roles, [f"r{j}_{k}" for j in range(len(roles))]),
+                )
+                for k in (1, 2)
+            ]
+            o = Ontology(
+                base.axioms + tuple(renamed(a, *m) for m in copies for a in base.axioms),
+                name=name,
+            )
+            assert len(o) == 3 * len(base)
+            names = signature_of(o)
+            sigs = []
+            for _ in range(10):
+                seed = random_signature(rng, concepts=concepts, roles=roles)
+                sigs.append(Signature.union([seed, *(renamed_signature(seed, *m) for m in copies)]))
+                sigs.append(
+                    random_signature(
+                        rng,
+                        concepts=sorted(names.concept_names),
+                        roles=sorted(names.role_names),
+                    )
+                )
+            cases = [
+                (i, sig, flavor)
+                for i in range(len(o))
+                for sig in sigs
+                for flavor in (SEM_BOT, SEM_TOP)
+            ]
+            rng.shuffle(cases)
+            exact = set()
+            settled.clear()
+            calls.clear()
+            for i, sig, flavor in cases:
+                fresh = check(o.axioms[i], sig, flavor)
+                assert verdict_in(o, i, sig, flavor) == fresh, (name, i, sig, flavor)
+                own = o.axiom_signatures[i]
+                exact.add(
+                    (
+                        i,
+                        flavor,
+                        sig.concept_names & own.concept_names,
+                        sig.role_names & own.role_names,
+                    )
+                )
+            # copies were answered by the checks of the others
+            assert 0 < len(calls) < len(exact), name
