@@ -14,18 +14,18 @@ gate counts down as its inputs fire, and an axiom whose root fires is
 syntactically non-local w.r.t. the working signature (the circuit's
 `always` are non-local even w.r.t. ∅ and fire in the first round). A
 syntactic round moves the fired axioms into M. A semantic round checks
-only fired axioms, over the circuit of the grammar sound for its flavor
-(`syntactic.compile_circuit`): syntactic locality then implies semantic
-locality, so any other axiom is local. It checks those that fired in this
-wave and those that fired earlier, were found local, and mention a name
-new in the round before; a verdict depends on the signature only through
+only fired axioms, over the circuit of the syntactic flavor of the same
+polarity (`syntactic.compile_circuit`): syntactic locality implies
+semantic locality, so any other axiom is local. It checks those that
+fired in this wave and those that fired earlier, were found local, and
+mention a name new in the round before; a verdict depends on the signature only through
 the names it shares with the axiom, so the verdicts of the rest still
 hold. Locality is anti-monotone in Σ, so the fixpoint does not depend on
 when the signature grows, and the result equals that of the textbook
 loop, which rescans the axioms and grows the signature after every added
 axiom (`naive=True` runs it for differential testing). Both count an
 UNKNOWN verdict as non-local, but the rounds never check an axiom the
-sound grammar calls local: where the tableau gives up on one (A ⊑ ∃R.B ⊔
+grammar calls local: where the tableau gives up on one (A ⊑ ∃R.B ⊔
 ≤1 S.A at Σ = {A}, SEM_TOP, meets counting over the universal role), the
 textbook loop keeps it and the rounds leave it out, as it is local.
 
@@ -105,8 +105,8 @@ class _Checker:
     """Locality test of the axioms of one ontology, by position, with
     check/unknown counters. Semantic verdicts go through the ontology's
     memo (`semantic.verdict_in`); extraction runs over the ontology's
-    `Circuit` for the flavor. The ⊥ grammar is sound for SEM_BOT as it
-    stands, so SEM_BOT shares the SYN_BOT circuit."""
+    `Circuit` for the flavor's polarity, so a semantic flavor shares the
+    circuit of its syntactic counterpart."""
 
     def __init__(
         self,
@@ -120,7 +120,6 @@ class _Checker:
         self.flavor = flavor
         self.syntactic = flavor.is_syntactic
         self.refined = refined and self.syntactic
-        self.gate = LocalityFlavor.SYN_BOT if flavor is LocalityFlavor.SEM_BOT else flavor
         self.budget = budget
         self.checks = 0
         self.unknowns = 0
@@ -136,11 +135,11 @@ class _Checker:
         return verdict.is_local
 
     def circuit(self) -> Circuit:
-        """The ontology's circuit for this flavor, kept once built."""
-        key = (self.gate, self.refined)
+        """The ontology's circuit for this flavor's polarity, kept once built."""
+        key = (self.flavor.is_bottom, self.refined)
         found = self.o.circuits.get(key)
         if found is None:
-            found = self.o.circuits[key] = compile_circuit(self.axioms, *key)
+            found = self.o.circuits[key] = compile_circuit(self.axioms, self.flavor, self.refined)
         return found
 
     def candidates(self, scope: Collection[int], sig: Signature) -> list[int]:

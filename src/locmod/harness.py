@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from statistics import mean
@@ -310,7 +309,8 @@ def run_comparison(
     measure_timings: bool = False,
 ) -> list[DifferenceRecord]:
     """Run one of the tests over `o`, returning records for the cases with
-    differences, in case order.
+    differences, in case order. The cases run one after another: `jobs`
+    must be 1.
 
     With `measure_timings` set, each case carries wall-clock phase times
     and one warm-up case runs untimed first (for T1a it also finds the
@@ -320,41 +320,26 @@ def run_comparison(
     mode = mode.lower()
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     axioms = o.axioms
 
-    if mode == "t1a":
-        cases = [
-            (sig, f"s{i}") for i, sig in enumerate(sample_signatures(o, cfg))
-        ]
-
-        def run_case(case):
-            sig, case_id = case
-            return _t1a_case(o, axioms, sig, case_id, budget, measure_timings)
-
-    elif mode == "t1b":
-        cases = [
-            (sig, f"s{i}") for i, sig in enumerate(sample_signatures(o, cfg))
-        ]
-
-        def run_case(case):
-            sig, case_id = case
-            return _module_case(o, axioms, sig, case_id, "T1b", budget, measure_timings)
-
-    else:
+    if mode == "t2":
         cases = [(s, _axiom_id(i)) for i, s in enumerate(o.axiom_signatures)]
+    else:
+        cases = [(sig, f"s{i}") for i, sig in enumerate(sample_signatures(o, cfg))]
 
-        def run_case(case):
-            sig, case_id = case
-            return _module_case(o, axioms, sig, case_id, "T2", budget, measure_timings)
+    def run_case(case):
+        sig, case_id = case
+        if mode == "t1a":
+            return _t1a_case(o, axioms, sig, case_id, budget, measure_timings)
+        test = "T1b" if mode == "t1b" else "T2"
+        return _module_case(o, axioms, sig, case_id, test, budget, measure_timings)
 
     if measure_timings and cases:
         run_case(cases[0])  # warm-up pass, excluded from the records
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_case, cases))
-    else:
-        results = [run_case(c) for c in cases]
+    results = [run_case(c) for c in cases]
     return [r for r in results if r is not None]
 
 

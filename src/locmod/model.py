@@ -429,8 +429,8 @@ class Ontology:
     `axiom_signatures`, `names`, `name_index`, `verdicts` and `circuits`
     are made on first use and kept by the instance (they are not fields, so
     equality, hashing and repr ignore them); every extraction over the same
-    instance shares them. SEM_BOT extraction runs over the SYN_BOT
-    circuit, so the two flavors share it. A verdict in `verdicts` serves
+    instance shares them. A circuit serves both flavors of its polarity,
+    the syntactic and the semantic one. A verdict in `verdicts` serves
     every axiom of the instance that is a renamed copy of the one checked,
     with the same names in the seed signature.
     """
@@ -628,11 +628,6 @@ def _nnf_neg(c: Concept) -> Concept:
 def complement(c: Concept) -> Concept:
     """Negation normal form of ¬c."""
     return _nnf_neg(c)
-
-
-def is_name_literal(c: Concept) -> bool:
-    """Whether `c` is a concept name or the negation of one."""
-    return type(c) is ConceptName or type(c) is Not and type(c.arg) is ConceptName
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ non-Σ part of any interpretation can always be rewired to those constants
 without touching Σ, so locality reduces to a tautology test. Role axioms
 over the constants are decided structurally. Substitution folds the
 constants it brings in, so a concept axiom that collapses to ⊥ ⊑ D or
-C ⊑ ⊤ is valid at once. A counterexample probe sub ⊓ ¬sup that is a
-conjunction of name literals is decided from them before it is built
-(`tableau.decide_literals`); the others go through negation normal form,
+C ⊑ ⊤ is valid at once; the others go through negation normal form,
 constant propagation and then the tableau.
 """
 
@@ -56,15 +54,12 @@ from .model import (
     UniversalRoleType,
     conj,
     disj,
-    is_name_literal,
     nnf,
     normalize_axiom,
     normalize_role,
     role_name_of,
 )
-from .tableau import (
-    Budget, DEFAULT_BUDGET, SatResult, SatStatus, decide_literals, is_satisfiable
-)
+from .tableau import Budget, DEFAULT_BUDGET, SatResult, SatStatus, is_satisfiable
 
 __all__ = [
     "Locality",
@@ -269,27 +264,15 @@ def _refutation(a: Axiom, budget: Budget) -> SatResult:
     raise TypeError(f"expected a concept axiom after substitution, got {a!r}")
 
 
+_NO_COUNTEREXAMPLE = SatResult(_UNSAT)
+
+
 def _counterexample(sub: Concept, sup: Concept, budget: Budget) -> SatResult:
-    """Satisfiability of the probe simplify(nnf(sub ⊓ ¬sup)). A probe of
-    name literals is decided from them before it is built."""
-    literals = _probe_literals(sub, sup)
-    if literals is not None:
-        return decide_literals(literals, budget)
-    return is_satisfiable(simplify(nnf(conj(sub, Not(sup)))), budget)
-
-
-def _probe_literals(sub: Concept, sup: Concept) -> tuple[Concept, ...] | None:
-    """The conjuncts of the probe of sub ⊑ sup when sub is ⊤, a name
-    literal or a ⊓ of them and sup is ⊥, a name literal or a ⊔ of them:
-    sub's literals, then the complements of sup's, none for the probe ⊤.
-    A substituted ⊥ ⊑ D or C ⊑ ⊤ has the probe ⊥; other shapes give None."""
+    """Satisfiability of the probe simplify(nnf(sub ⊓ ¬sup)). A substituted
+    ⊥ ⊑ D or C ⊑ ⊤ has no counterexample, found before any probe is built."""
     if type(sub) is BottomType or type(sup) is TopType:
-        return (BOTTOM,)
-    subs = () if type(sub) is TopType else sub.args if type(sub) is And else (sub,)
-    sups = () if type(sup) is BottomType else sup.args if type(sup) is Or else (sup,)
-    if not (all(map(is_name_literal, subs)) and all(map(is_name_literal, sups))):
-        return None
-    return (*subs, *(c.arg if type(c) is Not else Not(c) for c in sups))
+        return _NO_COUNTEREXAMPLE
+    return is_satisfiable(simplify(nnf(conj(sub, Not(sup)))), budget)
 
 
 # ---------------------------------------------------------------------------

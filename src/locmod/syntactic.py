@@ -7,11 +7,10 @@ forced to ⊤. Axioms are local when that classification alone makes them
 valid. The classification is a sufficient condition: a concept may be
 `NEITHER` and still collapse semantically (the price of staying
 polynomial). Every production is sound for the corresponding semantic
-notion but one: the top flavor puts ≥n R.C with R outside Σ in Top(Σ) for
-every n, which holds only in domains of at least n elements. Asked for a
-semantic flavor, `is_syntactically_local` and `compile_circuit` leave that
-production out (`sound`), so an axiom they call local is semantically
-local.
+notion, so an axiom called local for a flavor is semantically local for
+the flavor of the same polarity. In particular ≥n R.C with n ≥ 2 is never
+in Top(Σ): with R outside Σ it is ⊤ only in domains of at least n
+elements.
 
 The grammar is written once as two monotone Boolean functions per concept
 C of which of its names are in Σ: nb, "C is not in Bot(Σ)", and nt, "C is
@@ -88,23 +87,22 @@ def _role_name(r: Role) -> str:
     return role_name_of(r)
 
 
-def _concept(c, b, bot, sound):
+def _concept(c, b, bot):
     """(nb, nt) of `c` over the builder `b`, for the bottom flavor if `bot`
-    and the top flavor otherwise, only with productions sound for semantic
-    locality if `sound`. nb ∨ nt always holds: no concept is in both
-    classes."""
+    and the top flavor otherwise. nb ∨ nt always holds: no concept is in
+    both classes."""
     if isinstance(c, ConceptName):
         # outside Σ a name is ⊥ under the bottom flavor, ⊤ under the top one
         x = b.concept(c.name)
         return (x, True) if bot else (True, x)
     if isinstance(c, And):
-        nbs, nts = zip(*[_concept(a, b, bot, sound) for a in c.args])
+        nbs, nts = zip(*[_concept(a, b, bot) for a in c.args])
         return b.and_(nbs), b.or_(nts)
     if isinstance(c, Or):
-        nbs, nts = zip(*[_concept(a, b, bot, sound) for a in c.args])
+        nbs, nts = zip(*[_concept(a, b, bot) for a in c.args])
         return b.or_(nbs), b.and_(nts)
     if isinstance(c, Not):
-        nb, nt = _concept(c.arg, b, bot, sound)
+        nb, nt = _concept(c.arg, b, bot)
         return nt, nb
     if isinstance(c, AtLeast) and c.n == 0:
         return True, False
@@ -112,21 +110,21 @@ def _concept(c, b, bot, sound):
         # ∃R.C is ≥1 R.C; a role outside Σ is empty under the bottom
         # flavor and universal under the top one, where ≥n R.C is ⊤ only
         # in domains of at least n elements
-        nb, nt = _concept(c.filler, b, bot, sound)
+        nb, nt = _concept(c.filler, b, bot)
         r = b.role(_role_name(c.role))
         if bot:
             return b.and_((nb, r)), True
-        if sound and isinstance(c, AtLeast) and c.n > 1:
+        if isinstance(c, AtLeast) and c.n > 1:
             return nb, True
         return nb, b.or_((r, nt))
     if isinstance(c, ForAll):
         # a role sent to the empty relation quantifies vacuously
-        nb, nt = _concept(c.filler, b, bot, sound)
+        nb, nt = _concept(c.filler, b, bot)
         return True, (b.and_((nt, b.role(_role_name(c.role)))) if bot else nt)
     if isinstance(c, AtMost):
         if not bot:
             return True, True
-        nb, _ = _concept(c.filler, b, bot, sound)
+        nb, _ = _concept(c.filler, b, bot)
         return True, b.and_((b.role(_role_name(c.role)), nb))
     if isinstance(c, BottomType):
         return False, True
@@ -138,17 +136,17 @@ def _concept(c, b, bot, sound):
     raise TypeError(f"not a concept: {c!r}")
 
 
-def _nonlocal(a, b, bot, refined, sound):
+def _nonlocal(a, b, bot, refined):
     """Non-locality of the normalized axiom `a` over the builder `b`."""
     if isinstance(a, SubClassOf):
-        nb = _concept(a.sub, b, bot, sound)[0]
+        nb = _concept(a.sub, b, bot)[0]
         if nb is False:  # the subclass is in Bot(Σ)
             return False
-        return b.and_((nb, _concept(a.sup, b, bot, sound)[1]))
+        return b.and_((nb, _concept(a.sup, b, bot)[1]))
     if isinstance(a, EquivalentClasses):
         # local iff both sides are in Bot(Σ) or both in Top(Σ)
-        nb_left, nt_left = _concept(a.left, b, bot, sound)
-        nb_right, nt_right = _concept(a.right, b, bot, sound)
+        nb_left, nt_left = _concept(a.left, b, bot)
+        nb_right, nt_right = _concept(a.right, b, bot)
         return b.and_((b.or_((nb_left, nb_right)), b.or_((nt_left, nt_right))))
     if isinstance(a, SubRoleOf):
         return b.role(_role_name(a.sub if bot else a.sup))
@@ -177,7 +175,7 @@ def classify_concept(c: Concept, sig: Signature, flavor: LocalityFlavor) -> Synt
     """Classify `c` as IN_BOT, IN_TOP, or NEITHER for the given flavor in a
     single recursive pass."""
     _check_syntactic(flavor)
-    nb, nt = _concept(c, _Evaluator(sig), flavor is _SYN_BOT, False)
+    nb, nt = _concept(c, _Evaluator(sig), flavor is _SYN_BOT)
     if not nb:
         return SyntacticClass.IN_BOT
     return SyntacticClass.NEITHER if nt else SyntacticClass.IN_TOP
@@ -195,22 +193,21 @@ def is_syntactically_local(
     Role axioms are decided on role names alone. With `refined` set, an
     inverse-role axiom whose two sides are inverses of each other after
     normalization counts as local regardless of the signature; this is off
-    by default so the checker reproduces the plain grammar behavior. For a
-    semantic flavor the grammar of the same polarity is used without the
-    productions unsound for it, so a local answer implies semantic
-    locality.
+    by default so the checker reproduces the plain grammar behavior. A
+    semantic flavor gets the grammar of its polarity, so a local answer
+    implies semantic locality.
     """
     b = _Evaluator(sig)
-    bot, sound = flavor.is_bottom, not flavor.is_syntactic
+    bot = flavor.is_bottom
     for p in normalize_axiom(a):
-        if _nonlocal(p, b, bot, refined, sound):
+        if _nonlocal(p, b, bot, refined):
             return False
     return True
 
 
 class Circuit:
     """The syntactic non-locality of the axioms of one ontology, for one
-    flavor and `refined`, as AND/OR gates; read-only once built. Gate g
+    polarity and `refined`, as AND/OR gates; read-only once built. Gate g
     belongs to the axiom at position `owner[g]` and fires once `need[g]` of
     its inputs have fired (all for an AND, one for an OR). A name fires when
     it enters Σ and a gate when its count reaches 0; either then reaches
@@ -296,10 +293,10 @@ def compile_circuit(axioms: Sequence[Axiom], flavor: LocalityFlavor, refined=Fal
     """The `Circuit` of syntactic non-locality of `axioms`, by position,
     with the grammar `is_syntactically_local` uses for `flavor`."""
     b = _Compiler()
-    bot, sound = flavor.is_bottom, not flavor.is_syntactic
+    bot = flavor.is_bottom
     always: list[int] = []
     for i, a in enumerate(axioms):
-        root = b.or_([_nonlocal(p, b, bot, refined, sound) for p in normalize_axiom(a)])
+        root = b.or_([_nonlocal(p, b, bot, refined) for p in normalize_axiom(a)])
         if root is True:
             always.append(i)
         elif root is not False:

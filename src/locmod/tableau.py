@@ -36,19 +36,10 @@ extension the witness rule examines. A ⊔ or choose decision adds one new
 pair, so it costs the tick of that pair's expansion; a merge may add
 none, so it ticks itself. The model of the open state is built on first
 access.
-
-A conjunction of ⊤, ⊥, name literals L, and ∀R.L, ∀R.⊤, ≤n R.L or ≤n R.⊤
-over role names and their inverses, makes no neighbour, so it is decided
-before any state is built (`decide_literals`): it is satisfiable exactly
-when it holds no ⊥ and no name both plain and negated. It is charged the
-search's ticks: none for ⊥ alone, one for another lone conjunct, one for
-a ⊓ that clashes, else one more per distinct conjunct. Its model comes
-from the skipped search, which saturates, run on first access.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -72,11 +63,8 @@ from .model import (
     Role,
     RoleName,
     Signature,
-    TopType,
     UniversalRoleType,
     complement,
-    conj,
-    is_name_literal,
     normalize_role,
     signature_of,
 )
@@ -112,17 +100,11 @@ class SatResult:
 
     status: SatStatus
     reason: str | None = None
-    _open: "_State | tuple | None" = field(default=None, repr=False, compare=False)
+    _open: "_State | None" = field(default=None, repr=False, compare=False)
 
     @cached_property
     def model(self) -> Interpretation | None:
-        state = self._open
-        if type(state) is tuple:
-            state = _search(conj(*state), Budget(len(state) + 2, math.inf))._open
-        return None if state is None else _extract_model(state)
-
-
-_UNSATISFIABLE = SatResult(SatStatus.UNSATISFIABLE)
+        return None if self._open is None else _extract_model(self._open)
 
 
 class _OutOfBudget(Exception):
@@ -454,55 +436,6 @@ def is_satisfiable(c: Concept, budget: Budget | None = None) -> SatResult:
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    decided = decide_literals(c.args if type(c) is And else (c,), budget)
-    return _search(c, budget) if decided is None else decided
-
-
-def decide_literals(conjuncts: tuple[Concept, ...], budget: Budget) -> SatResult | None:
-    """`is_satisfiable` of the conjunction of `conjuncts` (a lone one
-    standing for itself, none for ⊤) when each has a shape the module
-    docstring names, with the search's status, reason and model; None
-    otherwise."""
-    plain, negated, clash = set(), set(), False
-    for c in conjuncts:
-        t = type(c)
-        if t is ConceptName:
-            plain.add(c.name)
-        elif t is Not and type(c.arg) is ConceptName:
-            negated.add(c.arg.name)
-        elif t is BottomType:
-            clash = True
-        elif t is ForAll or t is AtMost:
-            role = c.role.role if type(c.role) is Inverse else c.role
-            if type(role) is not RoleName or not (
-                type(c.filler) is TopType or is_name_literal(c.filler)
-            ):
-                return None
-        elif t is not TopType:
-            return None
-    clash = clash or not plain.isdisjoint(negated)
-    if len(conjuncts) == 1:
-        ticks = 0 if clash else 1
-    elif clash:
-        ticks = 1
-    else:  # the ⊓, then each distinct conjunct; names are counted apart
-        rest = {c for c in conjuncts if type(c) is not ConceptName and type(c) is not Not}
-        ticks = 1 + len(plain) + len(negated) + len(rest)
-    steps = budget.max_steps
-    # past the fast test the meter would stop or read the clock: run it
-    if not (ticks < steps and ticks <= (steps - 1) % 256):
-        meter = _Meter(budget)
-        try:
-            for _ in range(ticks):
-                meter.tick()
-        except _OutOfBudget as exc:
-            return SatResult(SatStatus.UNKNOWN, reason=str(exc))
-    if clash:
-        return _UNSATISFIABLE
-    return SatResult(SatStatus.SATISFIABLE, _open=tuple(conjuncts))
-
-
-def _search(c: Concept, budget: Budget) -> SatResult:
     individuals = _individuals(c)
     if individuals is None:
         return SatResult(
@@ -519,7 +452,7 @@ def _search(c: Concept, budget: Budget) -> SatResult:
     except _OutOfBudget as exc:
         return SatResult(SatStatus.UNKNOWN, reason=str(exc))
     if not is_open:
-        return _UNSATISFIABLE
+        return SatResult(SatStatus.UNSATISFIABLE)
     return SatResult(SatStatus.SATISFIABLE, _open=state)
 
 

@@ -13,6 +13,7 @@ from locmod import (
     BOTTOM,
     Concept,
     ConceptName,
+    DisjointClasses,
     Domain,
     EquivalentClasses,
     EquivalentRoles,
@@ -33,6 +34,8 @@ from locmod import (
     SubRoleOf,
     TOP,
     Transitive,
+    conj,
+    disj,
 )
 
 CONCEPTS = ("A", "B", "C")
@@ -112,6 +115,29 @@ def random_axiom(
     if kind == 10:
         return Domain(r(), c())
     return Range(r(), c())
+
+
+def literal_axioms() -> list[Axiom]:
+    """Axioms whose counterexample probes are conjunctions of name literals
+    at some signatures and not at others."""
+    A, B, C = (ConceptName(n) for n in "ABC")
+    R = RoleName("R")
+    return [
+        SubClassOf(A, B),
+        SubClassOf(A, A),
+        SubClassOf(conj(A, B), C),
+        SubClassOf(A, disj(B, Not(C))),
+        SubClassOf(Not(A), B),
+        SubClassOf(conj(A, Not(B)), disj(A, C)),
+        SubClassOf(A, Not(A)),
+        SubClassOf(TOP, disj(A, B)),
+        DisjointClasses(A, B),
+        Domain(R, A),
+        Range(R, B),
+        EquivalentClasses(A, B),
+        EquivalentClasses(A, conj(B, C)),
+        SubClassOf(A, Exists(R, B)),
+    ]
 
 
 def random_signature(

@@ -1,7 +1,9 @@
 """The recursive Bot(Σ)/Top(Σ) classifier that `locmod.syntactic` used
-before its grammar was written once over a builder, kept verbatim as a
-reference: `classify_concept` and `is_syntactically_local` here must equal
-the package's on every input."""
+before its grammar was written once over a builder, kept as a reference:
+`classify_concept` and `is_syntactically_local` here must equal the
+package's on every input. Like the package, it leaves ≥n R.C with n ≥ 2
+out of Top(Σ): with R outside Σ it is ⊤ only in domains of at least n
+elements."""
 
 from __future__ import annotations
 
@@ -103,7 +105,8 @@ def _classify(c, sig, bot_flavor) -> SyntacticClass:
             return SyntacticClass.NEITHER
         if filler is SyntacticClass.IN_BOT:
             return SyntacticClass.IN_BOT
-        if outside and filler is SyntacticClass.IN_TOP:
+        counting = isinstance(c, AtLeast) and c.n > 1
+        if outside and filler is SyntacticClass.IN_TOP and not counting:
             return SyntacticClass.IN_TOP
         return SyntacticClass.NEITHER
     if isinstance(c, ForAll):

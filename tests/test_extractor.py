@@ -38,7 +38,7 @@ from locmod import (
     signature_of,
 )
 from conftest import CORPUS_NAMES, load_fixture
-from genlib import random_signature, synthetic_ontology
+from genlib import random_axiom, random_signature, synthetic_ontology
 
 A, B = ConceptName("A"), ConceptName("B")
 ALL_FLAVORS = tuple(LocalityFlavor)
@@ -407,15 +407,18 @@ class TestSeededFirstRound:
 
     def test_top_rounds_keep_counting_axioms(self):
         # ≥2 R.B with R outside Σ is ⊤ only in domains of two or more
-        # elements: the axiom is not local, the check gives up on it, and
-        # the rounds keep it as the textbook loop does
+        # elements: the axiom is not local, the grammar leaves it out of
+        # Top(Σ), the check gives up on it, and the rounds keep it as the
+        # textbook loop does
         axiom = SubClassOf(A, AtLeast(2, RoleName("R"), B))
         sig = Signature({"A"})
         assert brute_force_refutes_locality(axiom, sig, LocalityFlavor.SEM_TOP, max_domain=1)
         o = Ontology((axiom,))
         for extract, flavor in (
+            (extract_module, LocalityFlavor.SYN_TOP),
             (extract_module, LocalityFlavor.SEM_TOP),
             (extract_module, LocalityFlavor.SEM_BOT),
+            (extract_star, SYN_STAR),
             (extract_star, SEM_STAR),
         ):
             fast = extract(o, sig, flavor)
@@ -423,8 +426,8 @@ class TestSeededFirstRound:
 
     def test_rounds_skip_axioms_the_sound_grammar_calls_local(self):
         # the tableau gives up on this axiom (counting over the universal
-        # role), so the textbook loop keeps it; the top grammar, counting
-        # production left out, shows it local, so the rounds never check it
+        # role), so the textbook loop keeps it; the top grammar shows it
+        # local, so the rounds never check it
         axiom = SubClassOf(A, Or((Exists(RoleName("R"), B), AtMost(1, RoleName("S"), A))))
         sig = Signature({"A"})
         assert is_syntactically_local(axiom, sig, LocalityFlavor.SEM_TOP)
@@ -443,6 +446,58 @@ class TestSeededFirstRound:
         del o
         gc.collect()
         assert axiom() is None
+
+
+class TestContainment:
+    # the semantic module of a flavor lies inside the syntactic one of the
+    # same polarity: for ⊥, for ⊤ and for both star pairs
+    PAIRS = (
+        (extract_module, LocalityFlavor.SYN_BOT, LocalityFlavor.SEM_BOT),
+        (extract_module, LocalityFlavor.SYN_TOP, LocalityFlavor.SEM_TOP),
+        (extract_star, SYN_STAR, SEM_STAR),
+        (
+            extract_star,
+            (LocalityFlavor.SYN_BOT, LocalityFlavor.SYN_TOP),
+            (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP),
+        ),
+    )
+
+    # a step limit alone: an UNKNOWN verdict keeps its axiom, and the clock
+    # would make which one depend on machine load
+    BUDGET = Budget(max_steps=2_000, max_seconds=1e9)
+
+    def assert_contained(self, o, sig):
+        for extract, syn, sem in self.PAIRS:
+            inner = extract(o, sig, sem, budget=self.BUDGET).positions
+            outer = extract(o, sig, syn).positions
+            assert set(inner) <= set(outer), (o.name, sig, syn)
+
+    def test_on_the_fixtures(self):
+        rng = random.Random(50)
+        for name in CORPUS_NAMES:
+            o = load_fixture(name)
+            entities = signature_of(o)
+            for _ in range(40):
+                sig = random_signature(
+                    rng,
+                    0.3,
+                    concepts=sorted(entities.concept_names),
+                    roles=sorted(entities.role_names),
+                )
+                self.assert_contained(o, sig)
+
+    def test_on_random_ontologies_with_counting(self):
+        rng = random.Random(51)
+        counting = 0
+        for k in range(100):
+            # without nominals, which no grammar puts in Bot(Σ) or Top(Σ),
+            # modules stay small enough to tell the flavors apart
+            axioms = [random_axiom(rng, depth=2, individuals=()) for _ in range(6)]
+            o = Ontology(tuple(axioms), name=f"r{k}")
+            counting += any("AtLeast(n=2" in repr(a) or "AtLeast(n=3" in repr(a) for a in o)
+            for _ in range(4):
+                self.assert_contained(o, random_signature(rng, 0.3))
+        assert counting >= 40
 
 
 class TestStepsOnPositions:

@@ -29,7 +29,7 @@ from locmod import (
     signature_of,
     substitute,
 )
-from genlib import random_axiom, random_interpretation, random_signature
+from genlib import literal_axioms, random_axiom, random_interpretation, random_signature
 
 A, B = ConceptName("A"), ConceptName("B")
 SEM_BOT = LocalityFlavor.SEM_BOT
@@ -155,18 +155,36 @@ class TestBruteForceLocal:
             brute_force_refutes_locality(SubClassOf(A, B), Signature(), LocalityFlavor.SYN_BOT)
 
     def test_one_sided_agreement_with_checker(self):
-        # refuted by enumeration => the checker must not call it local
+        # refuted by enumeration => the checker must not call it local. The
+        # axioms whose probes may be conjunctions of name literals come
+        # first, at every signature over their names; a counterexample to
+        # them needs at most two elements, so there the converse holds too
         rng = random.Random(36)
-        refuted = 0
+        signatures = [
+            Signature(frozenset(c), frozenset(r))
+            for c in ((), ("A",), ("B",), ("A", "B"), ("A", "B", "C"))
+            for r in ((), ("R",))
+        ]
+        cases = [
+            (a, sig, flavor)
+            for a in literal_axioms()
+            for sig in signatures
+            for flavor in (SEM_BOT, SEM_TOP)
+        ]
+        exact = len(cases)
         for _ in range(250):
             a = random_axiom(rng, depth=2, concepts=("A", "B"), roles=("r",))
             sig = random_signature(rng, concepts=("A", "B"), roles=("r",))
-            flavor = rng.choice((SEM_BOT, SEM_TOP))
+            cases.append((a, sig, rng.choice((SEM_BOT, SEM_TOP))))
+        refuted = 0
+        for k, (a, sig, flavor) in enumerate(cases):
+            verdict = is_semantically_local(a, sig, flavor)
             if brute_force_refutes_locality(a, sig, flavor, max_domain=2):
                 refuted += 1
-                verdict = is_semantically_local(a, sig, flavor)
-                assert verdict.status in (Locality.NON_LOCAL, Locality.UNKNOWN)
-        assert refuted > 50
+                assert verdict.status in (Locality.NON_LOCAL, Locality.UNKNOWN), (a, sig)
+            elif k < exact:
+                assert verdict.status is Locality.LOCAL, (a, sig, flavor)
+        assert refuted > 200
 
 
 class TestRestrictionLemma:

@@ -4,7 +4,6 @@ import random
 import pytest
 
 import locmod.semantic as semantic
-import locmod.tableau
 import plain_substitution
 from locmod import (
     AtLeast,
@@ -12,8 +11,6 @@ from locmod import (
     Budget,
     Concept,
     ConceptName,
-    DisjointClasses,
-    Domain,
     EMPTY_ROLE,
     EquivalentClasses,
     Exists,
@@ -24,7 +21,6 @@ from locmod import (
     LocalityFlavor,
     Not,
     OneOf,
-    Range,
     RoleName,
     Signature,
     SubClassOf,
@@ -312,16 +308,16 @@ class TestLocality:
             is_semantically_local(SubClassOf(A, B), Signature(), LocalityFlavor.SYN_BOT)
 
     def test_global_counting_zone_stays_unknown(self):
-        # the top-locality grammar accepts ≥n-over-outside-role concepts as
-        # top-equivalent, but for n ≥ 2 that silently assumes n domain
-        # elements: a singleton interpretation refutes the substituted
-        # axiom. The checker must answer Unknown there, never Local, so the
-        # conservative direction survives.
+        # ≥n R.C over an outside role is ⊤ under the top substitution only
+        # in domains of at least n elements: for n ≥ 2 a singleton
+        # interpretation refutes the substituted axiom. The top grammar
+        # leaves it out of Top(Σ), and the checker answers Unknown there,
+        # never Local, so the conservative direction survives.
         from locmod import brute_force_refutes_locality
 
         axiom = SubClassOf(A, AtLeast(2, R, B))
         sig = Signature({"A"})
-        assert is_syntactically_local(axiom, sig, LocalityFlavor.SYN_TOP)
+        assert not is_syntactically_local(axiom, sig, LocalityFlavor.SYN_TOP)
         verdict = is_semantically_local(axiom, sig, SEM_TOP)
         assert verdict.status is Locality.UNKNOWN
         assert brute_force_refutes_locality(axiom, sig, SEM_TOP, max_domain=1)
@@ -342,69 +338,6 @@ class TestImplicationSample:
                 if is_syntactically_local(a, sig, syn):
                     verdict = is_semantically_local(a, sig, sem)
                     assert verdict.status is not Locality.NON_LOCAL, (a, sig, syn)
-
-
-def literal_axioms():
-    """Axioms whose probes are conjunctions of name literals at some
-    signatures and not at others."""
-    C = ConceptName("C")
-    return [
-        SubClassOf(A, B),
-        SubClassOf(A, A),
-        SubClassOf(conj(A, B), C),
-        SubClassOf(A, disj(B, Not(C))),
-        SubClassOf(Not(A), B),
-        SubClassOf(conj(A, Not(B)), disj(A, C)),
-        SubClassOf(A, Not(A)),
-        SubClassOf(TOP, disj(A, B)),
-        DisjointClasses(A, B),
-        Domain(R, A),
-        Range(R, B),
-        EquivalentClasses(A, B),
-        EquivalentClasses(A, conj(B, C)),
-        SubClassOf(A, Exists(R, B)),
-    ]
-
-
-class TestLiteralProbes:
-    def test_verdicts_equal_those_of_built_probes(self, monkeypatch):
-        # the reference builds every probe and sends it to the search; the
-        # literal route must give the same verdict, reason included, at
-        # budgets that cut its tick counts and at a large one
-        rng = random.Random(27)
-        signatures = [
-            Signature(frozenset(c), frozenset(r))
-            for c in ((), ("A",), ("B",), ("A", "B"), ("A", "B", "C"))
-            for r in ((), ("R",))
-        ]
-        cases = [
-            (a, sig, flavor)
-            for a in literal_axioms()
-            for sig in signatures
-            for flavor in (SEM_BOT, SEM_TOP)
-        ] + [
-            (random_axiom(rng), random_signature(rng), flavor)
-            for _ in range(400)
-            for flavor in (SEM_BOT, SEM_TOP)
-        ]
-        budgets = [Budget(max_steps=n, max_seconds=1e9) for n in (1, 2, 3, 4, 5, 300, 5_000)]
-        decided = []
-        route = semantic.decide_literals
-        monkeypatch.setattr(
-            semantic, "decide_literals", lambda *args: decided.append(1) or route(*args)
-        )
-        ours = [[is_semantically_local(a, sig, f, b) for a, sig, f in cases] for b in budgets]
-
-        def built_probe(sub, sup, budget):
-            return locmod.tableau._search(simplify(nnf(conj(sub, Not(sup)))), budget)
-
-        monkeypatch.setattr(semantic, "_counterexample", built_probe)
-        reference = [[is_semantically_local(a, sig, f, b) for a, sig, f in cases] for b in budgets]
-        for budget, got, want in zip(budgets, ours, reference):
-            for case, g, w in zip(cases, got, want):
-                assert g == w, (case, budget)
-        assert len(decided) > 2 * len(cases)
-        assert {v.status for v in ours[2]} == set(Locality)
 
 
 shape_key = semantic._shape_key

@@ -207,28 +207,27 @@ class TestOneGrammar:
 
 
 class TestSoundGrammar:
-    """Asked for a semantic flavor, the grammar keeps only the productions
-    sound for it: the bottom grammar as it stands, and the top grammar
-    without ≥n R.C ∈ Top(Σ) for n ≥ 2."""
+    """Every production is sound for semantic locality of the same
+    polarity, so a semantic flavor gets the grammar of its syntactic
+    counterpart; ≥n R.C with n ≥ 2 is never in Top(Σ)."""
 
-    def test_only_counting_into_top_is_left_out(self):
+    def test_semantic_flavors_use_the_grammar_of_their_polarity(self):
         rng = random.Random(16)
-        dropped = 0
+        counting = 0
         for _ in range(4000):
             axiom = random_axiom(rng, depth=3)
             sig = random_signature(rng)
-            bot = is_syntactically_local(axiom, sig, BOT)
-            assert is_syntactically_local(axiom, sig, LocalityFlavor.SEM_BOT) == bot
-            top = is_syntactically_local(axiom, sig, TOPF)
-            if is_syntactically_local(axiom, sig, LocalityFlavor.SEM_TOP) != top:
-                assert top and re.search(r"AtLeast\(n=([2-9]|\d\d)", repr(axiom))
-                dropped += 1
-        assert dropped >= 20
-        counting = SubClassOf(A, AtLeast(2, R, B))
-        assert is_syntactically_local(counting, Signature({"A"}), TOPF)
-        assert not is_syntactically_local(counting, Signature({"A"}), LocalityFlavor.SEM_TOP)
+            for syn, sem in ((BOT, LocalityFlavor.SEM_BOT), (TOPF, LocalityFlavor.SEM_TOP)):
+                local = is_syntactically_local(axiom, sig, syn)
+                assert is_syntactically_local(axiom, sig, sem) == local
+            counting += bool(re.search(r"AtLeast\(n=([2-9]|\d\d)", repr(axiom)))
+        assert counting >= 500
+        # at Σ = {A} the one-element interpretation refutes A ⊑ ≥2 R.B
+        at_least_two = SubClassOf(A, AtLeast(2, R, B))
         one = SubClassOf(A, AtLeast(1, R, B))
-        assert is_syntactically_local(one, Signature({"A"}), LocalityFlavor.SEM_TOP)
+        for flavor in (TOPF, LocalityFlavor.SEM_TOP):
+            assert not is_syntactically_local(at_least_two, Signature({"A"}), flavor)
+            assert is_syntactically_local(one, Signature({"A"}), flavor)
 
     def test_local_is_never_refuted(self):
         rng = random.Random(17)
@@ -236,13 +235,14 @@ class TestSoundGrammar:
         for _ in range(600):
             axiom = random_axiom(rng, depth=2)
             sig = random_signature(rng)
-            for sem in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
-                if is_syntactically_local(axiom, sig, sem):
+            for flavor in LocalityFlavor:
+                sem = LocalityFlavor.SEM_BOT if flavor.is_bottom else LocalityFlavor.SEM_TOP
+                if is_syntactically_local(axiom, sig, flavor):
                     local += 1
                     assert not brute_force_refutes_locality(axiom, sig, sem, max_domain=2)
                     verdict = is_semantically_local(axiom, sig, sem)
                     assert verdict.status is not Locality.NON_LOCAL
-        assert local >= 300
+        assert local >= 600
 
     def test_circuit_equals_evaluation(self):
         rng = random.Random(18)

@@ -10,7 +10,6 @@ from locmod import (
     BOTTOM,
     Budget,
     ConceptName,
-    EMPTY_ROLE,
     EquivalentClasses,
     Exists,
     ForAll,
@@ -35,7 +34,6 @@ from locmod import (
 )
 from conftest import CORPUS_NAMES, load_fixture
 from genlib import random_concept
-from locmod.tableau import DEFAULT_BUDGET, decide_literals
 
 A, B = ConceptName("A"), ConceptName("B")
 R = RoleName("R")
@@ -198,7 +196,61 @@ class TestBudgetAndDeterminism:
             assert first.model == second.model
 
 
+def literal_conjunctions():
+    """Conjunct tuples of name literals, ⊤, ⊥ and ∀/≤ over role names and
+    inverses with literal or ⊤ fillers: none (⊤), duplicates and clashes,
+    hand-picked and seeded."""
+    S = RoleName("S")
+    picked = [
+        (), (A,), (Not(A),), (TOP,), (BOTTOM,), (ForAll(R, Not(A)),), (AtMost(0, R, TOP),),
+        (A, B), (A, A), (A, Not(A)), (Not(A), A, B), (A, B, A, Not(B)),
+        (A, BOTTOM), (BOTTOM, BOTTOM), (TOP, TOP), (A, TOP, Not(B)),
+        (A, ForAll(R, Not(B))), (A, ForAll(Inverse(R), B), ForAll(Inverse(R), B)),
+        (A, ForAll(R, A), ForAll(R, Not(A)), AtMost(1, S, Not(A))),
+        (AtMost(0, R, A), AtMost(2, Inverse(S), TOP), Not(B)),
+        (ForAll(R, A), Not(A), ForAll(R, TOP), A),
+    ]
+    rng = random.Random(12)
+    names = (A, B, ConceptName("C"))
+    roles = (R, Inverse(R), S)
+
+    def literal():
+        return rng.choice((rng.choice(names), Not(rng.choice(names))))
+
+    def conjunct():
+        kind = rng.randrange(9)
+        if kind < 5:
+            return literal()
+        if kind == 5:
+            return rng.choice((TOP, BOTTOM))
+        filler = rng.choice((literal(), TOP))
+        if kind < 8:
+            return ForAll(rng.choice(roles), filler)
+        return AtMost(rng.randrange(3), rng.choice(roles), filler)
+
+    seeded = [tuple(conjunct() for _ in range(rng.randint(1, 6))) for _ in range(400)]
+    return picked + seeded
+
+
 class TestAgainstOracle:
+    def test_literal_conjunctions(self):
+        # a conjunction of literals makes no neighbour: a model must satisfy
+        # it, and none found unsatisfiable has a model on three elements.
+        # The referee enumerates every role extension, so it is asked about
+        # the conjuncts without a role, which the probe implies
+        seen = set()
+        for conjuncts in literal_conjunctions():
+            probe = conj(*conjuncts)
+            result = is_satisfiable(probe)
+            seen.add(result.status)
+            if result.status is SatStatus.SATISFIABLE:
+                assert 0 in eval_concept(probe, result.model), conjuncts
+            else:
+                assert result.status is SatStatus.UNSATISFIABLE, conjuncts
+                roleless = conj(*(c for c in conjuncts if not isinstance(c, (ForAll, AtMost))))
+                assert find_countermodel(SubClassOf(roleless, BOTTOM), 3) is None, conjuncts
+        assert seen == {SatStatus.SATISFIABLE, SatStatus.UNSATISFIABLE}
+
     def test_oracle_soundness_sample(self):
         # where the referee finds a small model, the tableau must not
         # declare unsatisfiability; returned models must check out
@@ -324,97 +376,3 @@ class TestLazyModel:
                 for axiom in o.axioms:
                     for flavor in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
                         is_semantically_local(axiom, sig, flavor)
-
-
-def literal_conjunctions():
-    """Conjunct tuples of the decidable shapes: none (⊤), duplicates,
-    clashes, ⊤, ⊥ and ∀/≤ over role names and inverses, hand-picked and
-    seeded."""
-    S = RoleName("S")
-    picked = [
-        (), (A,), (Not(A),), (TOP,), (BOTTOM,), (ForAll(R, Not(A)),), (AtMost(0, R, TOP),),
-        (A, B), (A, A), (A, Not(A)), (Not(A), A, B), (A, B, A, Not(B)),
-        (A, BOTTOM), (BOTTOM, BOTTOM), (TOP, TOP), (A, TOP, Not(B)),
-        (A, ForAll(R, Not(B))), (A, ForAll(Inverse(R), B), ForAll(Inverse(R), B)),
-        (A, ForAll(R, A), ForAll(R, Not(A)), AtMost(1, S, Not(A))),
-        (AtMost(0, R, A), AtMost(2, Inverse(S), TOP), Not(B)),
-        (ForAll(R, A), Not(A), ForAll(R, TOP), A),
-    ]
-    rng = random.Random(12)
-    names = (A, B, ConceptName("C"))
-    roles = (R, Inverse(R), S)
-
-    def literal():
-        return rng.choice((rng.choice(names), Not(rng.choice(names))))
-
-    def conjunct():
-        kind = rng.randrange(9)
-        if kind < 5:
-            return literal()
-        if kind == 5:
-            return rng.choice((TOP, BOTTOM))
-        filler = rng.choice((literal(), TOP))
-        if kind < 8:
-            return ForAll(rng.choice(roles), filler)
-        return AtMost(rng.randrange(3), rng.choice(roles), filler)
-
-    seeded = [tuple(conjunct() for _ in range(rng.randint(1, 6))) for _ in range(400)]
-    return picked + seeded
-
-
-class TestLiteralDecision:
-    # step limits that cut the tick counts, the default budget, and clocks
-    # already run out, which the meter reads when 256 steps are left
-    BUDGETS = [Budget(max_steps=n, max_seconds=1e9) for n in range(1, 6)] + [
-        DEFAULT_BUDGET,
-        Budget(max_steps=257, max_seconds=-1.0),
-        Budget(max_steps=259, max_seconds=-1.0),
-    ]
-
-    def test_decision_equals_the_search(self):
-        # same status, reason and model as the search on the conjunction,
-        # at every budget that the tick count straddles
-        seen = set()
-        for conjuncts in literal_conjunctions():
-            probe = conj(*conjuncts)
-            for budget in self.BUDGETS:
-                decided = decide_literals(conjuncts, budget)
-                searched = locmod.tableau._search(probe, budget)
-                assert decided == searched, (conjuncts, budget)
-                seen.add((decided.status, budget.max_steps))
-                if decided.status is SatStatus.SATISFIABLE:
-                    assert decided.model == searched.model, conjuncts
-                    assert 0 in eval_concept(probe, decided.model), conjuncts
-        for status in SatStatus:
-            assert (status, 2) in seen
-            assert (status, 259) in seen
-        assert (SatStatus.UNKNOWN, DEFAULT_BUDGET.max_steps) not in seen
-
-    def test_is_satisfiable_takes_the_same_answer(self):
-        for conjuncts in literal_conjunctions()[:60]:
-            probe = conj(*conjuncts)
-            for budget in self.BUDGETS:
-                assert is_satisfiable(probe, budget) == decide_literals(conjuncts, budget)
-
-    def test_other_shapes_go_to_the_search(self):
-        S = RoleName("S")
-        for conjunct in (
-            OneOf("m"),
-            Not(OneOf("m")),
-            ForAll(R, OneOf("m")),
-            Not(TOP),
-            Not(Not(A)),
-            Or((A, B)),
-            Exists(R, A),
-            AtLeast(1, R, A),
-            ForAll(UNIVERSAL_ROLE, A),
-            AtMost(1, UNIVERSAL_ROLE, A),
-            ForAll(EMPTY_ROLE, A),
-            ForAll(Inverse(Inverse(R)), A),
-            ForAll(R, BOTTOM),
-            ForAll(R, ForAll(S, A)),
-            AtMost(1, R, Or((A, B))),
-            conj(A, B),
-        ):
-            assert decide_literals((conjunct,), DEFAULT_BUDGET) is None, conjunct
-            assert decide_literals((A, Not(A), conjunct), DEFAULT_BUDGET) is None, conjunct
