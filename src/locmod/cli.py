@@ -235,19 +235,11 @@ def _cmd_extract(args) -> int:
     sig = _load_signature(args, onto)
     budget = Budget(args.max_steps, args.max_seconds)
     trace: list = []
+    options = dict(refined=args.refined, budget=budget, trace=trace if args.verbose else None)
     if args.flavor in _STAR_FLAVORS:
-        result = extract_star(
-            onto, sig, _STAR_FLAVORS[args.flavor], refined=args.refined, budget=budget
-        )
+        result = extract_star(onto, sig, _STAR_FLAVORS[args.flavor], **options)
     else:
-        result = extract_module(
-            onto,
-            sig,
-            _FLAVORS[args.flavor],
-            refined=args.refined,
-            budget=budget,
-            trace=trace if args.verbose else None,
-        )
+        result = extract_module(onto, sig, _FLAVORS[args.flavor], **options)
     if args.verbose:
         for round_no, added in trace:
             for a in added:

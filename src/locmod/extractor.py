@@ -32,12 +32,12 @@ textbook loop keeps it and the rounds leave it out, as it is local.
 All loops work on positions of the input ontology: the steps of a nested
 or star extraction narrow the positions, not the ontology, and a wave
 counts down only the gates of axioms at those positions. So the axiom
-signatures, the name index, the circuits and the semantic verdict memo
-(`semantic.verdict_in`) are shared by all steps and by every extraction
-over one instance. The memo keys a verdict by the axiom and by its shape,
-so the axioms that are renamed copies of one another, with the same names
-in the working signature, share one check. Only the module that is
-returned becomes an `Ontology`.
+signatures, the name index, the circuits, the axiom shapes and the
+semantic verdict memo (`semantic.verdict_in`) are shared by all steps and
+by every extraction over one instance. The memo keys a verdict by the
+axiom's shape and by which of its names lie in the working signature, so
+the axioms that are renamed copies of one another share one check. Only
+the module that is returned becomes an `Ontology`.
 """
 
 from __future__ import annotations

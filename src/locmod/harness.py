@@ -217,10 +217,11 @@ def _culprits_of(axioms, ids) -> tuple[tuple[str, CulpritType], ...]:
 
 
 def _t1a_case(o, axioms, sig, case_id, budget, timed):
-    everything = range(len(axioms))
+    # SYN_BOT and SEM_BOT share one circuit, so one candidate list serves both
+    candidates = _Checker(o, LocalityFlavor.SYN_BOT).candidates(range(len(axioms)), sig)
     syn_nonlocal = set()
     started = time.perf_counter() if timed else 0.0
-    for i in _Checker(o, LocalityFlavor.SYN_BOT).candidates(everything, sig):
+    for i in candidates:
         if not is_syntactically_local(axioms[i], sig, LocalityFlavor.SYN_BOT):
             syn_nonlocal.add(i)
     syn_time = time.perf_counter() - started if timed else 0.0
@@ -228,7 +229,7 @@ def _t1a_case(o, axioms, sig, case_id, budget, timed):
     sem_nonlocal = set()
     unknowns = 0
     started = time.perf_counter() if timed else 0.0
-    for i in _Checker(o, LocalityFlavor.SEM_BOT, budget=budget).candidates(everything, sig):
+    for i in candidates:
         verdict = verdict_in(o, i, sig, LocalityFlavor.SEM_BOT, budget)
         if verdict.status is Locality.NON_LOCAL:
             sem_nonlocal.add(i)

@@ -426,13 +426,14 @@ class Ontology:
     of the used signature when the source file declares unused names); it
     does not affect the ontology's own signature.
 
-    `axiom_signatures`, `names`, `name_index`, `verdicts` and `circuits`
-    are made on first use and kept by the instance (they are not fields, so
-    equality, hashing and repr ignore them); every extraction over the same
-    instance shares them. A circuit serves both flavors of its polarity,
-    the syntactic and the semantic one. A verdict in `verdicts` serves
+    `axiom_signatures`, `names`, `name_index`, `shapes`, `structures`,
+    `verdicts` and `circuits` are made on first use and kept by the
+    instance (they are not fields, so equality, hashing and repr ignore
+    them); every extraction over the same instance shares them. A circuit
+    serves both flavors of its polarity, the syntactic and the semantic
+    one. A verdict in `verdicts` is keyed by an axiom's shape, so it serves
     every axiom of the instance that is a renamed copy of the one checked,
-    with the same names in the seed signature.
+    with the same of its names in the seed signature.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -469,10 +470,23 @@ class Ontology:
         return index
 
     @cached_property
+    def shapes(self) -> list:
+        """`semantic.axiom_shape` of each axiom, in axiom order, with the
+        structure replaced by its number in `structures`; filled by
+        `semantic.verdict_in` on an axiom's first lookup (None before)."""
+        return [None] * len(self.axioms)
+
+    @cached_property
+    def structures(self) -> dict:
+        """The number of each distinct axiom structure met in `shapes`."""
+        return {}
+
+    @cached_property
     def verdicts(self) -> dict:
         """Definite semantic locality verdicts of the axioms, filled by
-        `semantic.verdict_in`, which also defines the keys: one per axiom
-        and shared names, and one per axiom shape."""
+        `semantic.verdict_in`, which also defines the key: the flavor, the
+        number of an axiom's structure and which of its names lie in the
+        signature."""
         return {}
 
     @cached_property
@@ -634,8 +648,8 @@ def complement(c: Concept) -> Concept:
 # Axiom normalization
 # ---------------------------------------------------------------------------
 
-def normalize_axiom(a: Axiom) -> list[Axiom]:
-    """Reduce derived axiom forms to plain inclusions.
+def normalize_axiom(a: Axiom) -> Axiom:
+    """Reduce a derived axiom form to a plain inclusion.
 
     Domain(R, C) becomes ∃R.⊤ ⊑ C, Range(R, C) becomes ⊤ ⊑ ∀R.C, and
     DisjointClasses(C, D) becomes C ⊓ D ⊑ ⊥. Everything else passes
@@ -643,12 +657,12 @@ def normalize_axiom(a: Axiom) -> list[Axiom]:
     grammars treat ≡ directly.
     """
     if isinstance(a, Domain):
-        return [SubClassOf(Exists(a.role, TOP), a.filler)]
+        return SubClassOf(Exists(a.role, TOP), a.filler)
     if isinstance(a, Range):
-        return [SubClassOf(TOP, ForAll(a.role, a.filler))]
+        return SubClassOf(TOP, ForAll(a.role, a.filler))
     if isinstance(a, DisjointClasses):
-        return [SubClassOf(conj(a.left, a.right), BOTTOM)]
-    return [a]
+        return SubClassOf(conj(a.left, a.right), BOTTOM)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +691,11 @@ class LocalityFlavor(Enum):
         # plain attributes: every locality check reads them, and an enum
         # property that looks up members costs about half a microsecond
         self.is_syntactic, self.is_bottom = _FLAVOR_KINDS[value]
+
+    # members are singletons, so hashing by identity agrees with equality;
+    # `Enum.__hash__` hashes the name in Python, and every lookup in the
+    # semantic verdict memo hashes a flavor
+    __hash__ = object.__hash__
 
     def __str__(self):
         return self.value

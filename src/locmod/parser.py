@@ -379,8 +379,7 @@ def parse_ontology(text: str, strict: bool = False) -> Ontology:
         if parsed is _SKIPPED:
             skipped_annotations += 1
             continue
-        for axiom in parsed:
-            axioms.extend(normalize_axiom(axiom))
+        axioms.extend(map(normalize_axiom, parsed))
 
     if errors:
         raise ParseFailure(errors)

@@ -285,139 +285,13 @@ def is_semantically_local(
     flavor: LocalityFlavor,
     budget: Budget | None = None,
 ) -> Verdict:
-    """Decide semantic locality of `a` w.r.t. `sig` for the given flavor.
-
-    The axiom is normalized and each part decided on its own; the result
-    is the worst verdict of the parts. Nothing is memoized: `verdict_in`
-    keeps the definite verdicts of an ontology's axioms.
-    """
+    """Decide semantic locality of `a` w.r.t. `sig` for the given flavor,
+    on the normalized axiom. Nothing is memoized: `verdict_in` keeps the
+    definite verdicts of an ontology's axioms."""
     _check_semantic(flavor)
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    worst = LOCAL
-    for part in normalize_axiom(a):
-        v = _verdict_one(part, sig, flavor, budget)
-        if v.status is IS_NON_LOCAL:
-            return v
-        if v.status is IS_UNKNOWN:
-            worst = v
-    return worst
-
-
-def verdict_in(
-    o: Ontology,
-    i: int,
-    sig: Signature,
-    flavor: LocalityFlavor,
-    budget: Budget | None = None,
-) -> Verdict:
-    """`is_semantically_local` of axiom `i` of `o`, memoized in `o.verdicts`
-    under two keys.
-
-    Substitution reads only the concept and role names of the axiom, so the
-    verdict depends on `sig` only through the names the two share: the
-    exact key is the axiom index, the flavor and those shared names. It
-    depends on the names themselves only through which of them lie in
-    `sig`, since an injective renaming of concepts and roles maps each
-    probe to an isomorphic one: the shape key (`_shape_key`) is the flavor
-    and the axiom's structure with each name replaced by its number and
-    Σ-membership, so renamed copies of an axiom share one check. The exact
-    key is looked up first, as it is cheaper to build; a verdict found or
-    computed under the shape key is stored under the exact key too. LOCAL
-    and NON_LOCAL hold under every budget, so no budget enters either key;
-    an UNKNOWN is returned but kept under neither, and a later call tries
-    again.
-    """
-    names = o.axiom_signatures[i]
-    key = (
-        i,
-        flavor,
-        sig.concept_names & names.concept_names,
-        sig.role_names & names.role_names,
-    )
-    verdicts = o.verdicts
-    verdict = verdicts.get(key)
-    if verdict is None:
-        a = o.axioms[i]
-        shape = _shape_key(a, sig, flavor)
-        verdict = verdicts.get(shape)
-        if verdict is None:
-            verdict = is_semantically_local(a, sig, flavor, budget)
-            if verdict.status is IS_UNKNOWN:
-                return verdict
-            verdicts[shape] = verdict
-        verdicts[key] = verdict
-    return verdict
-
-
-def _shape_key(a: Axiom, sig: Signature, flavor: LocalityFlavor) -> tuple:
-    """`(flavor, shape)`: `a` as nested tuples of constructor classes,
-    cardinalities and constants, with the k-th distinct concept name met
-    (left to right, depth first) written 2k + 1 if it lies in `sig` and
-    2k if not, and role names numbered the same way on their own. Two
-    axioms get equal shapes exactly when an injective renaming of concepts
-    and roles that keeps membership in `sig` maps one onto the other.
-    Nominals, ⊤, ⊥ and the constant roles stand for themselves."""
-    # (numbers given so far, names in sig), one pair per kind of name
-    concepts = ({}, sig.concept_names)
-    roles = ({}, sig.role_names)
-    t = type(a)
-    if t is SubClassOf:
-        shape = (t, _concept_shape(a.sub, concepts, roles),
-                 _concept_shape(a.sup, concepts, roles))
-    elif t is EquivalentClasses or t is DisjointClasses:
-        shape = (t, _concept_shape(a.left, concepts, roles),
-                 _concept_shape(a.right, concepts, roles))
-    elif t is Domain or t is Range:
-        shape = (t, _role_shape(a.role, roles), _concept_shape(a.filler, concepts, roles))
-    elif t is SubRoleOf:
-        shape = (t, _role_shape(a.sub, roles), _role_shape(a.sup, roles))
-    elif t is EquivalentRoles or t is InverseRoles:
-        shape = (t, _role_shape(a.left, roles), _role_shape(a.right, roles))
-    elif t is Transitive:
-        shape = (t, _role_shape(a.role, roles))
-    else:
-        raise TypeError(f"not an axiom: {a!r}")
-    return flavor, shape
-
-
-def _concept_shape(c: Concept, concepts: tuple, roles: tuple):
-    """The shape of `c` for `_shape_key`, numbering names in `concepts`
-    and `roles`. Module-level functions with explicit state walk about
-    twice as fast as closures here."""
-    t = type(c)
-    if t is ConceptName:
-        numbers, members = concepts
-        return numbers.setdefault(c.name, 2 * len(numbers) + (c.name in members))
-    if t is Exists or t is ForAll:
-        return (t, _role_shape(c.role, roles), _concept_shape(c.filler, concepts, roles))
-    if t is And or t is Or:
-        return (t, *[_concept_shape(x, concepts, roles) for x in c.args])
-    if t is Not:
-        return (t, _concept_shape(c.arg, concepts, roles))
-    if t is AtLeast or t is AtMost:
-        return (t, c.n, _role_shape(c.role, roles), _concept_shape(c.filler, concepts, roles))
-    if t is TopType or t is BottomType or t is OneOf:
-        return c
-    raise TypeError(f"not a concept: {c!r}")
-
-
-def _role_shape(r: Role, roles: tuple):
-    t = type(r)
-    if t is RoleName:
-        numbers, members = roles
-        return numbers.setdefault(r.name, 2 * len(numbers) + (r.name in members))
-    if t is Inverse:
-        return (t, _role_shape(r.role, roles))
-    if t is EmptyRoleType or t is UniversalRoleType:
-        return r
-    raise TypeError(f"not a role: {r!r}")
-
-
-def _verdict_one(a: Axiom, sig: Signature, flavor: LocalityFlavor, budget: Budget) -> Verdict:
-    s = substitute(a, sig, flavor)
+    s = substitute(normalize_axiom(a), sig, flavor)
     if isinstance(s, (SubClassOf, EquivalentClasses)):
-        result = _refutation(s, budget)
+        result = _refutation(s, budget or DEFAULT_BUDGET)
         if result.status is _GAVE_UP:
             return Verdict(IS_UNKNOWN, reason=result.reason)
         return LOCAL if result.status is _UNSAT else NON_LOCAL
@@ -439,3 +313,106 @@ def _verdict_one(a: Axiom, sig: Signature, flavor: LocalityFlavor, budget: Budge
     else:
         raise TypeError(f"not a normalized axiom: {s!r}")
     return LOCAL if valid else NON_LOCAL
+
+
+def verdict_in(
+    o: Ontology,
+    i: int,
+    sig: Signature,
+    flavor: LocalityFlavor,
+    budget: Budget | None = None,
+) -> Verdict:
+    """`is_semantically_local` of axiom `i` of `o`, memoized in `o.verdicts`.
+
+    Substitution reads only the concept and role names of the axiom, and an
+    injective renaming of concepts and roles maps each probe to an
+    isomorphic one, so the verdict depends on `sig` only through which of
+    the axiom's names lie in it. The axiom's shape (`axiom_shape`) is built
+    on its first lookup and kept in `o.shapes`, with its structure replaced
+    by the structure's number in `o.structures` (a nested tuple would be
+    hashed again on every lookup). The key is the flavor, that number and,
+    for each of the shape's names in order, whether it lies in `sig` among
+    the names of its kind: renamed copies of an axiom, and one axiom under
+    signatures that share the same of its names, meet one key. LOCAL and
+    NON_LOCAL hold under every budget, so no budget enters the key; an
+    UNKNOWN is returned but not kept, and a later call tries again.
+    """
+    shapes = o.shapes
+    shape = shapes[i]
+    if shape is None:
+        structure, names = axiom_shape(o.axioms[i])
+        numbers = o.structures
+        shape = shapes[i] = (numbers.setdefault(structure, len(numbers)), names)
+    number, names = shape
+    by_kind = (sig.concept_names, sig.role_names)
+    key = (flavor, number, tuple([name in by_kind[kind] for name, kind in names]))
+    verdicts = o.verdicts
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = is_semantically_local(o.axioms[i], sig, flavor, budget)
+        if verdict.status is IS_UNKNOWN:
+            return verdict
+        verdicts[key] = verdict
+    return verdict
+
+
+def axiom_shape(a: Axiom) -> tuple:
+    """`(structure, names)`: the structure is `a` as nested tuples of
+    constructor classes, cardinalities and constants, with the k-th
+    distinct concept name met (left to right, depth first) written k, and
+    role names numbered the same way on their own. `names` holds the
+    concept names in the order of their numbers, then the role names, each
+    as `(name, kind)` with kind 0 for a concept and 1 for a role. Two
+    axioms have equal structures exactly when an injective renaming of
+    concepts and roles maps one onto the other. Nominals, ⊤, ⊥ and the
+    constant roles stand for themselves."""
+    concepts: dict[str, int] = {}
+    roles: dict[str, int] = {}
+    t = type(a)
+    if t is SubClassOf:
+        structure = (t, _concept_shape(a.sub, concepts, roles),
+                     _concept_shape(a.sup, concepts, roles))
+    elif t is EquivalentClasses or t is DisjointClasses:
+        structure = (t, _concept_shape(a.left, concepts, roles),
+                     _concept_shape(a.right, concepts, roles))
+    elif t is Domain or t is Range:
+        structure = (t, _role_shape(a.role, roles), _concept_shape(a.filler, concepts, roles))
+    elif t is SubRoleOf:
+        structure = (t, _role_shape(a.sub, roles), _role_shape(a.sup, roles))
+    elif t is EquivalentRoles or t is InverseRoles:
+        structure = (t, _role_shape(a.left, roles), _role_shape(a.right, roles))
+    elif t is Transitive:
+        structure = (t, _role_shape(a.role, roles))
+    else:
+        raise TypeError(f"not an axiom: {a!r}")
+    return structure, tuple([(n, 0) for n in concepts] + [(n, 1) for n in roles])
+
+
+def _concept_shape(c: Concept, concepts: dict, roles: dict):
+    """The structure of `c` for `axiom_shape`, numbering names in
+    `concepts` and `roles`."""
+    t = type(c)
+    if t is ConceptName:
+        return concepts.setdefault(c.name, len(concepts))
+    if t is Exists or t is ForAll:
+        return (t, _role_shape(c.role, roles), _concept_shape(c.filler, concepts, roles))
+    if t is And or t is Or:
+        return (t, *[_concept_shape(x, concepts, roles) for x in c.args])
+    if t is Not:
+        return (t, _concept_shape(c.arg, concepts, roles))
+    if t is AtLeast or t is AtMost:
+        return (t, c.n, _role_shape(c.role, roles), _concept_shape(c.filler, concepts, roles))
+    if t is TopType or t is BottomType or t is OneOf:
+        return c
+    raise TypeError(f"not a concept: {c!r}")
+
+
+def _role_shape(r: Role, roles: dict):
+    t = type(r)
+    if t is RoleName:
+        return roles.setdefault(r.name, len(roles))
+    if t is Inverse:
+        return (t, _role_shape(r.role, roles))
+    if t is EmptyRoleType or t is UniversalRoleType:
+        return r
+    raise TypeError(f"not a role: {r!r}")

@@ -197,12 +197,7 @@ def is_syntactically_local(
     semantic flavor gets the grammar of its polarity, so a local answer
     implies semantic locality.
     """
-    b = _Evaluator(sig)
-    bot = flavor.is_bottom
-    for p in normalize_axiom(a):
-        if _nonlocal(p, b, bot, refined):
-            return False
-    return True
+    return not _nonlocal(normalize_axiom(a), _Evaluator(sig), flavor.is_bottom, refined)
 
 
 class Circuit:
@@ -296,7 +291,7 @@ def compile_circuit(axioms: Sequence[Axiom], flavor: LocalityFlavor, refined=Fal
     bot = flavor.is_bottom
     always: list[int] = []
     for i, a in enumerate(axioms):
-        root = b.or_([_nonlocal(p, b, bot, refined) for p in normalize_axiom(a)])
+        root = _nonlocal(normalize_axiom(a), b, bot, refined)
         if root is True:
             always.append(i)
         elif root is not False:

@@ -141,7 +141,7 @@ def is_syntactically_local(
     normalization counts as local regardless of the signature; this is off
     by default so the checker reproduces the plain grammar behavior.
     """
-    return all(_axiom_local(p, sig, flavor, refined) for p in normalize_axiom(a))
+    return _axiom_local(normalize_axiom(a), sig, flavor, refined)
 
 
 def _axiom_local(a, sig, flavor, refined) -> bool:

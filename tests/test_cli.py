@@ -83,6 +83,26 @@ class TestExtract:
         assert code == 0
         assert "round 1" in capsys.readouterr().err
 
+    def test_verbose_trace_of_star_flavors(self, capsys):
+        # every nested step of a star extraction reports its rounds
+        for flavor in ("star", "sem-star"):
+            code = main(
+                [
+                    "extract",
+                    "--flavor",
+                    flavor,
+                    "--ontology",
+                    fx("koala.ofs"),
+                    "--terms",
+                    "C:Koala",
+                    "--verbose",
+                ]
+            )
+            assert code == 0
+            err = capsys.readouterr().err
+            assert "round 1: + " in err, flavor
+            assert err.splitlines()[-1].startswith("module: "), flavor
+
     def test_verbose_output_does_not_depend_on_the_hash_seed(self):
         # string hashing differs between the two interpreters, and with it
         # the order of every set of names the extraction walks

@@ -141,20 +141,20 @@ class TestSubstitute:
         ]
         reached = skipped = 0
         for a, sig, flavor in cases:
-            for part in normalize_axiom(a):
-                folded = substitute(part, sig, flavor)
-                plain = plain_substitution.substitute(part, sig, flavor)
-                if not isinstance(plain, (SubClassOf, EquivalentClasses)):
-                    assert folded == plain
-                    continue
-                for (sub, sup), (psub, psup) in zip(directions(folded), directions(plain)):
-                    expected = simplify(nnf(conj(psub, Not(psup))))
-                    if isinstance(sub, BottomType) or isinstance(sup, TopType):
-                        assert expected == BOTTOM, (part, sig, flavor)
-                        skipped += 1
-                    else:
-                        assert simplify(nnf(conj(sub, Not(sup)))) == expected, (part, sig, flavor)
-                        reached += 1
+            part = normalize_axiom(a)
+            folded = substitute(part, sig, flavor)
+            plain = plain_substitution.substitute(part, sig, flavor)
+            if not isinstance(plain, (SubClassOf, EquivalentClasses)):
+                assert folded == plain
+                continue
+            for (sub, sup), (psub, psup) in zip(directions(folded), directions(plain)):
+                expected = simplify(nnf(conj(psub, Not(psup))))
+                if isinstance(sub, BottomType) or isinstance(sup, TopType):
+                    assert expected == BOTTOM, (part, sig, flavor)
+                    skipped += 1
+                else:
+                    assert simplify(nnf(conj(sub, Not(sup)))) == expected, (part, sig, flavor)
+                    reached += 1
         assert reached > 1_000 and skipped > 1_000
         # a step budget alone, so that the UNKNOWNs do not hang on the clock
         budget = Budget(max_steps=300, max_seconds=1e9)
@@ -293,8 +293,8 @@ class TestLocality:
         starved = verdict_in(o, 0, sig, SEM_BOT, Budget(max_steps=1))
         assert starved.status is Locality.UNKNOWN
         assert verdict_in(o, 0, sig, SEM_BOT).status is Locality.NON_LOCAL
-        # β is α renamed, so the two share a shape key: a starved check of
-        # α is kept under neither its exact key nor that shape key
+        # β is α renamed, so the two share a key: a starved check of α is
+        # not kept under it
         alpha = o.axioms[0]
         beta = renamed(alpha, {"A": "S", "B": "F"}, {"R": "P"})
         o = Ontology((alpha, beta), name="starved")
@@ -340,7 +340,24 @@ class TestImplicationSample:
                     assert verdict.status is not Locality.NON_LOCAL, (a, sig, syn)
 
 
-shape_key = semantic._shape_key
+def shape_key(a, sig, flavor):
+    """The key under which `verdict_in` keeps a definite verdict of `a`."""
+    structure, names = semantic.axiom_shape(a)
+    by_kind = {0: sig.concept_names, 1: sig.role_names}
+    return flavor, structure, tuple(name in by_kind[kind] for name, kind in names)
+
+
+def look_up_every_axiom(o, rng, budget=None):
+    """`verdict_in` of every axiom of `o` under 20 random signatures over
+    its names, for both semantic flavors."""
+    names = signature_of(o)
+    for _ in range(20):
+        sig = random_signature(
+            rng, concepts=sorted(names.concept_names), roles=sorted(names.role_names)
+        )
+        for flavor in (SEM_BOT, SEM_TOP):
+            for i in range(len(o)):
+                verdict_in(o, i, sig, flavor, budget)
 
 
 class TestShapeKey:
@@ -473,3 +490,60 @@ class TestShapeKey:
                 )
             # copies were answered by the checks of the others
             assert 0 < len(calls) < len(exact), name
+
+    def test_one_entry_per_definite_check(self, monkeypatch):
+        # the memo keeps one entry per definite check, under the key
+        # `shape_key` gives, and nothing for an UNKNOWN
+        rng = random.Random(34)
+        check = semantic.is_semantically_local
+        definite, unknown = [], 0
+
+        def counted(a, sig, flavor, budget=None):
+            nonlocal unknown
+            verdict = check(a, sig, flavor, budget)
+            if verdict.status is Locality.UNKNOWN:
+                unknown += 1
+            else:
+                definite.append(shape_key(a, sig, flavor))
+            return verdict
+
+        monkeypatch.setattr(semantic, "is_semantically_local", counted)
+        budget = Budget(max_steps=40, max_seconds=1e9)
+        for name in CORPUS_NAMES:
+            o = load_fixture(name)
+            definite.clear()
+            look_up_every_axiom(o, rng, budget)
+            assert definite, name
+            assert len(o.verdicts) == len(definite), name
+            structure_of = {n: st for st, n in o.structures.items()}
+            stored = {(f, structure_of[n], bits) for f, n, bits in o.verdicts}
+            assert stored == set(definite), name
+        assert unknown > 0
+
+    def test_each_shape_is_built_once(self, monkeypatch):
+        # across many signatures and both flavors, every axiom's shape is
+        # built on its first lookup and never again
+        rng = random.Random(35)
+        build = semantic.axiom_shape
+        built = []
+
+        def counted(a):
+            built.append(a)
+            return build(a)
+
+        monkeypatch.setattr(semantic, "axiom_shape", counted)
+        for name in CORPUS_NAMES:
+            o = load_fixture(name)
+            built.clear()
+            look_up_every_axiom(o, rng)
+            assert sorted(map(o.axioms.index, built)) == list(range(len(o))), name
+            for a, (number, names) in zip(o.axioms, o.shapes):
+                structure, own = build(a)
+                assert (o.structures[structure], own) == (number, names), name
+            # a restricted ontology keeps shapes of its own
+            sub = o.restrict(range(0, len(o), 2))
+            built.clear()
+            for i in range(len(sub)):
+                verdict_in(sub, i, Signature(), SEM_BOT)
+                verdict_in(sub, i, o.names, SEM_TOP)
+            assert built == list(sub.axioms), name
