@@ -58,9 +58,17 @@ class _CliError(Exception):
 
 
 def _default_budget() -> Budget:
-    steps = int(os.environ.get(ENV_MAX_STEPS, Budget.max_steps))
-    seconds = float(os.environ.get(ENV_MAX_SECONDS, Budget.max_seconds))
-    return Budget(steps, seconds)
+    values = []
+    for var, convert, default in (
+        (ENV_MAX_STEPS, int, Budget.max_steps),
+        (ENV_MAX_SECONDS, float, Budget.max_seconds),
+    ):
+        raw = os.environ.get(var)
+        try:
+            values.append(default if raw is None else convert(raw))
+        except ValueError:
+            raise _CliError(f"{var} must be a number, not {raw!r}", EXIT_PARSE)
+    return Budget(*values)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
@@ -182,22 +190,19 @@ def _load_ontology(path: str, strict: bool) -> Ontology:
 
 
 def _parse_terms(spec: str) -> Signature:
-    concepts, roles, individuals = set(), set(), set()
+    kinds: dict[str, str] = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        if chunk[:2] == "C:":
-            concepts.add(chunk[2:].strip())
-        elif chunk[:2] == "R:":
-            roles.add(chunk[2:].strip())
-        elif chunk[:2] == "I:":
-            individuals.add(chunk[2:].strip())
-        else:
+        if chunk[:2] not in ("C:", "R:", "I:"):
             raise _CliError(
                 f"inline term '{chunk}' needs a C:/R:/I: kind prefix", EXIT_PARSE
             )
-    return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
+        name = chunk[2:].strip()
+        if kinds.setdefault(name, chunk[0]) != chunk[0]:
+            raise _CliError(f"inline term '{chunk}' gives '{name}' a second kind", EXIT_PARSE)
+    return Signature.of_kinds(kinds)
 
 
 def _load_signature(args, onto: Ontology) -> Signature:
@@ -352,14 +357,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; --help stays 0
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
-    try:
-        return _COMMANDS[args.command](args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

@@ -403,6 +403,11 @@ class Signature:
             individuals |= s.individual_names
         return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
 
+    @staticmethod
+    def of_kinds(kinds: dict[str, str]) -> "Signature":
+        """The signature of names mapped to their kind: "C", "R" or "I"."""
+        return Signature(*(frozenset(n for n, k in kinds.items() if k == kind) for kind in "CRI"))
+
     @property
     def term_count(self) -> int:
         """Number of concept plus role names (individuals excluded)."""

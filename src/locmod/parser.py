@@ -6,6 +6,11 @@ this model supports. Annotations are skipped (with a logged count), data
 properties and role chains are rejected as unsupported. `#` starts a
 comment outside IRIs and strings.
 
+Reading takes two passes, neither recursive: one regular expression
+splits the text into (token, offset) pairs, and one loop with a stack of
+open forms groups them into `keyword(child ...)` forms. An error's line
+and column are worked out from its offset only when it is recorded.
+
 Entity kinds come from declarations; in lenient mode (the default) an
 undeclared name takes its kind from first use, in strict mode it is an
 error. IRIs are reduced to their local fragment: the part after `#`, or
@@ -15,6 +20,8 @@ after the last `/`, or after the last `:` for prefixed names.
 from __future__ import annotations
 
 import logging
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,9 +73,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Forms nest at most this deep (the Ontology block is depth 1; atoms count),
-# so the recursive walks over a concept stay inside Python's default limit:
-# the deepest, printing, runs out near depth 225 at the top of the stack.
+# Forms nest at most this deep (the Ontology block is depth 1; atoms count).
+# Reading needs no such limit, but the recursive walks over a parsed
+# concept must stay inside Python's default limit: the deepest, printing,
+# runs out near depth 225 at the top of the stack.
 MAX_NESTING = 160
 
 _OWL_THING_IRIS = {"owl:Thing", "<http://www.w3.org/2002/07/owl#Thing>"}
@@ -114,143 +122,84 @@ class _Halt(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer and generic forms
+# Tokens and generic forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+# Whitespace and `#` comments, then one token: a parenthesis, an IRI, a
+# string, or a word; a `<` or `"` that starts no IRI or string is
+# unterminated. A word ends at whitespace, a parenthesis, `"` or `<`.
+_TOKEN = re.compile(
+    r'(?:[ \t\r\n]|#[^\n]*)*'
+    r'(?:([()]|<[^>]*>|"(?:[^"\\]|\\[\s\S])*"|[^ \t\r\n()"<#][^ \t\r\n()"<]*)|([<"])|\Z)'
+)
+_UNTERMINATED = {"<": "unterminated IRI", '"': "unterminated string"}
 
 
-_PUNCT = "()"
-
-
-def _tokenize(text: str, errors: list[ParseError]) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, start_line, start_col))
-            advance(1)
-            continue
-        if ch == "<":
-            j = text.find(">", i)
-            if j < 0:
-                errors.append(
-                    ParseError(start_line, start_col, "unterminated IRI", ParseErrorKind.SYNTAX)
-                )
-                return tokens
-            tokens.append(_Token(text[i : j + 1], start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                errors.append(
-                    ParseError(start_line, start_col, "unterminated string", ParseErrorKind.SYNTAX)
-                )
-                return tokens
-            tokens.append(_Token(text[i : j + 1], start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        j = i
-        while j < n and text[j] not in ' \t\r\n()"<':
-            j += 1
-        tokens.append(_Token(text[i:j], start_line, start_col))
-        advance(j - i)
+def _tokenize(text: str, names: _NameTable) -> list[tuple[str, int]]:
+    """(text, offset) of each token; records and stops at an unterminated
+    IRI or string."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        token = m.group(1)
+        if token is not None:
+            tokens.append((token, m.start(1)))
+        elif m.group(2) is not None:
+            names.error(m.start(2), _UNTERMINATED[m.group(2)])
+            break
     return tokens
 
 
-@dataclass(frozen=True)
 class _Form:
-    """Either an atom (children is None) or `head(child ...)`."""
+    """An atom (children is None) or `text(child ...)`, at the offset of
+    its first token."""
 
-    head: _Token
-    children: tuple["_Form", ...] | None
+    __slots__ = ("text", "offset", "children")
+
+    def __init__(self, text: str, offset: int, children: list | None = None):
+        self.text = text
+        self.offset = offset
+        self.children = children
 
     @property
     def is_atom(self) -> bool:
         return self.children is None
 
 
-class _Reader:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token | None:
-        t = self.peek()
-        if t is not None:
-            self.pos += 1
-        return t
-
-    def read_form(self, depth: int = 1) -> _Form:
-        t = self.next()
-        if t is None:
-            raise _ReaderError("unexpected end of input", self._last_pos())
-        if depth > MAX_NESTING:
-            raise _ReaderError(f"forms nested deeper than {MAX_NESTING}", (t.line, t.column))
-        if t.text == ")":
-            raise _ReaderError("unexpected ')'", (t.line, t.column))
-        if t.text == "(":
-            raise _ReaderError("'(' must follow a keyword", (t.line, t.column))
-        nxt = self.peek()
-        if nxt is not None and nxt.text == "(":
-            self.next()
-            children = []
-            while True:
-                cur = self.peek()
-                if cur is None:
-                    raise _ReaderError(
-                        f"unbalanced parenthesis in {t.text}(...)", self._last_pos()
-                    )
-                if cur.text == ")":
-                    self.next()
-                    break
-                children.append(self.read_form(depth + 1))
-            return _Form(t, tuple(children))
-        return _Form(t, None)
-
-    def _last_pos(self) -> tuple[int, int]:
-        if self.tokens:
-            t = self.tokens[-1]
-            return (t.line, t.column)
-        return (1, 1)
-
-
-class _ReaderError(Exception):
-    def __init__(self, message: str, pos: tuple[int, int]):
-        self.message = message
-        self.pos = pos
-        super().__init__(message)
+def _read_form(tokens: list[tuple[str, int]], i: int, names: _NameTable) -> tuple[_Form, int]:
+    """Read the form that starts at tokens[i]; return it and the index of
+    the token after it. Open forms wait on a stack, so nesting costs no
+    recursion."""
+    stack: list[_Form] = []
+    while True:
+        if i == len(tokens):
+            last = tokens[-1][1] if tokens else 0
+            if stack:
+                names.error(last, f"unbalanced parenthesis in {stack[-1].text}(...)")
+            else:
+                names.error(last, "unexpected end of input")
+            raise _Halt()
+        text, offset = tokens[i]
+        i += 1
+        if stack and text == ")":
+            form = stack.pop()
+        else:
+            if len(stack) >= MAX_NESTING:
+                names.error(offset, f"forms nested deeper than {MAX_NESTING}")
+                raise _Halt()
+            if text == ")":
+                names.error(offset, "unexpected ')'")
+                raise _Halt()
+            if text == "(":
+                names.error(offset, "'(' must follow a keyword")
+                raise _Halt()
+            if i < len(tokens) and tokens[i][0] == "(":
+                stack.append(_Form(text, offset, []))
+                i += 1
+                continue
+            form = _Form(text, offset)
+        if not stack:
+            return form, i
+        stack[-1].children.append(form)
 
 
 # ---------------------------------------------------------------------------
@@ -272,49 +221,56 @@ def _local_name(token: str) -> str:
 _KIND_LABEL = {"C": "class", "R": "object property", "I": "individual"}
 
 
+def _conflict(name: str, known: str, kind: str) -> str:
+    return f"'{name}' used both as {_KIND_LABEL[known]} and {_KIND_LABEL[kind]}"
+
+
 class _NameTable:
-    def __init__(self, strict: bool, errors: list[ParseError]):
+    """Entity kinds, and the errors recorded at offsets into `text`."""
+
+    def __init__(self, text: str, strict: bool):
+        self.text = text
         self.strict = strict
-        self.errors = errors
+        self.errors: list[ParseError] = []
         self.kinds: dict[str, str] = {}
+        self.breaks: list[int] | None = None  # offsets of the line breaks
 
-    def declare(self, name: str, kind: str, tok: _Token):
-        self._bind(name, kind, tok, declared=True)
+    def error(
+        self,
+        offset: int,
+        message: str,
+        kind: ParseErrorKind = ParseErrorKind.SYNTAX,
+        construct: str | None = None,
+    ) -> None:
+        if self.breaks is None:
+            self.breaks = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self.breaks, offset)
+        column = offset - self.breaks[line - 1] if line else offset + 1
+        self.errors.append(ParseError(line + 1, column, message, kind, construct))
 
-    def use(self, name: str, kind: str, tok: _Token) -> None:
-        self._bind(name, kind, tok, declared=False)
+    def declare(self, name: str, kind: str, form: _Form):
+        self._bind(name, kind, form, declared=True)
 
-    def _bind(self, name, kind, tok, declared):
+    def use(self, name: str, kind: str, form: _Form) -> None:
+        self._bind(name, kind, form, declared=False)
+
+    def _bind(self, name, kind, form, declared):
         known = self.kinds.get(name)
         if known is None:
             if self.strict and not declared:
-                self.errors.append(
-                    ParseError(
-                        tok.line,
-                        tok.column,
-                        f"'{name}' used without declaration",
-                        ParseErrorKind.UNKNOWN_ENTITY,
-                    )
+                self.error(
+                    form.offset,
+                    f"'{name}' used without declaration",
+                    ParseErrorKind.UNKNOWN_ENTITY,
                 )
                 raise _Halt()
             self.kinds[name] = kind
         elif known != kind:
-            self.errors.append(
-                ParseError(
-                    tok.line,
-                    tok.column,
-                    f"'{name}' used both as {_KIND_LABEL[known]} and {_KIND_LABEL[kind]}",
-                    ParseErrorKind.UNKNOWN_ENTITY,
-                )
-            )
+            self.error(form.offset, _conflict(name, known, kind), ParseErrorKind.UNKNOWN_ENTITY)
             raise _Halt()
 
     def signature(self) -> Signature:
-        return Signature(
-            frozenset(n for n, k in self.kinds.items() if k == "C"),
-            frozenset(n for n, k in self.kinds.items() if k == "R"),
-            frozenset(n for n, k in self.kinds.items() if k == "I"),
-        )
+        return Signature.of_kinds(self.kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -324,52 +280,33 @@ class _NameTable:
 def parse_ontology(text: str, strict: bool = False) -> Ontology:
     """Parse one ontology block. Raises `ParseFailure` carrying every
     collected error when the input is not clean."""
-    errors: list[ParseError] = []
-    tokens = _tokenize(text, errors)
+    names = _NameTable(text, strict)
+    errors = names.errors
+    tokens = _tokenize(text, names)
     if errors:
         raise ParseFailure(errors)
-    reader = _Reader(tokens)
-    names = _NameTable(strict, errors)
     axioms: list[Axiom] = []
     name = ""
     skipped_annotations = 0
 
     try:
-        form = reader.read_form()
-        while form.head.text == "Prefix" and not form.is_atom:
-            form = reader.read_form()
-    except _ReaderError as exc:
-        errors.append(
-            ParseError(exc.pos[0], exc.pos[1], exc.message, ParseErrorKind.SYNTAX)
-        )
+        form, i = _read_form(tokens, 0, names)
+        while form.text == "Prefix" and not form.is_atom:
+            form, i = _read_form(tokens, i, names)
+    except _Halt:
         raise ParseFailure(errors)
 
-    if form.is_atom or form.head.text != "Ontology":
-        errors.append(
-            ParseError(
-                form.head.line,
-                form.head.column,
-                "expected an Ontology(...) block",
-                ParseErrorKind.SYNTAX,
-            )
-        )
+    if form.is_atom or form.text != "Ontology":
+        names.error(form.offset, "expected an Ontology(...) block")
         raise ParseFailure(errors)
 
-    children = list(form.children)
+    children = form.children
     if children and children[0].is_atom:
-        name = _local_name(children[0].head.text)
+        name = _local_name(children[0].text)
         children = children[1:]
 
-    if reader.peek() is not None:
-        trailing = reader.peek()
-        errors.append(
-            ParseError(
-                trailing.line,
-                trailing.column,
-                "content after the Ontology block",
-                ParseErrorKind.SYNTAX,
-            )
-        )
+    if i < len(tokens):
+        names.error(tokens[i][1], "content after the Ontology block")
 
     for child in children:
         try:
@@ -391,79 +328,74 @@ def parse_ontology(text: str, strict: bool = False) -> Ontology:
 _SKIPPED = object()
 
 
-def _syntax_error(tok: _Token, message: str, names: _NameTable):
-    names.errors.append(
-        ParseError(tok.line, tok.column, message, ParseErrorKind.SYNTAX)
+def _syntax_error(form: _Form, message: str, names: _NameTable):
+    names.error(form.offset, message)
+    raise _Halt()
+
+
+def _unsupported(form: _Form, names: _NameTable, construct: str | None = None):
+    construct = construct or form.text
+    names.error(
+        form.offset,
+        f"unsupported construct '{construct}'",
+        ParseErrorKind.UNSUPPORTED_CONSTRUCT,
+        construct,
     )
     raise _Halt()
 
 
-def _unsupported(tok: _Token, names: _NameTable, construct: str | None = None):
-    construct = construct or tok.text
-    names.errors.append(
-        ParseError(
-            tok.line,
-            tok.column,
-            f"unsupported construct '{construct}'",
-            ParseErrorKind.UNSUPPORTED_CONSTRUCT,
-            construct=construct,
-        )
-    )
-    raise _Halt()
-
-
-def _strip_annotations(children: tuple[_Form, ...]) -> tuple[_Form, ...]:
+def _strip_annotations(children: list[_Form]) -> tuple[_Form, ...]:
     return tuple(
-        c for c in children if c.is_atom or c.head.text != "Annotation"
+        c for c in children if c.is_atom or c.text != "Annotation"
     )
 
 
 def _parse_axiom_form(form: _Form, names: _NameTable):
-    head = form.head
+    kw = form.text
     if form.is_atom:
-        _syntax_error(head, f"expected an axiom, found '{head.text}'", names)
-    if head.text in _ANNOTATION_KEYWORDS:
+        _syntax_error(form, f"expected an axiom, found '{kw}'", names)
+    if kw in _ANNOTATION_KEYWORDS:
         return _SKIPPED
     args = _strip_annotations(form.children)
 
-    if head.text == "Declaration":
+    if kw == "Declaration":
         if len(args) != 1 or args[0].is_atom or len(args[0].children) != 1:
-            _syntax_error(head, "malformed Declaration", names)
+            _syntax_error(form, "malformed Declaration", names)
         decl = args[0]
         entity = decl.children[0]
         if not entity.is_atom:
-            _syntax_error(entity.head, "expected an entity name", names)
-        ent_name = _local_name(entity.head.text)
-        kind_kw = decl.head.text
+            _syntax_error(entity, "expected an entity name", names)
+        ent_name = _local_name(entity.text)
+        kind_kw = decl.text
         if kind_kw == "Class":
-            names.declare(ent_name, "C", entity.head)
+            names.declare(ent_name, "C", entity)
         elif kind_kw == "ObjectProperty":
-            names.declare(ent_name, "R", entity.head)
+            names.declare(ent_name, "R", entity)
         elif kind_kw == "NamedIndividual":
-            names.declare(ent_name, "I", entity.head)
+            names.declare(ent_name, "I", entity)
         elif kind_kw == "AnnotationProperty":
             return _SKIPPED
         else:
-            _unsupported(decl.head, names)
+            _unsupported(decl, names)
         return []
 
-    if head.text == "SubClassOf":
+    if kw == "SubClassOf":
         if len(args) != 2:
-            _syntax_error(head, "SubClassOf takes two class expressions", names)
+            _syntax_error(form, "SubClassOf takes two class expressions", names)
         return [SubClassOf(_parse_concept(args[0], names), _parse_concept(args[1], names))]
 
-    if head.text == "EquivalentClasses":
+    if kw == "EquivalentClasses":
         if len(args) < 2:
-            _syntax_error(head, "EquivalentClasses takes at least two class expressions", names)
+            _syntax_error(form, "EquivalentClasses takes at least two class expressions", names)
         concepts = [_parse_concept(a, names) for a in args]
         return [
             EquivalentClasses(concepts[i], concepts[i + 1])
             for i in range(len(concepts) - 1)
         ]
 
-    if head.text == "DisjointClasses":
+    if kw == "DisjointClasses":
         if len(args) < 2:
-            _syntax_error(head, "DisjointClasses takes at least two class expressions", names)
+            _syntax_error(form, "DisjointClasses takes at least two class expressions", names)
         concepts = [_parse_concept(a, names) for a in args]
         return [
             DisjointClasses(concepts[i], concepts[j])
@@ -471,103 +403,102 @@ def _parse_axiom_form(form: _Form, names: _NameTable):
             for j in range(i + 1, len(concepts))
         ]
 
-    if head.text == "SubObjectPropertyOf":
+    if kw == "SubObjectPropertyOf":
         if len(args) != 2:
-            _syntax_error(head, "SubObjectPropertyOf takes two property expressions", names)
-        if not args[0].is_atom and args[0].head.text == "ObjectPropertyChain":
-            _unsupported(args[0].head, names)
+            _syntax_error(form, "SubObjectPropertyOf takes two property expressions", names)
+        if not args[0].is_atom and args[0].text == "ObjectPropertyChain":
+            _unsupported(args[0], names)
         return [SubRoleOf(_parse_role(args[0], names), _parse_role(args[1], names))]
 
-    if head.text == "EquivalentObjectProperties":
+    if kw == "EquivalentObjectProperties":
         if len(args) < 2:
-            _syntax_error(head, "EquivalentObjectProperties takes at least two properties", names)
+            _syntax_error(form, "EquivalentObjectProperties takes at least two properties", names)
         roles = [_parse_role(a, names) for a in args]
         return [
             EquivalentRoles(roles[i], roles[i + 1]) for i in range(len(roles) - 1)
         ]
 
-    if head.text == "InverseObjectProperties":
+    if kw == "InverseObjectProperties":
         if len(args) != 2:
-            _syntax_error(head, "InverseObjectProperties takes two property expressions", names)
+            _syntax_error(form, "InverseObjectProperties takes two property expressions", names)
         return [InverseRoles(_parse_role(args[0], names), _parse_role(args[1], names))]
 
-    if head.text == "TransitiveObjectProperty":
+    if kw == "TransitiveObjectProperty":
         if len(args) != 1:
-            _syntax_error(head, "TransitiveObjectProperty takes one property expression", names)
+            _syntax_error(form, "TransitiveObjectProperty takes one property expression", names)
         return [Transitive(_parse_role(args[0], names))]
 
-    if head.text == "ObjectPropertyDomain":
+    if kw == "ObjectPropertyDomain":
         if len(args) != 2:
-            _syntax_error(head, "ObjectPropertyDomain takes a property and a class", names)
+            _syntax_error(form, "ObjectPropertyDomain takes a property and a class", names)
         return [Domain(_parse_role(args[0], names), _parse_concept(args[1], names))]
 
-    if head.text == "ObjectPropertyRange":
+    if kw == "ObjectPropertyRange":
         if len(args) != 2:
-            _syntax_error(head, "ObjectPropertyRange takes a property and a class", names)
+            _syntax_error(form, "ObjectPropertyRange takes a property and a class", names)
         return [Range(_parse_role(args[0], names), _parse_concept(args[1], names))]
 
-    _unsupported(head, names)
+    _unsupported(form, names)
 
 
 def _parse_role(form: _Form, names: _NameTable) -> Role:
     if form.is_atom:
-        name = _local_name(form.head.text)
-        names.use(name, "R", form.head)
+        name = _local_name(form.text)
+        names.use(name, "R", form)
         return RoleName(name)
-    if form.head.text == "ObjectInverseOf":
+    if form.text == "ObjectInverseOf":
         if len(form.children) != 1:
-            _syntax_error(form.head, "ObjectInverseOf takes one property expression", names)
+            _syntax_error(form, "ObjectInverseOf takes one property expression", names)
         return normalize_role(Inverse(_parse_role(form.children[0], names)))
-    _unsupported(form.head, names)
+    _unsupported(form, names)
 
 
 def _parse_cardinality(form: _Form, names: _NameTable) -> tuple[int, Role, Concept]:
     args = form.children
     if len(args) not in (2, 3) or not args[0].is_atom:
-        _syntax_error(form.head, f"malformed {form.head.text}", names)
+        _syntax_error(form, f"malformed {form.text}", names)
     try:
-        n = int(args[0].head.text)
+        n = int(args[0].text)
     except ValueError:
         n = -1
     if n < 0:
-        _syntax_error(args[0].head, "cardinality must be a non-negative integer", names)
+        _syntax_error(args[0], "cardinality must be a non-negative integer", names)
     role = _parse_role(args[1], names)
     filler = _parse_concept(args[2], names) if len(args) == 3 else TOP
     return n, role, filler
 
 
 def _parse_concept(form: _Form, names: _NameTable) -> Concept:
-    head = form.head
+    kw = form.text
     if form.is_atom:
-        if head.text in _OWL_THING_IRIS:
+        if kw in _OWL_THING_IRIS:
             return TOP
-        if head.text in _OWL_NOTHING_IRIS:
+        if kw in _OWL_NOTHING_IRIS:
             return BOTTOM
-        name = _local_name(head.text)
-        names.use(name, "C", head)
+        name = _local_name(kw)
+        names.use(name, "C", form)
         return ConceptName(name)
 
-    kw = head.text
     args = form.children
     if kw == "ObjectIntersectionOf":
         if len(args) < 2:
-            _syntax_error(head, "ObjectIntersectionOf takes at least two classes", names)
+            _syntax_error(form, "ObjectIntersectionOf takes at least two classes", names)
         return And(tuple(_parse_concept(a, names) for a in args))
     if kw == "ObjectUnionOf":
         if len(args) < 2:
-            _syntax_error(head, "ObjectUnionOf takes at least two classes", names)
+            _syntax_error(form, "ObjectUnionOf takes at least two classes", names)
         return Or(tuple(_parse_concept(a, names) for a in args))
     if kw == "ObjectComplementOf":
         if len(args) != 1:
-            _syntax_error(head, "ObjectComplementOf takes one class", names)
+            _syntax_error(form, "ObjectComplementOf takes one class", names)
         return Not(_parse_concept(args[0], names))
     if kw == "ObjectSomeValuesFrom":
         if len(args) != 2:
-            _syntax_error(head, "ObjectSomeValuesFrom takes a property and a class", names)
+            _syntax_error(form, "ObjectSomeValuesFrom takes a property and a class", names)
         return Exists(_parse_role(args[0], names), _parse_concept(args[1], names))
     if kw == "ObjectAllValuesFrom":
         if len(args) != 2:
-            _syntax_error(head, "ObjectAllValuesFrom takes a property and a class", names)
+            _syntax_error(form, "ObjectAllValuesFrom takes a property and a class", names)
         return ForAll(_parse_role(args[0], names), _parse_concept(args[1], names))
     if kw == "ObjectMinCardinality":
         n, role, filler = _parse_cardinality(form, names)
@@ -580,17 +511,17 @@ def _parse_concept(form: _Form, names: _NameTable) -> Concept:
         return And((AtLeast(n, role, filler), AtMost(n, role, filler)))
     if kw == "ObjectOneOf":
         if len(args) != 1 or not args[0].is_atom:
-            _unsupported(head, names, construct="ObjectOneOf with more than one individual")
-        ind = _local_name(args[0].head.text)
-        names.use(ind, "I", args[0].head)
+            _unsupported(form, names, construct="ObjectOneOf with more than one individual")
+        ind = _local_name(args[0].text)
+        names.use(ind, "I", args[0])
         return OneOf(ind)
     if kw == "ObjectHasValue":
         if len(args) != 2 or not args[1].is_atom:
-            _syntax_error(head, "ObjectHasValue takes a property and an individual", names)
-        ind = _local_name(args[1].head.text)
-        names.use(ind, "I", args[1].head)
+            _syntax_error(form, "ObjectHasValue takes a property and an individual", names)
+        ind = _local_name(args[1].text)
+        names.use(ind, "I", args[1])
         return Exists(_parse_role(args[0], names), OneOf(ind))
-    _unsupported(head, names)
+    _unsupported(form, names)
 
 
 # ---------------------------------------------------------------------------
@@ -679,20 +610,16 @@ def _ser_role(r: Role) -> str:
 def parse_signature(text: str, against: Ontology) -> Signature:
     """Parse a newline-separated signature file. Entries may carry a
     `C:`/`R:`/`I:` kind prefix; unprefixed names are resolved against the
-    ontology's declarations and used names."""
+    ontology's declarations and used names. A name given two kinds is an
+    error at the entry that gives the second."""
     table = against.names
-    kinds: dict[str, str] = {}
-    for n in table.concept_names:
-        kinds[n] = "C"
-    for n in table.role_names:
-        kinds[n] = "R"
-    for n in table.individual_names:
-        kinds[n] = "I"
-
+    known = {
+        n: kind
+        for kind, ns in zip("CRI", (table.concept_names, table.role_names, table.individual_names))
+        for n in ns
+    }
     errors: list[ParseError] = []
-    concepts: set[str] = set()
-    roles: set[str] = set()
-    individuals: set[str] = set()
+    kinds: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         entry = raw.split("#", 1)[0].strip()
         if not entry:
@@ -701,18 +628,15 @@ def parse_signature(text: str, against: Ontology) -> Signature:
             kind, name = entry[0], _local_name(entry[2:].strip())
         else:
             name = _local_name(entry)
-            kind = kinds.get(name)
+            kind = known.get(name)
             if kind is None:
-                errors.append(
-                    ParseError(
-                        lineno,
-                        1,
-                        f"'{name}' does not occur in ontology '{against.name}'",
-                        ParseErrorKind.UNKNOWN_ENTITY,
-                    )
-                )
+                message = f"'{name}' does not occur in ontology '{against.name}'"
+                errors.append(ParseError(lineno, 1, message, ParseErrorKind.UNKNOWN_ENTITY))
                 continue
-        {"C": concepts, "R": roles, "I": individuals}[kind].add(name)
+        first = kinds.setdefault(name, kind)
+        if first != kind:
+            message = _conflict(name, first, kind)
+            errors.append(ParseError(lineno, 1, message, ParseErrorKind.UNKNOWN_ENTITY))
     if errors:
         raise ParseFailure(errors)
-    return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
+    return Signature.of_kinds(kinds)

@@ -31,8 +31,9 @@ identical inputs and budgets produce identical results and models.
 The witness rule fires once per (node, ≥n R.C): a record kept through
 merges says its witnesses are in place. This is exact: fresh witnesses
 are pairwise distinct and labels only grow, so a satisfied ≥ stays
-satisfied. A tick is one agenda pair expanded, one merge, or one clique
-extension the witness rule examines. A ⊔ or choose decision adds one new
+satisfied. A tick is one agenda pair expanded, one merge, one clique
+extension the witness rule examines, or one fresh witness it builds,
+charged before the node exists. A ⊔ or choose decision adds one new
 pair, so it costs the tick of that pair's expansion; a merge may add
 none, so it ticks itself. The model of the open state is built on first
 access.
@@ -336,11 +337,17 @@ class _State:
                 c.filler in node.label
                 for y, node in enumerate(self.nodes) if y not in self.dead
             ):
+                self.meter.tick()
                 self.add(self.new_node(), c.filler)
             return
         if _has_clique(self.qualified(x, role, c.filler), n, self.nodes, self.meter):
             return
-        fresh = [self.new_node() for _ in range(n)]
+        fresh = []
+        for _ in range(n):
+            # charged before it is built, so a huge n runs out of steps,
+            # not of memory
+            self.meter.tick()
+            fresh.append(self.new_node())
         for y in fresh:
             # untrailed: undoing the creation of y drops its set too
             self.nodes[y].distinct.update(fresh)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from locmod import parse_ontology
 from locmod.cli import main
 from locmod.parser import MAX_NESTING
@@ -332,6 +334,34 @@ class TestUsage:
         # a two-step budget cannot finish the student definition: unknown
         # verdicts must surface through the strict flag
         assert code == 3
+
+
+    @pytest.mark.parametrize("var", ["LOCMOD_MAX_STEPS", "LOCMOD_MAX_SECONDS"])
+    def test_malformed_budget_env_is_a_usage_error(self, monkeypatch, capsys, var):
+        monkeypatch.setenv(var, "abc")
+        code = main(["check", "--flavor", "bot", "--ontology", fx("koala.ofs")])
+        assert code == 1
+        assert capsys.readouterr().err == f"{var} must be a number, not 'abc'\n"
+
+
+class TestKindConflicts:
+    def test_inline_terms(self, capsys):
+        code = main(
+            ["extract", "--flavor", "bot", "--ontology", fx("koala.ofs"), "--terms", "C:Koala,R:Koala"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "inline term 'R:Koala' gives 'Koala' a second kind\n"
+
+    def test_signature_file(self, tmp_path, capsys):
+        sig = tmp_path / "seed.sig"
+        sig.write_text("C:Student\nR:Student\n")
+        code = main(
+            ["extract", "--flavor", "bot", "--ontology", fx("koala.ofs"), "--signature", str(sig)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"{sig}:2:1: UnknownEntity: 'Student' used both as class and object property\n"
+        )
 
 
 def main_help(capsys):

@@ -1,3 +1,8 @@
+import hashlib
+import random
+import re
+import time
+
 import pytest
 
 from locmod import (
@@ -25,6 +30,7 @@ from locmod import (
 )
 from locmod.parser import MAX_NESTING
 from conftest import CORPUS_NAMES, fixture_path, load_fixture, nested_text
+from genlib import random_axiom, synthetic_ontology
 
 
 def wrap(*axiom_lines):
@@ -214,6 +220,142 @@ class TestParseSignature:
         assert "Lonely" not in signature_of(o).concept_names
         assert parse_signature("Lonely\n", o) == Signature({"Lonely"})
 
+    @pytest.mark.parametrize("text", ["C:Student\nR:Student\n", "Student\nR:Student\n"])
+    def test_a_name_given_two_kinds_is_an_error_at_the_second(self, koala, text):
+        with pytest.raises(ParseFailure) as err:
+            parse_signature(text, koala)
+        (error,) = err.value.errors
+        assert (error.line, error.column) == (2, 1)
+        assert error.kind is ParseErrorKind.UNKNOWN_ENTITY
+        assert error.message == "'Student' used both as class and object property"
+
     def test_seed_file_fixture(self, koala):
         sig = parse_signature(fixture_path("koala_seed.sig").read_text(), koala)
         assert sig == Signature({"Student"}, {"hasChildren", "hasGender"})
+
+
+def parse_outcome(text: str, strict: bool = False) -> str:
+    """The serialized ontology, or one `line:column:message:kind:construct`
+    line per error."""
+    try:
+        return serialize_ontology(parse_ontology(text, strict=strict))
+    except ParseFailure as exc:
+        return "".join(
+            f"{e.line}:{e.column}:{e.message}:{e.kind.name}:{e.construct}\n"
+            for e in exc.errors
+        )
+
+
+# where a mutation lands: a bracket, quote, comment mark, line break or
+# the start of a keyword
+_ANCHOR = re.compile(r'[()<"#\n]|\b[A-Z]\w*')
+_PIECES = (
+    "(", ")", "<", '"', "#", "\n", " ", ")\n)", "Ontology(", "Prefix(:=<http://x.org/>)",
+    "SubClassOf", "Declaration(Class(Z))", "ObjectPropertyChain(p q)",
+    'Annotation(rdfs:label "x")', "DataPropertyAssertion(p x 3)", "owl:Nothing",
+    "<http://x.org/o#Q>", '"a \\" b"', "ObjectMinCardinality(-1 p)",
+    "ObjectOneOf(a b)", "TransitiveObjectProperty(A)",
+)
+
+
+def mutated(text: str, rng: random.Random) -> str:
+    """`text` after one to three insertions, deletions or truncations
+    around its anchors."""
+    for _ in range(rng.randint(1, 3)):
+        anchors = [0, len(text)] + [m.start() for m in _ANCHOR.finditer(text)]
+        at = max(0, min(rng.choice(anchors) + rng.randrange(-1, 2), len(text)))
+        op = rng.random()
+        if op < 0.5:
+            text = text[:at] + rng.choice(_PIECES) + text[at:]
+        elif op < 0.85:
+            text = text[:at] + text[at + rng.randint(1, 12):]
+        else:
+            text = text[:at]
+    return text
+
+
+def outcome_corpus() -> list[str]:
+    """The fixtures, serialized generated ontologies and 2,400 seeded
+    mutations of the fixtures."""
+    fixtures = [fixture_path(n).read_text() for n in CORPUS_NAMES]
+    texts = list(fixtures)
+    texts.append(serialize_ontology(synthetic_ontology(600, seed=3)))
+    for seed in range(20):
+        rng = random.Random(seed)
+        axioms = tuple(dict.fromkeys(random_axiom(rng) for _ in range(25)))
+        texts.append(serialize_ontology(Ontology(axioms, name=f"random-{seed}")))
+    rng = random.Random(15)
+    for text in fixtures:
+        texts.extend(mutated(text, rng) for _ in range(600))
+    return texts
+
+
+class TestReaderErrors:
+    @pytest.mark.parametrize(
+        "text, position, message",
+        [
+            ("Ontology(t\n  SubClassOf(A <http://x.org/B)\n)\n", (2, 16), "unterminated IRI"),
+            ('Ontology(t\n  AnnotationAssertion(l A "a)\n)\n', (2, 27), "unterminated string"),
+            ("", (1, 1), "unexpected end of input"),
+            ("Prefix(:=<http://x.org/>)\n", (1, 25), "unexpected end of input"),
+            ("Prefix(a)\n  )\n", (2, 3), "unexpected ')'"),
+            ("Ontology(t\n  SubClassOf((A B)))\n", (2, 14), "'(' must follow a keyword"),
+            (
+                "Ontology(t\n  SubClassOf(A B)\n",
+                (2, 17),
+                "unbalanced parenthesis in Ontology(...)",
+            ),
+            ("Ontology(t)\n\n  extra\n", (3, 3), "content after the Ontology block"),
+        ],
+    )
+    def test_position(self, text, position, message):
+        with pytest.raises(ParseFailure) as err:
+            parse_ontology(text)
+        (error,) = err.value.errors
+        assert (error.line, error.column, error.message) == (*position, message)
+        assert error.kind is ParseErrorKind.SYNTAX
+
+    def test_twenty_thousand_errors_in_linear_time(self):
+        lines = "".join(f"  DataPropertyAssertion(p{i} x 3)\n" for i in range(20_000))
+        start = time.monotonic()
+        with pytest.raises(ParseFailure) as err:
+            parse_ontology(f"Ontology(t\n{lines})\n")
+        # the character-stepping tokenizer this reader replaced took about
+        # 1.0 s here (2-vCPU VM, Python 3.11)
+        assert time.monotonic() - start < 1.0
+        assert [(e.line, e.column) for e in err.value.errors] == [
+            (line, 3) for line in range(2, 20_002)
+        ]
+        assert {e.construct for e in err.value.errors} == {"DataPropertyAssertion"}
+
+
+class TestPinnedOutcomes:
+    def test_outcomes_equal_the_pinned_ones(self):
+        # pinned from the character-stepping tokenizer and recursive reader
+        # that the regular-expression tokenizer and stack reader replaced
+        outcomes = [
+            parse_outcome(text, strict) for text in outcome_corpus() for strict in (False, True)
+        ]
+        digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+        assert digest == (
+            "99afd3f00a8eb02a03a2b71fd19b680510e81c48bbfc1ebb3d6ea873f5898d7c"
+        )
+
+    def test_the_corpus_reaches_every_reader_error(self):
+        messages = set()
+        for text in outcome_corpus():
+            try:
+                parse_ontology(text)
+            except ParseFailure as exc:
+                messages.update(e.message for e in exc.errors)
+        for expected in (
+            "unterminated IRI",
+            "unterminated string",
+            "unexpected end of input",
+            "unexpected ')'",
+            "'(' must follow a keyword",
+            "content after the Ontology block",
+            "expected an Ontology(...) block",
+        ):
+            assert expected in messages
+        assert any(m.startswith("unbalanced parenthesis in ") for m in messages)

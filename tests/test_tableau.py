@@ -23,6 +23,7 @@ from locmod import (
     SubClassOf,
     TOP,
     UNIVERSAL_ROLE,
+    Locality,
     LocalityFlavor,
     Signature,
     conj,
@@ -320,6 +321,19 @@ class TestAtMostClash:
         assert time.monotonic() - start < 2.0
         assert result.status is SatStatus.SATISFIABLE
         assert 0 in eval_concept(starved, result.model)
+
+
+    def test_a_huge_witness_count_runs_out_of_steps_not_memory(self):
+        # each fresh witness is charged a step before its node is built,
+        # so a million of them stop at the step limit
+        axiom = SubClassOf(AtLeast(10**6, R, B), A)
+        start = time.monotonic()
+        v = is_semantically_local(
+            axiom, Signature({"A", "B"}, {"R"}), LocalityFlavor.SEM_BOT, Budget(max_steps=1000)
+        )
+        assert time.monotonic() - start < 1.0
+        assert v.status is Locality.UNKNOWN
+        assert v.reason == "rule application limit reached"
 
 
 def status_corpus():
