@@ -26,7 +26,7 @@ from .harness import (
 )
 from .model import LocalityFlavor, Ontology, Signature
 from .oracle import find_countermodel
-from .parser import ParseErrorKind, ParseFailure, parse_ontology, parse_signature
+from .parser import ParseErrorKind, ParseFailure, _local_name, parse_ontology, parse_signature
 from .semantic import is_semantically_local, substitute
 from .syntactic import is_syntactically_local
 from .tableau import Budget
@@ -190,6 +190,8 @@ def _load_ontology(path: str, strict: bool) -> Ontology:
 
 
 def _parse_terms(spec: str) -> Signature:
+    """The signature of comma-separated `C:`/`R:`/`I:` terms, each name
+    reduced to its local fragment as in a signature file."""
     kinds: dict[str, str] = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -199,7 +201,7 @@ def _parse_terms(spec: str) -> Signature:
             raise _CliError(
                 f"inline term '{chunk}' needs a C:/R:/I: kind prefix", EXIT_PARSE
             )
-        name = chunk[2:].strip()
+        name = _local_name(chunk[2:].strip())
         if kinds.setdefault(name, chunk[0]) != chunk[0]:
             raise _CliError(f"inline term '{chunk}' gives '{name}' a second kind", EXIT_PARSE)
     return Signature.of_kinds(kinds)
@@ -246,9 +248,9 @@ def _cmd_extract(args) -> int:
     else:
         result = extract_module(onto, sig, _FLAVORS[args.flavor], **options)
     if args.verbose:
-        for round_no, added in trace:
+        for (step, flavor, round_no), added in trace:
             for a in added:
-                print(f"round {round_no}: + {a}", file=sys.stderr)
+                print(f"step {step}, {flavor} round {round_no}: + {a}", file=sys.stderr)
         print(
             f"module: {len(result.module)} of {len(onto)} axioms, "
             f"{result.locality_checks} locality checks, "

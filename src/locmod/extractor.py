@@ -32,17 +32,18 @@ textbook loop keeps it and the rounds leave it out, as it is local.
 All loops work on positions of the input ontology: the steps of a nested
 or star extraction narrow the positions, not the ontology, and a wave
 counts down only the gates of axioms at those positions. So the axiom
-signatures, the name index, the circuits, the axiom shapes and the
-semantic verdict memo (`semantic.verdict_in`) are shared by all steps and
-by every extraction over one instance. The memo keys a verdict by the
-axiom's shape and by which of its names lie in the working signature, so
-the axioms that are renamed copies of one another share one check. Only
-the module that is returned becomes an `Ontology`.
+records (`Ontology.shapes`, one walk per axiom), the name index, the
+circuits and the semantic verdict memo (`semantic.verdict_in`) are shared
+by all steps and by every extraction over one instance. A round reads the
+names it adds to the signature off the records of the axioms it adds, and
+the memo keys a verdict by the record's structure number and by which of
+its names lie in the working signature, so the axioms that are renamed
+copies of one another share one check. Only the module that is returned
+becomes an `Ontology`, and it takes its records from the input.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Collection
 from dataclasses import dataclass
 from itertools import chain
@@ -92,12 +93,9 @@ class ModuleResult:
 
     module: Ontology
     positions: tuple[int, ...]
-    seed_signature: Signature
     extended_signature: Signature
-    flavor: LocalityFlavor | FlavorPair
     rounds: int
     locality_checks: int
-    wall_time: float
     unknown_verdicts: int
 
 
@@ -161,18 +159,20 @@ def _extract(
     sig: Signature,
     naive: bool,
     trace: list | None,
+    step: int = 1,
 ) -> tuple[dict[int, None], Signature, int]:
     """The module for `sig` of the axioms of `c.o` at `scope`, ascending
     positions with constant-time membership (a `range`, or a dict used as
     an ordered set). Returns the module's positions, ascending, as such a
     dict, its extended signature and the number of rounds that added
-    axioms."""
+    axioms. A round that adds axioms appends `((step, flavor, round),
+    added_axioms)` to `trace`, if given."""
     o = c.o
-    sigs = o.axiom_signatures
     module: set[int] = set()
     rounds = 0
 
     if naive:
+        sigs = o.axiom_signatures
         working = sig
         while True:
             added: list[int] = []
@@ -185,9 +185,10 @@ def _extract(
                 break
             rounds += 1
             if trace is not None:
-                trace.append((rounds, [o.axioms[i] for i in added]))
+                trace.append(((step, c.flavor, rounds), [o.axioms[i] for i in added]))
         return dict.fromkeys(sorted(module)), working, rounds
 
+    shapes = o.shapes
     circuit = c.circuit()
     need = list(circuit.need)
     within = None if len(scope) == len(c.axioms) else scope
@@ -218,16 +219,18 @@ def _extract(
             break
         rounds += 1
         if trace is not None:
-            trace.append((rounds, [o.axioms[i] for i in added]))
+            trace.append(((step, c.flavor, rounds), [o.axioms[i] for i in added]))
         module.update(added)
-        kept = [sigs[i] for i in added]
-        fresh = (
-            set().union(*[s.concept_names for s in kept]) - concepts,
-            set().union(*[s.role_names for s in kept]) - roles,
-        )
+        new_concepts, new_roles = set(), set()
+        for i in added:
+            _, cs, rs, inds = shapes[i]
+            new_concepts.update(cs)
+            new_roles.update(rs)
+            if inds:  # most rounds add a few axioms, and few have individuals
+                individuals.update(inds)
+        fresh = (new_concepts - concepts, new_roles - roles)
         concepts |= fresh[0]
         roles |= fresh[1]
-        individuals.update(*[s.individual_names for s in kept])
         if not c.syntactic:
             working = Signature(frozenset(concepts), frozenset(roles))
         fired = []
@@ -241,35 +244,30 @@ def _nested(
     sig: Signature,
     naive: bool,
     trace: list | None,
+    step: int = 1,
 ) -> tuple[dict[int, None], Signature, int]:
-    """One nested step over `scope`: `_extract` with the second checker,
-    then with the first over what the second kept."""
+    """Nested step number `step` over `scope`: `_extract` with the second
+    checker, then with the first over what the second kept."""
     first, second = checkers
-    inner, _, inner_rounds = _extract(second, scope, sig, naive, trace)
-    outer, extended, outer_rounds = _extract(first, inner, sig, naive, trace)
+    inner, _, inner_rounds = _extract(second, scope, sig, naive, trace, step)
+    outer, extended, outer_rounds = _extract(first, inner, sig, naive, trace, step)
     return outer, extended, inner_rounds + outer_rounds
 
 
 def _result(
     o: Ontology,
     module: Collection[int],
-    sig: Signature,
     extended: Signature,
-    flavor: LocalityFlavor | FlavorPair,
     rounds: int,
     checkers: list[_Checker],
-    started: float,
 ) -> ModuleResult:
     positions = tuple(module)
     return ModuleResult(
         module=o.restrict(positions),
         positions=positions,
-        seed_signature=sig,
         extended_signature=extended,
-        flavor=flavor,
         rounds=rounds,
         locality_checks=sum(c.checks for c in checkers),
-        wall_time=time.perf_counter() - started,
         unknown_verdicts=sum(c.unknowns for c in checkers),
     )
 
@@ -286,13 +284,12 @@ def extract_module(
 ) -> ModuleResult:
     """Extract the locality-based module of `o` for the seed `sig`.
 
-    With `trace` given, appends one `(round, added_axioms)` tuple per
-    round that added axioms.
+    With `trace` given, appends one `((1, flavor, round), added_axioms)`
+    tuple per round that added axioms.
     """
-    started = time.perf_counter()
     checker = _Checker(o, flavor, refined, budget)
     module, extended, rounds = _extract(checker, range(len(o)), sig, naive, trace)
-    return _result(o, module, sig, extended, flavor, rounds, [checker], started)
+    return _result(o, module, extended, rounds, [checker])
 
 
 def extract_nested(
@@ -303,12 +300,12 @@ def extract_nested(
 ) -> ModuleResult:
     """Nested extraction: inner pass with the second flavor of `pair`,
     outer pass with the first over the inner module, both against the same
-    seed."""
-    started = time.perf_counter()
+    seed. Rounds are traced as by `extract_module`, labelled with the
+    flavor of their pass."""
     naive, trace = options.pop("naive", False), options.pop("trace", None)
     checkers = [_Checker(o, flavor, **options) for flavor in pair]
     module, extended, rounds = _nested(checkers, range(len(o)), sig, naive, trace)
-    return _result(o, module, sig, extended, pair, rounds, checkers, started)
+    return _result(o, module, extended, rounds, checkers)
 
 
 def extract_star(
@@ -320,19 +317,20 @@ def extract_star(
     """Iterate nested extraction from the full ontology until the module
     reaches a fixpoint. `rounds` is the smallest n with Mₙ = Mₙ₊₁; the
     chain strictly shrinks until then. The extended signature is that of
-    the last nested step, which returned the fixpoint module."""
-    started = time.perf_counter()
+    the last nested step, which returned the fixpoint module. Rounds are
+    traced as by `extract_nested`, labelled with their nested step, from
+    1."""
     naive, trace = options.pop("naive", False), options.pop("trace", None)
     checkers = [_Checker(o, flavor, **options) for flavor in pair]
     scope: Collection[int] = range(len(o))
     rounds = 0
     while True:
-        module, extended, _ = _nested(checkers, scope, sig, naive, trace)
+        module, extended, _ = _nested(checkers, scope, sig, naive, trace, rounds + 1)
         if len(module) == len(scope):
             break
         scope = module
         rounds += 1
-    return _result(o, module, sig, extended, pair, rounds, checkers, started)
+    return _result(o, module, extended, rounds, checkers)
 
 
 def genuine_modules(

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 
@@ -431,14 +432,18 @@ class Ontology:
     of the used signature when the source file declares unused names); it
     does not affect the ontology's own signature.
 
-    `axiom_signatures`, `names`, `name_index`, `shapes`, `structures`,
+    `shapes`, `structures`, `axiom_signatures`, `names`, `name_index`,
     `verdicts` and `circuits` are made on first use and kept by the
     instance (they are not fields, so equality, hashing and repr ignore
-    them); every extraction over the same instance shares them. A circuit
+    them); every extraction over the same instance shares them. `shapes`
+    walks each axiom once (`axiom_shape`) and keeps one record per axiom:
+    the number of its structure and its concept, role and individual
+    names. The signatures, the names and the name index are read off these
+    records, and so is the key of a verdict in `verdicts`, which therefore
+    serves every axiom of the instance that is a renamed copy of the one
+    checked, with the same of its names in the seed signature. A circuit
     serves both flavors of its polarity, the syntactic and the semantic
-    one. A verdict in `verdicts` is keyed by an axiom's shape, so it serves
-    every axiom of the instance that is a renamed copy of the one checked,
-    with the same of its names in the seed signature.
+    one.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -455,9 +460,29 @@ class Ontology:
         return iter(self.axioms)
 
     @cached_property
+    def shapes(self) -> tuple[tuple, ...]:
+        """One record `(number, concepts, roles, individuals)` per axiom, in
+        axiom order: `axiom_shape` of the axiom with its structure replaced
+        by the structure's number in `structures` (a nested tuple would be
+        hashed again on every verdict lookup)."""
+        numbers = self.structures
+        records = []
+        for a in self.axioms:
+            structure, concepts, roles, individuals = axiom_shape(a)
+            number = numbers.setdefault(structure, len(numbers))
+            records.append((number, concepts, roles, individuals))
+        return tuple(records)
+
+    @cached_property
+    def structures(self) -> dict:
+        """The number of each distinct axiom structure, filled when
+        `shapes` is built."""
+        return {}
+
+    @cached_property
     def axiom_signatures(self) -> tuple[Signature, ...]:
-        """`signature_of` of each axiom, in axiom order."""
-        return tuple(signature_of(a) for a in self.axioms)
+        """`signature_of` of each axiom, in axiom order, read off `shapes`."""
+        return tuple(Signature(cs, rs, inds) for _, cs, rs, inds in self.shapes)
 
     @cached_property
     def names(self) -> Signature:
@@ -469,22 +494,10 @@ class Ontology:
         """Positions of the axioms that mention each concept or role name,
         ascending. Read-only: the instance hands out this same dict."""
         index: dict[str, list[int]] = {}
-        for i, s in enumerate(self.axiom_signatures):
-            for name in s.concept_names | s.role_names:
+        for i, (_, concepts, roles, _) in enumerate(self.shapes):
+            for name in concepts + roles:
                 index.setdefault(name, []).append(i)
         return index
-
-    @cached_property
-    def shapes(self) -> list:
-        """`semantic.axiom_shape` of each axiom, in axiom order, with the
-        structure replaced by its number in `structures`; filled by
-        `semantic.verdict_in` on an axiom's first lookup (None before)."""
-        return [None] * len(self.axioms)
-
-    @cached_property
-    def structures(self) -> dict:
-        """The number of each distinct axiom structure met in `shapes`."""
-        return {}
 
     @cached_property
     def verdicts(self) -> dict:
@@ -502,92 +515,117 @@ class Ontology:
 
     def restrict(self, positions: Sequence[int]) -> "Ontology":
         """The axioms at `positions` (distinct, ascending) as an ontology
-        of the same name. It takes their signatures from this instance
-        instead of walking the axioms again, and skips the deduplication
-        of `__post_init__`, which would hash every axiom again."""
-        sigs = self.axiom_signatures
+        of the same name. It takes their records and the structure
+        numbering from this instance instead of walking the axioms again,
+        and skips the deduplication of `__post_init__`, which would hash
+        every axiom again."""
+        shapes = self.shapes
         sub = object.__new__(Ontology)
         sub.__dict__.update(
             axioms=tuple(self.axioms[i] for i in positions),
             name=self.name,
             declared=EMPTY_SIGNATURE,
-            axiom_signatures=tuple(sigs[i] for i in positions),
+            shapes=tuple(shapes[i] for i in positions),
+            structures=self.structures,
         )
         return sub
 
 
 # ---------------------------------------------------------------------------
-# signature_of
+# Shapes and signatures
 # ---------------------------------------------------------------------------
 
-def _collect_role(r: Role, roles: set[str]):
-    while isinstance(r, Inverse):
-        r = r.role
-    if isinstance(r, RoleName):
-        roles.add(r.name)
-    # the two constant roles contribute nothing
-
-
-def _collect_concept(c: Concept, concepts: set[str], roles: set[str], individuals: set[str]):
-    stack = [c]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, ConceptName):
-            concepts.add(cur.name)
-        elif isinstance(cur, OneOf):
-            individuals.add(cur.individual)
-        elif isinstance(cur, Not):
-            stack.append(cur.arg)
-        elif isinstance(cur, (And, Or)):
-            stack.extend(cur.args)
-        elif isinstance(cur, (Exists, ForAll, AtLeast, AtMost)):
-            _collect_role(cur.role, roles)
-            stack.append(cur.filler)
-        # Top/Bottom: nothing
-
-
-def _axiom_signature(a: Axiom) -> Signature:
-    concepts: set[str] = set()
-    roles: set[str] = set()
-    individuals: set[str] = set()
-    if isinstance(a, (SubClassOf, EquivalentClasses, DisjointClasses)):
-        lhs = a.sub if isinstance(a, SubClassOf) else a.left
-        rhs = a.sup if isinstance(a, SubClassOf) else a.right
-        _collect_concept(lhs, concepts, roles, individuals)
-        _collect_concept(rhs, concepts, roles, individuals)
-    elif isinstance(a, (SubRoleOf, EquivalentRoles, InverseRoles)):
-        lhs = a.sub if isinstance(a, SubRoleOf) else a.left
-        rhs = a.sup if isinstance(a, SubRoleOf) else a.right
-        _collect_role(lhs, roles)
-        _collect_role(rhs, roles)
-    elif isinstance(a, Transitive):
-        _collect_role(a.role, roles)
-    elif isinstance(a, (Domain, Range)):
-        _collect_role(a.role, roles)
-        _collect_concept(a.filler, concepts, roles, individuals)
+def axiom_shape(a: Axiom) -> tuple:
+    """`(structure, concepts, roles, individuals)`, read in one walk over
+    `a`, the only walk that collects an axiom's names. The structure is `a`
+    as nested tuples of constructor classes, cardinalities and constants,
+    with the k-th distinct concept name met (left to right, depth first)
+    written k, and role names numbered the same way on their own.
+    `concepts` and `roles` hold the names in the order of their numbers,
+    `individuals` the individuals in the order met. Two axioms have equal
+    structures exactly when an injective renaming of concepts and roles
+    maps one onto the other. Nominals, ⊤, ⊥ and the constant roles stand
+    for themselves."""
+    concepts: dict[str, int] = {}
+    roles: dict[str, int] = {}
+    individuals: dict[str, None] = {}
+    t = type(a)
+    if t is SubClassOf:
+        structure = (t, _concept_shape(a.sub, concepts, roles, individuals),
+                     _concept_shape(a.sup, concepts, roles, individuals))
+    elif t is EquivalentClasses or t is DisjointClasses:
+        structure = (t, _concept_shape(a.left, concepts, roles, individuals),
+                     _concept_shape(a.right, concepts, roles, individuals))
+    elif t is Domain or t is Range:
+        structure = (t, _role_shape(a.role, roles),
+                     _concept_shape(a.filler, concepts, roles, individuals))
+    elif t is SubRoleOf:
+        structure = (t, _role_shape(a.sub, roles), _role_shape(a.sup, roles))
+    elif t is EquivalentRoles or t is InverseRoles:
+        structure = (t, _role_shape(a.left, roles), _role_shape(a.right, roles))
+    elif t is Transitive:
+        structure = (t, _role_shape(a.role, roles))
     else:
         raise TypeError(f"not an axiom: {a!r}")
-    return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
+    return structure, tuple(concepts), tuple(roles), tuple(individuals)
+
+
+def _concept_shape(c: Concept, concepts: dict, roles: dict, individuals: dict):
+    """The structure of `c` for `axiom_shape`, numbering names in
+    `concepts` and `roles` and collecting `individuals`."""
+    t = type(c)
+    if t is ConceptName:
+        return concepts.setdefault(c.name, len(concepts))
+    if t is Exists or t is ForAll:
+        return (t, _role_shape(c.role, roles),
+                _concept_shape(c.filler, concepts, roles, individuals))
+    if t is And or t is Or:
+        return (t, *[_concept_shape(x, concepts, roles, individuals) for x in c.args])
+    if t is Not:
+        return (t, _concept_shape(c.arg, concepts, roles, individuals))
+    if t is AtLeast or t is AtMost:
+        return (t, c.n, _role_shape(c.role, roles),
+                _concept_shape(c.filler, concepts, roles, individuals))
+    if t is OneOf:
+        individuals[c.individual] = None
+        return c
+    if t is TopType or t is BottomType:
+        return c
+    raise TypeError(f"not a concept: {c!r}")
+
+
+def _role_shape(r: Role, roles: dict):
+    t = type(r)
+    if t is RoleName:
+        return roles.setdefault(r.name, len(roles))
+    if t is Inverse:
+        return (t, _role_shape(r.role, roles))
+    if t is EmptyRoleType or t is UniversalRoleType:
+        return r
+    raise TypeError(f"not a role: {r!r}")
 
 
 def signature_of(x: Union[Axiom, Concept, Role, Ontology]) -> Signature:
-    """The set of concept/role/individual names occurring in `x`.
+    """The set of concept/role/individual names occurring in `x`: for an
+    ontology, read off its `shapes`; otherwise by the walk of
+    `axiom_shape`.
 
     Substitution constants (empty/universal role, ⊤, ⊥) contribute
     nothing.
     """
     if isinstance(x, Ontology):
-        return Signature.union(x.axiom_signatures)
+        shapes = x.shapes
+        return Signature(*(frozenset(chain.from_iterable([r[k] for r in shapes])) for k in (1, 2, 3)))
     if isinstance(x, Axiom):
-        return _axiom_signature(x)
+        return Signature(*axiom_shape(x)[1:])
     if isinstance(x, Concept):
-        concepts, roles, individuals = set(), set(), set()
-        _collect_concept(x, concepts, roles, individuals)
-        return Signature(frozenset(concepts), frozenset(roles), frozenset(individuals))
+        concepts, roles, individuals = {}, {}, {}
+        _concept_shape(x, concepts, roles, individuals)
+        return Signature(concepts, roles, individuals)
     if isinstance(x, Role):
-        roles = set()
-        _collect_role(x, roles)
-        return Signature(role_names=frozenset(roles))
+        roles = {}
+        _role_shape(x, roles)
+        return Signature(role_names=roles)
     raise TypeError(f"cannot take the signature of {x!r}")
 
 

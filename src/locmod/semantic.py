@@ -43,7 +43,6 @@ from .model import (
     Or,
     Range,
     Role,
-    RoleName,
     Signature,
     SubClassOf,
     SubRoleOf,
@@ -327,25 +326,24 @@ def verdict_in(
     Substitution reads only the concept and role names of the axiom, and an
     injective renaming of concepts and roles maps each probe to an
     isomorphic one, so the verdict depends on `sig` only through which of
-    the axiom's names lie in it. The axiom's shape (`axiom_shape`) is built
-    on its first lookup and kept in `o.shapes`, with its structure replaced
-    by the structure's number in `o.structures` (a nested tuple would be
-    hashed again on every lookup). The key is the flavor, that number and,
-    for each of the shape's names in order, whether it lies in `sig` among
-    the names of its kind: renamed copies of an axiom, and one axiom under
-    signatures that share the same of its names, meet one key. LOCAL and
-    NON_LOCAL hold under every budget, so no budget enters the key; an
-    UNKNOWN is returned but not kept, and a later call tries again.
+    the axiom's names lie in it. The key is read off the axiom's record in
+    `o.shapes`: the flavor, the number of its structure and, for each of
+    its concept names and then each of its role names in the order of
+    their numbers, whether it lies in `sig` among the names of its kind.
+    Renamed copies of an axiom, and one axiom under signatures that share
+    the same of its names, meet one key. LOCAL and NON_LOCAL hold under
+    every budget, so no budget enters the key; an UNKNOWN is returned but
+    not kept, and a later call tries again.
     """
-    shapes = o.shapes
-    shape = shapes[i]
-    if shape is None:
-        structure, names = axiom_shape(o.axioms[i])
-        numbers = o.structures
-        shape = shapes[i] = (numbers.setdefault(structure, len(numbers)), names)
-    number, names = shape
-    by_kind = (sig.concept_names, sig.role_names)
-    key = (flavor, number, tuple([name in by_kind[kind] for name, kind in names]))
+    number, concepts, roles, _ = o.shapes[i]
+    # `map` over bound membership tests: before Python 3.12 each list
+    # comprehension is a function call, and every check pays for the key
+    key = (
+        flavor,
+        number,
+        *map(sig.concept_names.__contains__, concepts),
+        *map(sig.role_names.__contains__, roles),
+    )
     verdicts = o.verdicts
     verdict = verdicts.get(key)
     if verdict is None:
@@ -354,65 +352,3 @@ def verdict_in(
             return verdict
         verdicts[key] = verdict
     return verdict
-
-
-def axiom_shape(a: Axiom) -> tuple:
-    """`(structure, names)`: the structure is `a` as nested tuples of
-    constructor classes, cardinalities and constants, with the k-th
-    distinct concept name met (left to right, depth first) written k, and
-    role names numbered the same way on their own. `names` holds the
-    concept names in the order of their numbers, then the role names, each
-    as `(name, kind)` with kind 0 for a concept and 1 for a role. Two
-    axioms have equal structures exactly when an injective renaming of
-    concepts and roles maps one onto the other. Nominals, ⊤, ⊥ and the
-    constant roles stand for themselves."""
-    concepts: dict[str, int] = {}
-    roles: dict[str, int] = {}
-    t = type(a)
-    if t is SubClassOf:
-        structure = (t, _concept_shape(a.sub, concepts, roles),
-                     _concept_shape(a.sup, concepts, roles))
-    elif t is EquivalentClasses or t is DisjointClasses:
-        structure = (t, _concept_shape(a.left, concepts, roles),
-                     _concept_shape(a.right, concepts, roles))
-    elif t is Domain or t is Range:
-        structure = (t, _role_shape(a.role, roles), _concept_shape(a.filler, concepts, roles))
-    elif t is SubRoleOf:
-        structure = (t, _role_shape(a.sub, roles), _role_shape(a.sup, roles))
-    elif t is EquivalentRoles or t is InverseRoles:
-        structure = (t, _role_shape(a.left, roles), _role_shape(a.right, roles))
-    elif t is Transitive:
-        structure = (t, _role_shape(a.role, roles))
-    else:
-        raise TypeError(f"not an axiom: {a!r}")
-    return structure, tuple([(n, 0) for n in concepts] + [(n, 1) for n in roles])
-
-
-def _concept_shape(c: Concept, concepts: dict, roles: dict):
-    """The structure of `c` for `axiom_shape`, numbering names in
-    `concepts` and `roles`."""
-    t = type(c)
-    if t is ConceptName:
-        return concepts.setdefault(c.name, len(concepts))
-    if t is Exists or t is ForAll:
-        return (t, _role_shape(c.role, roles), _concept_shape(c.filler, concepts, roles))
-    if t is And or t is Or:
-        return (t, *[_concept_shape(x, concepts, roles) for x in c.args])
-    if t is Not:
-        return (t, _concept_shape(c.arg, concepts, roles))
-    if t is AtLeast or t is AtMost:
-        return (t, c.n, _role_shape(c.role, roles), _concept_shape(c.filler, concepts, roles))
-    if t is TopType or t is BottomType or t is OneOf:
-        return c
-    raise TypeError(f"not a concept: {c!r}")
-
-
-def _role_shape(r: Role, roles: dict):
-    t = type(r)
-    if t is RoleName:
-        return roles.setdefault(r.name, len(roles))
-    if t is Inverse:
-        return (t, _role_shape(r.role, roles))
-    if t is EmptyRoleType or t is UniversalRoleType:
-        return r
-    raise TypeError(f"not a role: {r!r}")

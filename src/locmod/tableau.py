@@ -31,12 +31,14 @@ identical inputs and budgets produce identical results and models.
 The witness rule fires once per (node, ≥n R.C): a record kept through
 merges says its witnesses are in place. This is exact: fresh witnesses
 are pairwise distinct and labels only grow, so a satisfied ≥ stays
-satisfied. A tick is one agenda pair expanded, one merge, one clique
-extension the witness rule examines, or one fresh witness it builds,
-charged before the node exists. A ⊔ or choose decision adds one new
-pair, so it costs the tick of that pair's expansion; a merge may add
-none, so it ticks itself. The model of the open state is built on first
-access.
+satisfied. The fresh witnesses of one firing form a group, and two live
+nodes are asserted distinct exactly when they share a group; a merge
+gives the kept node the groups of the dropped one. A tick is one agenda
+pair expanded, one merge, one clique extension the witness rule
+examines, or one fresh witness it builds, charged before the node
+exists. A ⊔ or choose decision adds one new pair, so it costs the tick
+of that pair's expansion; a merge may add none, so it ticks itself. The
+model of the open state is built on first access.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def _individuals(c: Concept) -> set[str] | None:
 
 
 class _Node:
-    __slots__ = ("label", "nbrs", "tags", "distinct", "alls", "ors", "or_at",
+    __slots__ = ("label", "nbrs", "tags", "groups", "alls", "ors", "or_at",
                  "atmosts", "fired")
 
     def __init__(self):
@@ -164,7 +166,9 @@ class _Node:
         # role → neighbours, each edge stored at both ends
         self.nbrs: dict[Role, dict[int, None]] = {}
         self.tags: dict[str, None] = {}
-        self.distinct: set[int] = set()
+        # witness groups: two live nodes are asserted distinct exactly
+        # when their groups meet
+        self.groups: frozenset[int] = frozenset()
         self.alls: list[tuple[Role, Concept]] = []  # expanded ∀R.C
         self.ors: list[Or] = []
         self.or_at = 0  # the disjunctions before it hold a disjunct
@@ -251,16 +255,14 @@ class _State:
         when the two are asserted distinct."""
         self.meter.tick()
         k, d = self.nodes[keep], self.nodes[drop]
-        if drop in k.distinct:
+        if not k.groups.isdisjoint(d.groups):
             self.clash = True
             return
         self.dead.add(drop)
         self.trail.append((self.dead.discard, drop))
-        for w in sorted(d.distinct - k.distinct - self.dead):
-            for u, v in ((keep, w), (w, keep)):
-                apart = self.nodes[u].distinct
-                apart.add(v)
-                self.trail.append((apart.discard, v))
+        if d.groups:
+            self.trail.append((partial(setattr, k, "groups"), k.groups))
+            k.groups |= d.groups
         for c in d.fired:
             if c not in k.fired:
                 k.fired[c] = None
@@ -348,10 +350,11 @@ class _State:
             # not of memory
             self.meter.tick()
             fresh.append(self.new_node())
+        # one group, named by its first node: undoing the creation of the
+        # nodes drops it, and every merge that spread it was undone first
+        group = frozenset(fresh[:1])
         for y in fresh:
-            # untrailed: undoing the creation of y drops its set too
-            self.nodes[y].distinct.update(fresh)
-            self.nodes[y].distinct.discard(y)
+            self.nodes[y].groups = group
             self.add_edge(x, role, y)
             self.add(y, c.filler)
 
@@ -389,7 +392,7 @@ class _State:
                     return [
                         (self.merge, min(a, b), max(a, b))
                         for a, b in combinations(qualified, 2)
-                        if b not in self.nodes[a].distinct
+                        if self.nodes[a].groups.isdisjoint(self.nodes[b].groups)
                     ]
         return None
 
@@ -483,8 +486,8 @@ def _has_clique(nodes: list[int], n: int, graph: list[_Node], meter=None) -> boo
             meter.tick()
         v, rest = cands[0], cands[1:]
         stack.append((rest, size))
-        apart = graph[v].distinct
-        stack.append(([w for w in rest if w in apart], size + 1))
+        groups = graph[v].groups
+        stack.append(([w for w in rest if not groups.isdisjoint(graph[w].groups)], size + 1))
     return False
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from locmod import parse_ontology
+from locmod import SEM_STAR, SYN_STAR, Signature, extract_star, parse_ontology
 from locmod.cli import main
 from locmod.parser import MAX_NESTING
 from conftest import fixture_path, nested_text
@@ -86,24 +86,49 @@ class TestExtract:
         assert "round 1" in capsys.readouterr().err
 
     def test_verbose_trace_of_star_flavors(self, capsys):
-        # every nested step of a star extraction reports its rounds
-        for flavor in ("star", "sem-star"):
-            code = main(
-                [
-                    "extract",
-                    "--flavor",
-                    flavor,
-                    "--ontology",
-                    fx("koala.ofs"),
-                    "--terms",
-                    "C:Koala",
-                    "--verbose",
-                ]
-            )
-            assert code == 0
-            err = capsys.readouterr().err
-            assert "round 1: + " in err, flavor
-            assert err.splitlines()[-1].startswith("module: "), flavor
+        # every nested step of a star extraction reports its rounds, each
+        # labelled with its step, the flavor of its pass and its number;
+        # the outer pass of the last step adds exactly the module
+        koala = parse_ontology(fixture_path("koala.ofs").read_text(encoding="utf-8"))
+        seeds = {
+            "C:Koala": Signature({"Koala"}),
+            "C:Student,R:hasChildren,R:hasGender": Signature(
+                {"Student"}, {"hasChildren", "hasGender"}
+            ),
+        }
+        for flavor, pair in (("star", SYN_STAR), ("sem-star", SEM_STAR)):
+            outer, inner = (str(f) for f in pair)
+            for terms, sig in seeds.items():
+                code = main(
+                    [
+                        "extract",
+                        "--flavor",
+                        flavor,
+                        "--ontology",
+                        fx("koala.ofs"),
+                        "--terms",
+                        terms,
+                        "--verbose",
+                    ]
+                )
+                assert code == 0
+                captured = capsys.readouterr()
+                *lines, summary = captured.err.splitlines()
+                assert summary.startswith("module: "), flavor
+                labels = [line.split(": + ", 1)[0] for line in lines]
+                assert labels[0] == f"step 1, {inner} round 1", flavor
+                # the lines of one round come together: no label repeats
+                runs = [x for i, x in enumerate(labels) if i == 0 or x != labels[i - 1]]
+                assert len(runs) == len(set(runs)), (flavor, terms)
+                last = extract_star(koala, sig, pair).rounds + 1
+                added = sorted(
+                    line.split(": + ", 1)[1]
+                    for line in lines
+                    if line.startswith(f"step {last}, {outer} round ")
+                )
+                module = parse_ontology(captured.out)
+                assert added == sorted(map(str, module.axioms)), (flavor, terms)
+            assert module.axioms, flavor
 
     def test_verbose_output_does_not_depend_on_the_hash_seed(self):
         # string hashing differs between the two interpreters, and with it
@@ -342,6 +367,21 @@ class TestUsage:
         code = main(["check", "--flavor", "bot", "--ontology", fx("koala.ofs")])
         assert code == 1
         assert capsys.readouterr().err == f"{var} must be a number, not 'abc'\n"
+
+
+class TestTermNames:
+    def test_terms_and_signature_file_reduce_names_alike(self, tmp_path, capsys):
+        # an IRI or prefixed name is reduced to its local fragment by both
+        entries = ["C:ex:Koala", "R:<http://example.org/koala#hasHabitat>", "C:Student"]
+        sig = tmp_path / "seed.sig"
+        sig.write_text("\n".join(entries) + "\n")
+        base = ["extract", "--flavor", "bot", "--ontology", fx("koala.ofs")]
+        modules = []
+        for source in (["--terms", ",".join(entries)], ["--signature", str(sig)]):
+            assert main(base + source) == 0
+            modules.append(parse_ontology(capsys.readouterr().out).axioms)
+        assert modules[0] == modules[1]
+        assert len(modules[0]) > 4
 
 
 class TestKindConflicts:

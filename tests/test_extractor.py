@@ -24,6 +24,7 @@ from locmod import (
     RoleName,
     SEM_STAR,
     SYN_STAR,
+    SamplingConfig,
     Signature,
     SubClassOf,
     brute_force_refutes_locality,
@@ -34,6 +35,7 @@ from locmod import (
     is_semantically_local,
     is_syntactically_local,
     model,
+    run_comparison,
     serialize_ontology,
     signature_of,
 )
@@ -567,16 +569,65 @@ class TestStepsOnPositions:
                             assert result.locality_checks <= checks
 
     def test_module_takes_its_signatures_from_the_input(self, monkeypatch):
+        # the module's records are the input's: serializing it and reading
+        # its signatures, names and index walk no axiom
         o = synthetic_ontology(300)
         result = extract_star(o, Signature({"C00001"}), SEM_STAR)
-        assert len(result.module) > 0
+        module = result.module
+        assert len(module) > 0
         walked = []
-        monkeypatch.setattr(model, "_axiom_signature", walked.append)
-        serialize_ontology(result.module)
-        sigs = result.module.axiom_signatures
+        monkeypatch.setattr(model, "axiom_shape", walked.append)
+        serialize_ontology(module)
+        sigs, names, index = module.axiom_signatures, module.names, module.name_index
         assert walked == []
         monkeypatch.undo()
-        assert sigs == tuple(signature_of(a) for a in result.module.axioms)
+        assert module.shapes == tuple(o.shapes[i] for i in result.positions)
+        assert sigs == tuple(signature_of(a) for a in module.axioms)
+        assert names == Signature.union(sigs)
+        assert index == {
+            n: [i for i, s in enumerate(sigs) if n in s.concept_names | s.role_names]
+            for n in names.concept_names | names.role_names
+        }
+
+    def test_each_axiom_is_walked_once_per_ontology(self, monkeypatch):
+        # every flavor, both star pairs, genuine modules and every compare
+        # mode read the records of one walk per axiom; the modules they
+        # return, serialized and indexed, walk none
+        build = model.axiom_shape
+        walked = []
+
+        def counted(a):
+            walked.append(a)
+            return build(a)
+
+        monkeypatch.setattr(model, "axiom_shape", counted)
+        cfg = SamplingConfig(sample_count=8, rng_seed=5)
+        rng = random.Random(36)
+        for name in CORPUS_NAMES:
+            o = load_fixture(name)
+            walked.clear()
+            names = o.names
+            results = []
+            for _ in range(3):
+                sig = random_signature(
+                    rng,
+                    concepts=sorted(names.concept_names),
+                    roles=sorted(names.role_names),
+                )
+                for flavor in ALL_FLAVORS:
+                    results.append(extract_module(o, sig, flavor))
+                    results.append(extract_module(o, sig, flavor, naive=True))
+                for pair in (SYN_STAR, SEM_STAR):
+                    results.append(extract_nested(o, sig, pair))
+                    results.append(extract_star(o, sig, pair))
+            for flavor in ALL_FLAVORS:
+                results += [r for _, r in genuine_modules(o, flavor)]
+            for mode in ("t1a", "t1b", "t2"):
+                run_comparison(o, mode, cfg)
+            for r in results:
+                serialize_ontology(r.module)
+                r.module.axiom_signatures, r.module.name_index  # read off the records
+            assert walked == list(o.axioms), name
 
 
 class TestNestedAndStar:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import locmod.model as model
 import locmod.semantic as semantic
 import plain_substitution
 from locmod import (
@@ -342,9 +343,13 @@ class TestImplicationSample:
 
 def shape_key(a, sig, flavor):
     """The key under which `verdict_in` keeps a definite verdict of `a`."""
-    structure, names = semantic.axiom_shape(a)
-    by_kind = {0: sig.concept_names, 1: sig.role_names}
-    return flavor, structure, tuple(name in by_kind[kind] for name, kind in names)
+    structure, concepts, roles, _ = model.axiom_shape(a)
+    return (
+        flavor,
+        structure,
+        *(name in sig.concept_names for name in concepts),
+        *(name in sig.role_names for name in roles),
+    )
 
 
 def look_up_every_axiom(o, rng, budget=None):
@@ -516,34 +521,35 @@ class TestShapeKey:
             assert definite, name
             assert len(o.verdicts) == len(definite), name
             structure_of = {n: st for st, n in o.structures.items()}
-            stored = {(f, structure_of[n], bits) for f, n, bits in o.verdicts}
+            stored = {(f, structure_of[n], *bits) for f, n, *bits in o.verdicts}
             assert stored == set(definite), name
         assert unknown > 0
 
     def test_each_shape_is_built_once(self, monkeypatch):
         # across many signatures and both flavors, every axiom's shape is
-        # built on its first lookup and never again
+        # built once, in axiom order, on first use, and never again
         rng = random.Random(35)
-        build = semantic.axiom_shape
+        build = model.axiom_shape
         built = []
 
         def counted(a):
             built.append(a)
             return build(a)
 
-        monkeypatch.setattr(semantic, "axiom_shape", counted)
+        monkeypatch.setattr(model, "axiom_shape", counted)
         for name in CORPUS_NAMES:
             o = load_fixture(name)
             built.clear()
             look_up_every_axiom(o, rng)
-            assert sorted(map(o.axioms.index, built)) == list(range(len(o))), name
-            for a, (number, names) in zip(o.axioms, o.shapes):
-                structure, own = build(a)
+            assert built == list(o.axioms), name
+            for a, (number, *names) in zip(o.axioms, o.shapes):
+                structure, *own = build(a)
                 assert (o.structures[structure], own) == (number, names), name
-            # a restricted ontology keeps shapes of its own
+            # a restricted ontology walks none: its records are the input's
             sub = o.restrict(range(0, len(o), 2))
             built.clear()
             for i in range(len(sub)):
                 verdict_in(sub, i, Signature(), SEM_BOT)
                 verdict_in(sub, i, o.names, SEM_TOP)
-            assert built == list(sub.axioms), name
+            assert built == [], name
+            assert sub.shapes == o.shapes[::2] and sub.structures is o.structures, name

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 import time
+import tracemalloc
 
 import locmod.tableau
 from locmod import (
@@ -334,6 +335,19 @@ class TestAtMostClash:
         assert time.monotonic() - start < 1.0
         assert v.status is Locality.UNKNOWN
         assert v.reason == "rule application limit reached"
+
+    def test_witness_distinctness_grows_linearly(self):
+        # distinctness is kept once per witness group, not as n - 1 others
+        # on each fresh node: 4,000 witnesses fit in a few megabytes
+        axiom = SubClassOf(AtLeast(4000, R, B), A)
+        tracemalloc.start()
+        try:
+            v = is_semantically_local(axiom, Signature({"A", "B"}, {"R"}), LocalityFlavor.SEM_BOT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.status is Locality.NON_LOCAL
+        assert peak < 50 * 2**20
 
 
 def status_corpus():
