@@ -607,11 +607,17 @@ def _ser_role(r: Role) -> str:
 # Signature files
 # ---------------------------------------------------------------------------
 
+# A signature-file line up to its `#` comment; a `#` inside `<…>` belongs
+# to the IRI.
+_ENTRY = re.compile(r"(?:<[^>]*>|[^#])*")
+
+
 def parse_signature(text: str, against: Ontology) -> Signature:
     """Parse a newline-separated signature file. Entries may carry a
     `C:`/`R:`/`I:` kind prefix; unprefixed names are resolved against the
-    ontology's declarations and used names. A name given two kinds is an
-    error at the entry that gives the second."""
+    ontology's declarations and used names. A `#` outside an IRI begins a
+    comment. A name given two kinds is an error at the entry that gives
+    the second."""
     table = against.names
     known = {
         n: kind
@@ -621,7 +627,7 @@ def parse_signature(text: str, against: Ontology) -> Signature:
     errors: list[ParseError] = []
     kinds: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        entry = raw.split("#", 1)[0].strip()
+        entry = _ENTRY.match(raw).group().strip()
         if not entry:
             continue
         if entry[:2] in ("C:", "R:", "I:"):

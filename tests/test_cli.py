@@ -1,4 +1,7 @@
+import glob
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from locmod import SEM_STAR, SYN_STAR, Signature, extract_star, parse_ontology
-from locmod.cli import main
-from locmod.parser import MAX_NESTING
+from locmod.cli import _parse_terms, main
+from locmod.parser import MAX_NESTING, parse_signature
 from conftest import fixture_path, nested_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -371,10 +374,16 @@ class TestUsage:
 
 class TestTermNames:
     def test_terms_and_signature_file_reduce_names_alike(self, tmp_path, capsys):
-        # an IRI or prefixed name is reduced to its local fragment by both
+        # an IRI or prefixed name is reduced to its local fragment by both;
+        # in a signature file a `#` inside an IRI is not a comment
         entries = ["C:ex:Koala", "R:<http://example.org/koala#hasHabitat>", "C:Student"]
+        text = "\n".join(entries) + "  # seed terms\n"
+        koala = parse_ontology(Path(fx("koala.ofs")).read_text())
+        assert _parse_terms(",".join(entries)) == parse_signature(text, koala) == (
+            Signature.of_kinds({"Koala": "C", "hasHabitat": "R", "Student": "C"})
+        )
         sig = tmp_path / "seed.sig"
-        sig.write_text("\n".join(entries) + "\n")
+        sig.write_text(text)
         base = ["extract", "--flavor", "bot", "--ontology", fx("koala.ofs")]
         modules = []
         for source in (["--terms", ",".join(entries)], ["--signature", str(sig)]):
@@ -435,3 +444,28 @@ class TestNestingLimit:
         for command, code, captured in self.run(MAX_NESTING + 1, tmp_path, capsys):
             assert code == 1, command
             assert f"deep.ofs:1:{column}: Syntax: forms nested deeper than" in captured.err
+
+
+def readme_commands(readme: str) -> list[list[str]]:
+    """The argument lists of the `locmod …` lines in the `sh` blocks of
+    README's "Command line" section, split and globbed as a shell would."""
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        [match for arg in shlex.split(line)[1:] for match in sorted(glob.glob(arg)) or [arg]]
+        for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("locmod ")
+    ]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    commands = readme_commands((root / "README.md").read_text(encoding="utf-8"))
+    assert len(commands) >= 5
+    for argv in commands:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, argv
+        capsys.readouterr()
