@@ -62,8 +62,6 @@ from .model import (
     disj,
     exactly,
     nnf,
-    normalize_axiom,
-    normalize_role,
     signature_of,
 )
 from .oracle import (
@@ -90,7 +88,7 @@ from .semantic import (
     simplify,
     substitute,
 )
-from .syntactic import SyntacticClass, classify_concept, is_syntactically_local
+from .syntactic import is_syntactically_local
 from .tableau import Budget, SatResult, SatStatus, is_satisfiable
 
 __version__ = "0.1.0"

@@ -39,12 +39,7 @@ EXIT_UNSUPPORTED = 2
 EXIT_UNKNOWN_VERDICTS = 3
 EXIT_INVARIANT = 4
 
-_FLAVORS = {
-    "bot": LocalityFlavor.SYN_BOT,
-    "top": LocalityFlavor.SYN_TOP,
-    "sem-bot": LocalityFlavor.SEM_BOT,
-    "sem-top": LocalityFlavor.SEM_TOP,
-}
+_FLAVOR_NAMES = sorted(f.value for f in LocalityFlavor)
 _STAR_FLAVORS = {"star": SYN_STAR, "sem-star": SEM_STAR}
 
 ENV_MAX_STEPS = "LOCMOD_MAX_STEPS"
@@ -112,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--flavor",
         required=True,
-        choices=sorted(_FLAVORS) + sorted(_STAR_FLAVORS),
+        choices=_FLAVOR_NAMES + sorted(_STAR_FLAVORS),
         help="locality notion (star variants alternate top/bottom to a fixpoint)",
     )
     p.add_argument("--refined", action="store_true", help="detect inverse-role tautologies")
@@ -123,14 +118,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="per-axiom locality verdicts")
     _add_input_flags(p)
-    p.add_argument("--flavor", required=True, choices=sorted(_FLAVORS))
+    p.add_argument("--flavor", required=True, choices=_FLAVOR_NAMES)
     p.add_argument("--refined", action="store_true")
     p.add_argument("--strict-verdicts", action="store_true")
     _add_budget_flags(p)
 
     p = sub.add_parser("genuine", help="deduplicated modules for single-axiom signatures")
     _add_input_flags(p, with_signature=False)
-    p.add_argument("--flavor", required=True, choices=sorted(_FLAVORS))
+    p.add_argument("--flavor", required=True, choices=_FLAVOR_NAMES)
     p.add_argument("--refined", action="store_true")
     p.add_argument("--out")
     _add_budget_flags(p)
@@ -246,7 +241,7 @@ def _cmd_extract(args) -> int:
     if args.flavor in _STAR_FLAVORS:
         result = extract_star(onto, sig, _STAR_FLAVORS[args.flavor], **options)
     else:
-        result = extract_module(onto, sig, _FLAVORS[args.flavor], **options)
+        result = extract_module(onto, sig, LocalityFlavor(args.flavor), **options)
     if args.verbose:
         for (step, flavor, round_no), added in trace:
             for a in added:
@@ -270,7 +265,7 @@ def _cmd_extract(args) -> int:
 def _cmd_check(args) -> int:
     onto = _load_ontology(args.ontology, args.strict)
     sig = _load_signature(args, onto)
-    flavor = _FLAVORS[args.flavor]
+    flavor = LocalityFlavor(args.flavor)
     budget = Budget(args.max_steps, args.max_seconds)
     unknowns = 0
     for a in onto.axioms:
@@ -294,7 +289,7 @@ def _cmd_genuine(args) -> int:
     onto = _load_ontology(args.ontology, args.strict)
     budget = Budget(args.max_steps, args.max_seconds)
     results = genuine_modules(
-        onto, _FLAVORS[args.flavor], refined=args.refined, budget=budget
+        onto, LocalityFlavor(args.flavor), refined=args.refined, budget=budget
     )
     chunks = []
     for axiom, result in results:
@@ -308,13 +303,16 @@ def _cmd_genuine(args) -> int:
 
 def _cmd_compare(args) -> int:
     budget = Budget(args.max_steps, args.max_seconds)
-    cfg = SamplingConfig(
-        sample_count=args.samples,
-        inclusion_probability=args.p,
-        rng_seed=args.seed,
-        binned=args.binned,
-        bin_count=args.bins,
-    )
+    try:
+        cfg = SamplingConfig(
+            sample_count=args.samples,
+            inclusion_probability=args.p,
+            rng_seed=args.seed,
+            binned=args.binned,
+            bin_count=args.bins,
+        )
+    except ValueError as exc:  # SamplingConfig is where the options are checked
+        raise _CliError(f"invalid sampling options: {exc}", EXIT_PARSE) from None
     modes = MODES if args.mode == "all" else (args.mode,)
     records = []
     unknowns = 0
@@ -339,7 +337,7 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle(args) -> int:
     onto = _load_ontology(args.ontology, args.strict)
     sig = _load_signature(args, onto)
-    flavor = _FLAVORS[args.flavor]
+    flavor = LocalityFlavor(args.flavor)
     for a in onto.axioms:
         witness = find_countermodel(substitute(a, sig, flavor), args.max_domain)
         if witness is None:

@@ -50,7 +50,6 @@ from .model import (
     LocalityFlavor,
     Ontology,
     Signature,
-    normalize_role,
 )
 from .semantic import Locality, verdict_in
 from .syntactic import is_syntactically_local
@@ -124,17 +123,11 @@ class DifferenceRecord:
 # ---------------------------------------------------------------------------
 
 def _entities(o: Ontology) -> list[tuple[str, str]]:
+    """The ontology's concept and role names as (name, kind) pairs."""
     sig = o.names
-    return [("C", n) for n in sorted(sig.concept_names)] + [
-        ("R", n) for n in sorted(sig.role_names)
+    return [(n, "C") for n in sorted(sig.concept_names)] + [
+        (n, "R") for n in sorted(sig.role_names)
     ]
-
-
-def _make_signature(chosen: list[tuple[str, str]]) -> Signature:
-    return Signature(
-        frozenset(n for k, n in chosen if k == "C"),
-        frozenset(n for k, n in chosen if k == "R"),
-    )
 
 
 def sample_signatures(o: Ontology, cfg: SamplingConfig) -> list[Signature]:
@@ -149,7 +142,7 @@ def sample_signatures(o: Ontology, cfg: SamplingConfig) -> list[Signature]:
     m = len(entities)
     if m <= _EXHAUSTIVE_LIMIT:
         return [
-            _make_signature([entities[i] for i in range(m) if mask >> i & 1])
+            Signature.of_kinds(dict(entities[i] for i in range(m) if mask >> i & 1))
             for mask in range(1 << m)
         ]
     rng = random.Random(cfg.rng_seed)
@@ -160,11 +153,11 @@ def sample_signatures(o: Ontology, cfg: SamplingConfig) -> list[Signature]:
             k = i % cfg.bin_count
             lo, hi = edges[k], min(edges[k + 1], m)
             size = rng.randint(lo, hi)
-            out.append(_make_signature(rng.sample(entities, size)))
+            out.append(Signature.of_kinds(dict(rng.sample(entities, size))))
     else:
         p = cfg.inclusion_probability
         for _ in range(cfg.sample_count):
-            out.append(_make_signature([e for e in entities if rng.random() < p]))
+            out.append(Signature.of_kinds(dict(e for e in entities if rng.random() < p)))
     return out
 
 
@@ -178,7 +171,7 @@ def classify_culprit(a: Axiom) -> CulpritType:
     definition whose conjuncts put both a universal and an existential or
     min-cardinality restriction on one role (type 2)."""
     if isinstance(a, InverseRoles):
-        if normalize_role(Inverse(a.left)) == normalize_role(a.right):
+        if Inverse(a.left) == a.right:
             return CulpritType.TYPE1
         return CulpritType.NONE
     if isinstance(a, EquivalentClasses):
@@ -189,11 +182,11 @@ def classify_culprit(a: Axiom) -> CulpritType:
             existential = set()
             for part in defn.args:
                 if isinstance(part, ForAll):
-                    universal.add(normalize_role(part.role))
+                    universal.add(part.role)
                 elif isinstance(part, Exists):
-                    existential.add(normalize_role(part.role))
+                    existential.add(part.role)
                 elif isinstance(part, AtLeast) and part.n >= 1:
-                    existential.add(normalize_role(part.role))
+                    existential.add(part.role)
             if universal & existential:
                 return CulpritType.TYPE2
     return CulpritType.NONE

@@ -1,10 +1,11 @@
 """Immutable syntax model for SHIQ-style ontologies.
 
 Concept and role expressions, axioms, ontologies, and signatures are frozen
-dataclasses: build once, hash, share freely. The normalization helpers here
-(negation normal form, role normalization, axiom normalization) are the
-common ground for the locality checkers, the tableau, and the brute-force
-evaluator.
+dataclasses: build once, hash, share freely. Roles and axioms are built in
+normal form, so nothing downstream normalizes them: an `Inverse` wraps a
+role name, and `Domain`, `Range`, `DisjointClasses` and `exactly` build
+the inclusions and conjunctions they stand for. Negation normal form is
+computed here for the tableau and the semantic checker.
 """
 
 from __future__ import annotations
@@ -35,20 +36,6 @@ class RoleName(Role):
 
 
 @dataclass(frozen=True)
-class Inverse(Role):
-    """Inverse of a role expression.
-
-    Arbitrary nesting is representable; `normalize_role` collapses double
-    inverses so that normal forms wrap a plain `RoleName` at most once.
-    """
-
-    role: Role
-
-    def __str__(self):
-        return f"{self.role}⁻"
-
-
-@dataclass(frozen=True)
 class EmptyRoleType(Role):
     """The empty relation. Appears only after semantic substitution."""
 
@@ -71,21 +58,29 @@ EMPTY_ROLE = EmptyRoleType()
 UNIVERSAL_ROLE = UniversalRoleType()
 
 
-def normalize_role(r: Role) -> Role:
-    """Collapse nested inverses; inversion fixes the two constant roles."""
-    if isinstance(r, Inverse):
-        inner = normalize_role(r.role)
-        if isinstance(inner, Inverse):
-            return inner.role
-        if isinstance(inner, (EmptyRoleType, UniversalRoleType)):
-            return inner
-        return Inverse(inner)
-    return r
+@dataclass(frozen=True)
+class Inverse(Role):
+    """Inverse of a role, built in normal form: the inverse of an inverse
+    is the role inside it, and inversion fixes the two constant roles, so
+    an `Inverse` always wraps a `RoleName`."""
+
+    role: RoleName
+
+    # `role` defaults to None because copy and pickle call `cls.__new__(cls)`
+    def __new__(cls, role=None):
+        t = type(role)
+        if t is Inverse:
+            return role.role
+        if t is EmptyRoleType or t is UniversalRoleType:
+            return role
+        return object.__new__(cls)
+
+    def __str__(self):
+        return f"{self.role}⁻"
 
 
 def role_name_of(r: Role) -> str | None:
-    """Underlying role name, looking through inverses; None for constants."""
-    r = normalize_role(r)
+    """Underlying role name, looking through an inverse; None for constants."""
     if isinstance(r, Inverse):
         r = r.role
     if isinstance(r, RoleName):
@@ -329,31 +324,19 @@ class Transitive(Axiom):
         return f"Trans({self.role})"
 
 
-@dataclass(frozen=True)
-class Domain(Axiom):
-    role: Role
-    filler: Concept
-
-    def __str__(self):
-        return f"Domain({self.role}, {self.filler})"
+def Domain(role: Role, filler: Concept) -> Axiom:
+    """The domain axiom of `role`, built as the inclusion ∃R.⊤ ⊑ C."""
+    return SubClassOf(Exists(role, TOP), filler)
 
 
-@dataclass(frozen=True)
-class Range(Axiom):
-    role: Role
-    filler: Concept
-
-    def __str__(self):
-        return f"Range({self.role}, {self.filler})"
+def Range(role: Role, filler: Concept) -> Axiom:
+    """The range axiom of `role`, built as the inclusion ⊤ ⊑ ∀R.C."""
+    return SubClassOf(TOP, ForAll(role, filler))
 
 
-@dataclass(frozen=True)
-class DisjointClasses(Axiom):
-    left: Concept
-    right: Concept
-
-    def __str__(self):
-        return f"Disjoint({self.left}, {self.right})"
+def DisjointClasses(left: Concept, right: Concept) -> Axiom:
+    """The disjointness of two concepts, built as the inclusion C ⊓ D ⊑ ⊥."""
+    return SubClassOf(conj(left, right), BOTTOM)
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +536,9 @@ def axiom_shape(a: Axiom) -> tuple:
     if t is SubClassOf:
         structure = (t, _concept_shape(a.sub, concepts, roles, individuals),
                      _concept_shape(a.sup, concepts, roles, individuals))
-    elif t is EquivalentClasses or t is DisjointClasses:
+    elif t is EquivalentClasses:
         structure = (t, _concept_shape(a.left, concepts, roles, individuals),
                      _concept_shape(a.right, concepts, roles, individuals))
-    elif t is Domain or t is Range:
-        structure = (t, _role_shape(a.role, roles),
-                     _concept_shape(a.filler, concepts, roles, individuals))
     elif t is SubRoleOf:
         structure = (t, _role_shape(a.sub, roles), _role_shape(a.sup, roles))
     elif t is EquivalentRoles or t is InverseRoles:
@@ -685,27 +665,6 @@ def _nnf_neg(c: Concept) -> Concept:
 def complement(c: Concept) -> Concept:
     """Negation normal form of ¬c."""
     return _nnf_neg(c)
-
-
-# ---------------------------------------------------------------------------
-# Axiom normalization
-# ---------------------------------------------------------------------------
-
-def normalize_axiom(a: Axiom) -> Axiom:
-    """Reduce a derived axiom form to a plain inclusion.
-
-    Domain(R, C) becomes ∃R.⊤ ⊑ C, Range(R, C) becomes ⊤ ⊑ ∀R.C, and
-    DisjointClasses(C, D) becomes C ⊓ D ⊑ ⊥. Everything else passes
-    through unchanged; equivalences keep their own form since the locality
-    grammars treat ≡ directly.
-    """
-    if isinstance(a, Domain):
-        return SubClassOf(Exists(a.role, TOP), a.filler)
-    if isinstance(a, Range):
-        return SubClassOf(TOP, ForAll(a.role, a.filler))
-    if isinstance(a, DisjointClasses):
-        return SubClassOf(conj(a.left, a.right), BOTTOM)
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ from .model import (
     BottomType,
     Concept,
     ConceptName,
-    DisjointClasses,
-    Domain,
     EmptyRoleType,
     EquivalentClasses,
     EquivalentRoles,
@@ -40,7 +38,6 @@ from .model import (
     Not,
     OneOf,
     Or,
-    Range,
     Role,
     RoleName,
     Signature,
@@ -49,7 +46,6 @@ from .model import (
     TopType,
     Transitive,
     UniversalRoleType,
-    normalize_role,
     signature_of,
 )
 
@@ -145,14 +141,11 @@ def eval_concept(c: Concept, interp: Interpretation) -> frozenset[int]:
 
 
 def holds(a: Axiom, interp: Interpretation) -> bool:
-    """Satisfaction of a single axiom, straight from the semantics (derived
-    forms are checked directly, independently of `normalize_axiom`)."""
+    """Satisfaction of a single axiom, straight from the semantics."""
     if isinstance(a, SubClassOf):
         return eval_concept(a.sub, interp) <= eval_concept(a.sup, interp)
     if isinstance(a, EquivalentClasses):
         return eval_concept(a.left, interp) == eval_concept(a.right, interp)
-    if isinstance(a, DisjointClasses):
-        return not (eval_concept(a.left, interp) & eval_concept(a.right, interp))
     if isinstance(a, SubRoleOf):
         return eval_role(a.sub, interp) <= eval_role(a.sup, interp)
     if isinstance(a, EquivalentRoles):
@@ -165,12 +158,6 @@ def holds(a: Axiom, interp: Interpretation) -> bool:
         return all(
             (x, w) in pairs for x, y in pairs for z, w in pairs if y == z
         )
-    if isinstance(a, Domain):
-        pairs = eval_role(a.role, interp)
-        return frozenset(x for x, _ in pairs) <= eval_concept(a.filler, interp)
-    if isinstance(a, Range):
-        pairs = eval_role(a.role, interp)
-        return frozenset(y for _, y in pairs) <= eval_concept(a.filler, interp)
     raise TypeError(f"not an axiom: {a!r}")
 
 
@@ -195,7 +182,6 @@ def _transpose(succ: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def _compile_role(r: Role, ridx: dict[str, int]):
-    r = normalize_role(r)
     if isinstance(r, RoleName):
         k = ridx[r.name]
         return lambda env: env[1][k]
@@ -306,12 +292,6 @@ def _compile_axiom(a: Axiom, cidx, ridx, iidx):
             _compile_concept(a.right, cidx, ridx, iidx),
         )
         return lambda env: f(env) == g(env)
-    if isinstance(a, DisjointClasses):
-        f, g = (
-            _compile_concept(a.left, cidx, ridx, iidx),
-            _compile_concept(a.right, cidx, ridx, iidx),
-        )
-        return lambda env: not (f(env) & g(env))
     if isinstance(a, SubRoleOf):
         f, g = _compile_role(a.sub, ridx), _compile_role(a.sup, ridx)
 
@@ -342,24 +322,6 @@ def _compile_axiom(a: Axiom, cidx, ridx, iidx):
             return True
 
         return trans_ok
-    if isinstance(a, Domain):
-        f = _compile_role(a.role, ridx)
-        g = _compile_concept(a.filler, cidx, ridx, iidx)
-
-        def dom_ok(env):
-            succ, fm = f(env), g(env)
-            return all(not succ[x] or (fm >> x) & 1 for x in range(env[3]))
-
-        return dom_ok
-    if isinstance(a, Range):
-        f = _compile_role(a.role, ridx)
-        g = _compile_concept(a.filler, cidx, ridx, iidx)
-
-        def rng_ok(env):
-            succ, fm = f(env), g(env)
-            return not (reduce(lambda m, row: m | row, succ, 0) & ~fm)
-
-        return rng_ok
     raise TypeError(f"not an axiom: {a!r}")
 
 

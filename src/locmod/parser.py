@@ -57,8 +57,6 @@ from .model import (
     Transitive,
     UniversalRoleType,
     EmptyRoleType,
-    normalize_axiom,
-    normalize_role,
     signature_of,
 )
 
@@ -316,7 +314,7 @@ def parse_ontology(text: str, strict: bool = False) -> Ontology:
         if parsed is _SKIPPED:
             skipped_annotations += 1
             continue
-        axioms.extend(map(normalize_axiom, parsed))
+        axioms.extend(parsed)
 
     if errors:
         raise ParseFailure(errors)
@@ -449,7 +447,7 @@ def _parse_role(form: _Form, names: _NameTable) -> Role:
     if form.text == "ObjectInverseOf":
         if len(form.children) != 1:
             _syntax_error(form, "ObjectInverseOf takes one property expression", names)
-        return normalize_role(Inverse(_parse_role(form.children[0], names)))
+        return Inverse(_parse_role(form.children[0], names))
     _unsupported(form, names)
 
 
@@ -550,8 +548,6 @@ def _ser_axiom(a: Axiom) -> str:
         return f"SubClassOf({_ser_concept(a.sub)} {_ser_concept(a.sup)})"
     if isinstance(a, EquivalentClasses):
         return f"EquivalentClasses({_ser_concept(a.left)} {_ser_concept(a.right)})"
-    if isinstance(a, DisjointClasses):
-        return f"DisjointClasses({_ser_concept(a.left)} {_ser_concept(a.right)})"
     if isinstance(a, SubRoleOf):
         return f"SubObjectPropertyOf({_ser_role(a.sub)} {_ser_role(a.sup)})"
     if isinstance(a, EquivalentRoles):
@@ -560,10 +556,6 @@ def _ser_axiom(a: Axiom) -> str:
         return f"InverseObjectProperties({_ser_role(a.left)} {_ser_role(a.right)})"
     if isinstance(a, Transitive):
         return f"TransitiveObjectProperty({_ser_role(a.role)})"
-    if isinstance(a, Domain):
-        return f"ObjectPropertyDomain({_ser_role(a.role)} {_ser_concept(a.filler)})"
-    if isinstance(a, Range):
-        return f"ObjectPropertyRange({_ser_role(a.role)} {_ser_concept(a.filler)})"
     raise TypeError(f"not an axiom: {a!r}")
 
 

@@ -26,8 +26,6 @@ from .model import (
     BottomType,
     Concept,
     ConceptName,
-    DisjointClasses,
-    Domain,
     EMPTY_ROLE,
     EmptyRoleType,
     EquivalentClasses,
@@ -41,7 +39,6 @@ from .model import (
     OneOf,
     Ontology,
     Or,
-    Range,
     Role,
     Signature,
     SubClassOf,
@@ -54,8 +51,6 @@ from .model import (
     conj,
     disj,
     nnf,
-    normalize_axiom,
-    normalize_role,
     role_name_of,
 )
 from .tableau import Budget, DEFAULT_BUDGET, SatResult, SatStatus, is_satisfiable
@@ -168,8 +163,6 @@ def substitute(a: Axiom, sig: Signature, flavor: LocalityFlavor) -> Axiom:
         return SubClassOf(sc(a.sub), sc(a.sup))
     if isinstance(a, EquivalentClasses):
         return EquivalentClasses(sc(a.left), sc(a.right))
-    if isinstance(a, DisjointClasses):
-        return DisjointClasses(sc(a.left), sc(a.right))
     if isinstance(a, SubRoleOf):
         return SubRoleOf(sr(a.sub), sr(a.sup))
     if isinstance(a, EquivalentRoles):
@@ -178,10 +171,6 @@ def substitute(a: Axiom, sig: Signature, flavor: LocalityFlavor) -> Axiom:
         return InverseRoles(sr(a.left), sr(a.right))
     if isinstance(a, Transitive):
         return Transitive(sr(a.role))
-    if isinstance(a, Domain):
-        return Domain(sr(a.role), sc(a.filler))
-    if isinstance(a, Range):
-        return Range(sr(a.role), sc(a.filler))
     raise TypeError(f"not an axiom: {a!r}")
 
 
@@ -225,7 +214,7 @@ def _fold(c: Concept, role: Role | None, args) -> Concept:
         if isinstance(a, (TopType, BottomType)):
             return BOTTOM if isinstance(a, TopType) else TOP
         return a.arg if isinstance(a, Not) else Not(a)
-    empty = isinstance(normalize_role(role), EmptyRoleType)
+    empty = isinstance(role, EmptyRoleType)
     if isinstance(c, ForAll):
         return TOP if empty or isinstance(a, TopType) else ForAll(role, a)
     if isinstance(c, AtMost):
@@ -284,11 +273,11 @@ def is_semantically_local(
     flavor: LocalityFlavor,
     budget: Budget | None = None,
 ) -> Verdict:
-    """Decide semantic locality of `a` w.r.t. `sig` for the given flavor,
-    on the normalized axiom. Nothing is memoized: `verdict_in` keeps the
-    definite verdicts of an ontology's axioms."""
+    """Decide semantic locality of `a` w.r.t. `sig` for the given flavor.
+    Nothing is memoized: `verdict_in` keeps the definite verdicts of an
+    ontology's axioms."""
     _check_semantic(flavor)
-    s = substitute(normalize_axiom(a), sig, flavor)
+    s = substitute(a, sig, flavor)
     if isinstance(s, (SubClassOf, EquivalentClasses)):
         result = _refutation(s, budget or DEFAULT_BUDGET)
         if result.status is _GAVE_UP:
@@ -299,18 +288,16 @@ def is_semantically_local(
         valid = (
             isinstance(s.sub, EmptyRoleType)
             or isinstance(s.sup, UniversalRoleType)
-            or normalize_role(s.sub) == normalize_role(s.sup)
+            or s.sub == s.sup
         )
     elif isinstance(s, EquivalentRoles):
-        valid = normalize_role(s.left) == normalize_role(s.right)
+        valid = s.left == s.right
     elif isinstance(s, InverseRoles):
-        valid = normalize_role(Inverse(s.left)) == normalize_role(s.right)
+        valid = Inverse(s.left) == s.right
     elif isinstance(s, Transitive):
-        valid = isinstance(
-            normalize_role(s.role), (EmptyRoleType, UniversalRoleType)
-        )
+        valid = isinstance(s.role, (EmptyRoleType, UniversalRoleType))
     else:
-        raise TypeError(f"not a normalized axiom: {s!r}")
+        raise TypeError(f"not an axiom: {s!r}")
     return LOCAL if valid else NON_LOCAL
 
 

@@ -4,8 +4,8 @@ A concept is classified into Bot(Σ) when the substitution that sends
 non-Σ names to the empty set (bottom flavor) or the full domain (top
 flavor) forces it to be equivalent to ⊥, and into Top(Σ) when it is
 forced to ⊤. Axioms are local when that classification alone makes them
-valid. The classification is a sufficient condition: a concept may be
-`NEITHER` and still collapse semantically (the price of staying
+valid. The classification is a sufficient condition: a concept may be in
+neither class and still collapse semantically (the price of staying
 polynomial). Every production is sound for the corresponding semantic
 notion, so an axiom called local for a flavor is semantically local for
 the flavor of the same polarity. In particular ≥n R.C with n ≥ 2 is never
@@ -24,7 +24,6 @@ extractor propagates counters (Dowling & Gallier's Horn propagation).
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
-from enum import Enum
 
 from .model import (
     And,
@@ -32,9 +31,7 @@ from .model import (
     AtMost,
     Axiom,
     BottomType,
-    Concept,
     ConceptName,
-    EmptyRoleType,
     EquivalentClasses,
     EquivalentRoles,
     Exists,
@@ -51,40 +48,20 @@ from .model import (
     SubRoleOf,
     TopType,
     Transitive,
-    UniversalRoleType,
-    normalize_axiom,
-    normalize_role,
     role_name_of,
 )
 
-__all__ = [
-    "Circuit", "SyntacticClass", "classify_concept", "compile_circuit", "is_syntactically_local"
-]
-
-
-class SyntacticClass(Enum):
-    IN_BOT = "bot"
-    IN_TOP = "top"
-    NEITHER = "neither"
-
-
-_SYN_BOT = LocalityFlavor.SYN_BOT  # a module name reads faster than a member
-
-
-def _check_syntactic(flavor: LocalityFlavor):
-    if not flavor.is_syntactic:
-        raise ValueError(f"expected a syntactic flavor, got {flavor}")
+__all__ = ["Circuit", "compile_circuit", "is_syntactically_local"]
 
 
 def _role_name(r: Role) -> str:
     """The underlying role name: inversion is transparent, inv(P) is in Σ
     exactly when P is. The substitution constants must not reach the
     syntactic checker."""
-    if isinstance(r, (EmptyRoleType, UniversalRoleType)) or (
-        isinstance(r, Inverse) and isinstance(r.role, (EmptyRoleType, UniversalRoleType))
-    ):
+    name = role_name_of(r)
+    if name is None:
         raise ValueError("substituted role constants have no syntactic classification")
-    return role_name_of(r)
+    return name
 
 
 def _concept(c, b, bot):
@@ -137,7 +114,7 @@ def _concept(c, b, bot):
 
 
 def _nonlocal(a, b, bot, refined):
-    """Non-locality of the normalized axiom `a` over the builder `b`."""
+    """Non-locality of the axiom `a` over the builder `b`."""
     if isinstance(a, SubClassOf):
         nb = _concept(a.sub, b, bot)[0]
         if nb is False:  # the subclass is in Bot(Σ)
@@ -153,11 +130,11 @@ def _nonlocal(a, b, bot, refined):
     if isinstance(a, Transitive):
         return b.role(_role_name(a.role))
     if isinstance(a, InverseRoles) and refined:
-        if normalize_role(Inverse(a.left)) == normalize_role(a.right):
+        if Inverse(a.left) == a.right:
             return False
     if isinstance(a, (EquivalentRoles, InverseRoles)):
         return b.or_((b.role(_role_name(a.left)), b.role(_role_name(a.right))))
-    raise TypeError(f"not a normalized axiom: {a!r}")
+    raise TypeError(f"not an axiom: {a!r}")
 
 
 class _Evaluator:
@@ -171,16 +148,6 @@ class _Evaluator:
         self.role = sig.role_names.__contains__
 
 
-def classify_concept(c: Concept, sig: Signature, flavor: LocalityFlavor) -> SyntacticClass:
-    """Classify `c` as IN_BOT, IN_TOP, or NEITHER for the given flavor in a
-    single recursive pass."""
-    _check_syntactic(flavor)
-    nb, nt = _concept(c, _Evaluator(sig), flavor is _SYN_BOT)
-    if not nb:
-        return SyntacticClass.IN_BOT
-    return SyntacticClass.NEITHER if nt else SyntacticClass.IN_TOP
-
-
 def is_syntactically_local(
     a: Axiom,
     sig: Signature,
@@ -189,15 +156,16 @@ def is_syntactically_local(
 ) -> bool:
     """Decide syntactic locality of `a` w.r.t. `sig`.
 
-    Derived axiom forms (domain, range, disjointness) are reduced first.
+    The grammar reads `a` as built: domain, range and disjointness axioms
+    are inclusions from construction on, and an inverse wraps a role name.
     Role axioms are decided on role names alone. With `refined` set, an
-    inverse-role axiom whose two sides are inverses of each other after
-    normalization counts as local regardless of the signature; this is off
-    by default so the checker reproduces the plain grammar behavior. A
-    semantic flavor gets the grammar of its polarity, so a local answer
-    implies semantic locality.
+    inverse-role axiom whose two sides are inverses of each other counts as
+    local regardless of the signature; this is off by default so the
+    checker reproduces the plain grammar behavior. A semantic flavor gets
+    the grammar of its polarity, so a local answer implies semantic
+    locality.
     """
-    return not _nonlocal(normalize_axiom(a), _Evaluator(sig), flavor.is_bottom, refined)
+    return not _nonlocal(a, _Evaluator(sig), flavor.is_bottom, refined)
 
 
 class Circuit:
@@ -291,7 +259,7 @@ def compile_circuit(axioms: Sequence[Axiom], flavor: LocalityFlavor, refined=Fal
     bot = flavor.is_bottom
     always: list[int] = []
     for i, a in enumerate(axioms):
-        root = _nonlocal(normalize_axiom(a), b, bot, refined)
+        root = _nonlocal(a, b, bot, refined)
         if root is True:
             always.append(i)
         elif root is not False:

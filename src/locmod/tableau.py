@@ -68,7 +68,6 @@ from .model import (
     Signature,
     UniversalRoleType,
     complement,
-    normalize_role,
     signature_of,
 )
 from .oracle import Interpretation
@@ -138,12 +137,10 @@ def _individuals(c: Concept) -> set[str] | None:
     stack = [c]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, AtMost) and isinstance(
-            normalize_role(cur.role), UniversalRoleType
-        ):
+        if isinstance(cur, AtMost) and isinstance(cur.role, UniversalRoleType):
             return None
         if isinstance(cur, AtLeast):
-            if cur.n >= 2 and isinstance(normalize_role(cur.role), UniversalRoleType):
+            if cur.n >= 2 and isinstance(cur.role, UniversalRoleType):
                 return None
             stack.append(cur.filler)
         elif isinstance(cur, OneOf):
@@ -215,9 +212,7 @@ class _State:
             )
         elif t is BottomType:
             self.clash = True
-        elif (t is Exists or t is AtLeast and c.n >= 1) and type(
-            normalize_role(c.role)
-        ) is EmptyRoleType:
+        elif (t is Exists or t is AtLeast and c.n >= 1) and type(c.role) is EmptyRoleType:
             self.clash = True
         self.agenda.append((x, c))
 
@@ -225,7 +220,7 @@ class _State:
         """Add the R-edge x→y and push the ∀-concepts of both ends along it."""
         if y in self.nodes[x].nbrs.get(role, ()):
             return
-        inv = normalize_role(Inverse(role))
+        inv = Inverse(role)
         for a, r, b in ((x, role, y), (y, inv, x)):
             ends = self.nodes[a].nbrs.setdefault(r, {})
             ends[b] = None
@@ -306,7 +301,7 @@ class _State:
         elif t is OneOf:
             self.tag(x, c.individual)
         elif t is ForAll:
-            role = normalize_role(c.role)
+            role = c.role
             if type(role) is UniversalRoleType:
                 self.univ.append(c.filler)
                 self.trail.append((self.univ.pop, -1))
@@ -321,7 +316,7 @@ class _State:
         elif t is AtMost:
             # ≤ over the universal role is behind the safety valve; over
             # the empty role it always holds
-            role = normalize_role(c.role)
+            role = c.role
             if type(role) is not EmptyRoleType:
                 node.atmosts.append((c, role, complement(c.filler)))
                 self.trail.append((node.atmosts.pop, -1))
@@ -332,7 +327,7 @@ class _State:
 
     def witness(self, x: int, c: Exists | AtLeast, n: int) -> None:
         """Give x n pairwise-distinct R-neighbours carrying C unless it has them."""
-        role = normalize_role(c.role)
+        role = c.role
         if type(role) is UniversalRoleType:
             # n == 1 here; larger n is behind the safety valve
             if not any(

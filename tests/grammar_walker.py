@@ -1,13 +1,14 @@
 """The recursive Bot(Σ)/Top(Σ) classifier that `locmod.syntactic` used
 before its grammar was written once over a builder, kept as a reference:
-`classify_concept` and `is_syntactically_local` here must equal the
-package's on every input. Like the package, it leaves ≥n R.C with n ≥ 2
-out of Top(Σ): with R outside Σ it is ⊤ only in domains of at least n
-elements."""
+`is_syntactically_local` here must equal the package's on every input,
+and `classify_concept` the class the package's grammar gives a concept.
+Like the package, it leaves ≥n R.C with n ≥ 2 out of Top(Σ): with R
+outside Σ it is ⊤ only in domains of at least n elements."""
 
 from __future__ import annotations
 
-from locmod import SyntacticClass
+from enum import Enum
+
 from locmod.model import (
     And,
     AtLeast,
@@ -16,7 +17,6 @@ from locmod.model import (
     BottomType,
     Concept,
     ConceptName,
-    EmptyRoleType,
     EquivalentClasses,
     EquivalentRoles,
     Exists,
@@ -33,11 +33,14 @@ from locmod.model import (
     SubRoleOf,
     TopType,
     Transitive,
-    UniversalRoleType,
-    normalize_axiom,
-    normalize_role,
     role_name_of,
 )
+
+
+class SyntacticClass(Enum):
+    IN_BOT = "bot"
+    IN_TOP = "top"
+    NEITHER = "neither"
 
 
 def _role_outside(r: Role, sig: Signature) -> bool:
@@ -46,11 +49,9 @@ def _role_outside(r: Role, sig: Signature) -> bool:
     Inversion is transparent: inv(P) is outside Σ exactly when P is. The
     substitution constants must not reach the syntactic checker.
     """
-    if isinstance(r, (EmptyRoleType, UniversalRoleType)) or (
-        isinstance(r, Inverse) and isinstance(r.role, (EmptyRoleType, UniversalRoleType))
-    ):
-        raise ValueError("substituted role constants have no syntactic classification")
     name = role_name_of(r)
+    if name is None:
+        raise ValueError("substituted role constants have no syntactic classification")
     return name not in sig.role_names
 
 
@@ -135,13 +136,12 @@ def is_syntactically_local(
 ) -> bool:
     """Decide syntactic locality of `a` w.r.t. `sig`.
 
-    Derived axiom forms (domain, range, disjointness) are reduced first.
     Role axioms are decided on role names alone. With `refined` set, an
-    inverse-role axiom whose two sides are inverses of each other after
-    normalization counts as local regardless of the signature; this is off
-    by default so the checker reproduces the plain grammar behavior.
+    inverse-role axiom whose two sides are inverses of each other counts as
+    local regardless of the signature; this is off by default so the
+    checker reproduces the plain grammar behavior.
     """
-    return _axiom_local(normalize_axiom(a), sig, flavor, refined)
+    return _axiom_local(a, sig, flavor, refined)
 
 
 def _axiom_local(a, sig, flavor, refined) -> bool:
@@ -161,7 +161,7 @@ def _axiom_local(a, sig, flavor, refined) -> bool:
     if isinstance(a, EquivalentRoles):
         return _role_outside(a.left, sig) and _role_outside(a.right, sig)
     if isinstance(a, InverseRoles):
-        if refined and normalize_role(Inverse(a.left)) == normalize_role(a.right):
+        if refined and Inverse(a.left) == a.right:
             return True
         return _role_outside(a.left, sig) and _role_outside(a.right, sig)
-    raise TypeError(f"not a normalized axiom: {a!r}")
+    raise TypeError(f"not an axiom: {a!r}")

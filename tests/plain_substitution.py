@@ -66,7 +66,7 @@ def _concept(c: Concept, sig: Signature, repl_c: Concept, repl_r: Role) -> Conce
 
 
 def substitute(a: Axiom, sig: Signature, flavor: LocalityFlavor) -> Axiom:
-    """The substitution of the normalized axiom `a`, unfolded."""
+    """The substitution of the axiom `a`, unfolded."""
     bottom = flavor.is_bottom
     repl_c, repl_r = (BOTTOM, EMPTY_ROLE) if bottom else (TOP, UNIVERSAL_ROLE)
 
@@ -88,4 +88,4 @@ def substitute(a: Axiom, sig: Signature, flavor: LocalityFlavor) -> Axiom:
         return InverseRoles(sr(a.left), sr(a.right))
     if isinstance(a, Transitive):
         return Transitive(sr(a.role))
-    raise TypeError(f"not a normalized axiom: {a!r}")
+    raise TypeError(f"not an axiom: {a!r}")

@@ -371,6 +371,19 @@ class TestUsage:
         assert code == 1
         assert capsys.readouterr().err == f"{var} must be a number, not 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [
+            (["--samples", "0"], "sample count must be positive"),
+            (["--p", "1.5"], "inclusion probability must be strictly between 0 and 1"),
+            (["--binned", "--bins", "0"], "bin count must be positive"),
+        ],
+    )
+    def test_bad_sampling_option_is_a_usage_error(self, capsys, flags, problem):
+        code = main(["compare", "--ontology", fx("taxonomy.ofs")] + flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"invalid sampling options: {problem}\n"
+
 
 class TestTermNames:
     def test_terms_and_signature_file_reduce_names_alike(self, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -31,12 +34,10 @@ from locmod import (
     eval_concept,
     exactly,
     nnf,
-    normalize_axiom,
-    normalize_role,
     signature_of,
 )
 from conftest import CORPUS_NAMES, load_fixture
-from genlib import random_axiom, random_concept, random_interpretation
+from genlib import random_axiom, random_concept, random_interpretation, random_role
 
 A, B = ConceptName("A"), ConceptName("B")
 R = RoleName("R")
@@ -105,48 +106,73 @@ class TestNnf:
 
 
 class TestNormalizeRole:
+    """Roles are built in normal form: an `Inverse` wraps a role name."""
+
     def test_double_inverse_collapses(self):
         p = RoleName("P")
-        assert normalize_role(Inverse(Inverse(p))) == p
-        assert normalize_role(Inverse(Inverse(Inverse(p)))) == Inverse(p)
+        assert Inverse(Inverse(p)) is p
+        assert Inverse(Inverse(Inverse(p))) == Inverse(p)
 
     def test_single_inverse_is_normal(self):
-        assert normalize_role(Inverse(RoleName("P"))) == Inverse(RoleName("P"))
+        p = RoleName("P")
+        assert type(Inverse(p)) is Inverse and Inverse(p).role is p
 
     def test_constants_are_fixed_points(self):
-        assert normalize_role(Inverse(EMPTY_ROLE)) == EMPTY_ROLE
-        assert normalize_role(Inverse(UNIVERSAL_ROLE)) == UNIVERSAL_ROLE
+        assert Inverse(EMPTY_ROLE) is EMPTY_ROLE
+        assert Inverse(UNIVERSAL_ROLE) is UNIVERSAL_ROLE
 
     def test_idempotent(self):
+        # nothing is left to normalize: a chain of inversions over a name is
+        # the name or its one inverse, by the parity of its length
         rng = random.Random(3)
         for _ in range(100):
-            r = RoleName(rng.choice("rs"))
-            for _ in range(rng.randrange(4)):
+            p = RoleName(rng.choice("rs"))
+            r, n = p, rng.randrange(8)
+            for _ in range(n):
                 r = Inverse(r)
-            assert normalize_role(normalize_role(r)) == normalize_role(r)
+            assert r == (Inverse(p) if n % 2 else p)
+            assert (r.role if n % 2 else r) is p
+
+    def test_copies_equal_the_original(self):
+        # copy, deepcopy and pickle rebuild an instance by `cls.__new__(cls)`
+        r = Inverse(RoleName("P"))
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(twin) is Inverse
+            assert twin == r and hash(twin) == hash(r)
+        assert dataclasses.replace(r, role=Inverse(RoleName("Q"))) == RoleName("Q")
 
 
 class TestNormalizeAxiom:
+    """`Domain`, `Range` and `DisjointClasses` build the inclusions they
+    stand for; the other axioms keep their own form, since the locality
+    grammars treat ≡ and the role axioms directly."""
+
     def test_domain(self):
         eats, animal = RoleName("eats"), ConceptName("Animal")
-        assert normalize_axiom(Domain(eats, animal)) == SubClassOf(Exists(eats, TOP), animal)
+        assert Domain(eats, animal) == SubClassOf(Exists(eats, TOP), animal)
 
     def test_range(self):
         eats, food = RoleName("eats"), ConceptName("Food")
-        assert normalize_axiom(Range(eats, food)) == SubClassOf(TOP, ForAll(eats, food))
+        assert Range(eats, food) == SubClassOf(TOP, ForAll(eats, food))
 
     def test_disjointness(self):
-        assert normalize_axiom(DisjointClasses(A, B)) == SubClassOf(And((A, B)), BOTTOM)
+        assert DisjointClasses(A, B) == SubClassOf(And((A, B)), BOTTOM)
 
     def test_plain_axioms_pass_through(self):
         axiom = EquivalentClasses(A, B)
-        assert normalize_axiom(axiom) is axiom
+        assert (axiom.left, axiom.right) == (A, B)
+        # a built domain axiom is its inclusion: it prints and deduplicates so
+        eats = RoleName("eats")
+        o = Ontology((Domain(eats, A), SubClassOf(Exists(eats, TOP), A)))
+        assert len(o) == 1 and str(o.axioms[0]) == "∃eats.⊤ ⊑ A"
 
     def test_signature_preserved(self):
         rng = random.Random(4)
         for _ in range(300):
-            a = random_axiom(rng)
-            assert signature_of(normalize_axiom(a)) == signature_of(a)
+            r, c, d = random_role(rng), random_concept(rng), random_concept(rng)
+            assert signature_of(Domain(r, c)) == signature_of(r) | signature_of(c)
+            assert signature_of(Range(r, c)) == signature_of(r) | signature_of(c)
+            assert signature_of(DisjointClasses(c, d)) == signature_of(c) | signature_of(d)
 
 
 class TestConstruction:

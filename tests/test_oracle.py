@@ -6,6 +6,8 @@ from locmod import (
     AtLeast,
     BOTTOM,
     ConceptName,
+    DisjointClasses,
+    Domain,
     EquivalentClasses,
     ForAll,
     Interpretation,
@@ -14,6 +16,7 @@ from locmod import (
     Locality,
     LocalityFlavor,
     OneOf,
+    Range,
     RoleName,
     Signature,
     SubClassOf,
@@ -22,6 +25,7 @@ from locmod import (
     brute_force_refutes_locality,
     conj,
     eval_concept,
+    eval_role,
     exactly,
     find_countermodel,
     holds,
@@ -29,7 +33,14 @@ from locmod import (
     signature_of,
     substitute,
 )
-from genlib import literal_axioms, random_axiom, random_interpretation, random_signature
+from genlib import (
+    literal_axioms,
+    random_axiom,
+    random_concept,
+    random_interpretation,
+    random_role,
+    random_signature,
+)
 
 A, B = ConceptName("A"), ConceptName("B")
 SEM_BOT = LocalityFlavor.SEM_BOT
@@ -97,6 +108,21 @@ class TestHolds:
         for _ in range(80):
             i = random_interpretation(rng, rng.randint(1, 4), roles=("P",))
             assert holds(axiom, i)
+
+
+    def test_derived_axioms_mean_what_they_say(self):
+        # the inclusions `Domain`, `Range` and `DisjointClasses` build,
+        # against their meaning computed here from the extensions
+        rng = random.Random(34)
+        for _ in range(300):
+            i = random_interpretation(rng, rng.randint(1, 4))
+            r = random_role(rng)
+            c, d = random_concept(rng, depth=2), random_concept(rng, depth=2)
+            pairs = eval_role(r, i)
+            cs, ds = eval_concept(c, i), eval_concept(d, i)
+            assert holds(Domain(r, c), i) == all(x in cs for x, _ in pairs)
+            assert holds(Range(r, c), i) == all(y in cs for _, y in pairs)
+            assert holds(DisjointClasses(c, d), i) == (not cs & ds)
 
 
 class TestFindCountermodel:

@@ -4,6 +4,7 @@ import re
 import pytest
 
 import grammar_walker as walker
+from grammar_walker import SyntacticClass
 
 from locmod import (
     AtLeast,
@@ -21,11 +22,9 @@ from locmod import (
     Signature,
     SubClassOf,
     SubRoleOf,
-    SyntacticClass,
     TOP,
     Transitive,
     brute_force_refutes_locality,
-    classify_concept,
     conj,
     exactly,
     is_semantically_local,
@@ -40,6 +39,16 @@ TOPF = LocalityFlavor.SYN_TOP
 A, B = ConceptName("A"), ConceptName("B")
 R = RoleName("R")
 P = RoleName("P")
+
+
+def classify_concept(c, sig, flavor) -> SyntacticClass:
+    """The class the grammar gives `c`: in Bot(Σ) when c ⊑ ⊥ is local, in
+    Top(Σ) when ⊤ ⊑ c is."""
+    if is_syntactically_local(SubClassOf(c, BOTTOM), sig, flavor):
+        return SyntacticClass.IN_BOT
+    if is_syntactically_local(SubClassOf(TOP, c), sig, flavor):
+        return SyntacticClass.IN_TOP
+    return SyntacticClass.NEITHER
 
 
 def koala_rhs():
@@ -84,11 +93,8 @@ class TestClassifyConcept:
             c = random_concept(rng, depth=3)
             sig = random_signature(rng)
             for flavor in (BOT, TOPF):
-                classify_concept(c, sig, flavor)  # single pass, single value
-
-    def test_rejects_semantic_flavor(self):
-        with pytest.raises(ValueError):
-            classify_concept(A, Signature(), LocalityFlavor.SEM_BOT)
+                in_bot = is_syntactically_local(SubClassOf(c, BOTTOM), sig, flavor)
+                assert not (in_bot and is_syntactically_local(SubClassOf(TOP, c), sig, flavor))
 
 
 class TestAxiomLocality:
@@ -146,9 +152,7 @@ class TestAxiomLocality:
                 refined = is_syntactically_local(axiom, sig, flavor, refined=True)
                 if plain != refined:
                     assert isinstance(axiom, InverseRoles)
-                    from locmod import normalize_role
-
-                    assert normalize_role(Inverse(axiom.left)) == normalize_role(axiom.right)
+                    assert Inverse(axiom.left) == axiom.right
                     assert refined and not plain
 
 
