@@ -52,7 +52,7 @@ class _CliError(Exception):
         self.code = code
 
 
-def _default_budget() -> Budget:
+def _default_limits() -> list:
     values = []
     for var, convert, default in (
         (ENV_MAX_STEPS, int, Budget.max_steps),
@@ -63,21 +63,28 @@ def _default_budget() -> Budget:
             values.append(default if raw is None else convert(raw))
         except ValueError:
             raise _CliError(f"{var} must be a number, not {raw!r}", EXIT_PARSE)
-    return Budget(*values)
+    return values
+
+
+def _budget(args) -> Budget:
+    try:
+        return Budget(args.max_steps, args.max_seconds)
+    except ValueError as exc:  # Budget is where the limits are checked
+        raise _CliError(f"invalid budget: {exc}", EXIT_PARSE) from None
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
-    base = _default_budget()
+    max_steps, max_seconds = _default_limits()
     p.add_argument(
         "--max-steps",
         type=int,
-        default=base.max_steps,
+        default=max_steps,
         help="tableau rule-application limit per check",
     )
     p.add_argument(
         "--max-seconds",
         type=float,
-        default=base.max_seconds,
+        default=max_seconds,
         help="wall-clock limit per check, in seconds",
     )
 
@@ -197,6 +204,8 @@ def _parse_terms(spec: str) -> Signature:
                 f"inline term '{chunk}' needs a C:/R:/I: kind prefix", EXIT_PARSE
             )
         name = _local_name(chunk[2:].strip())
+        if not name:
+            raise _CliError(f"inline term '{chunk}' has no name", EXIT_PARSE)
         if kinds.setdefault(name, chunk[0]) != chunk[0]:
             raise _CliError(f"inline term '{chunk}' gives '{name}' a second kind", EXIT_PARSE)
     return Signature.of_kinds(kinds)
@@ -235,7 +244,7 @@ def _cmd_extract(args) -> int:
 
     onto = _load_ontology(args.ontology, args.strict)
     sig = _load_signature(args, onto)
-    budget = Budget(args.max_steps, args.max_seconds)
+    budget = _budget(args)
     trace: list = []
     options = dict(refined=args.refined, budget=budget, trace=trace if args.verbose else None)
     if args.flavor in _STAR_FLAVORS:
@@ -266,7 +275,7 @@ def _cmd_check(args) -> int:
     onto = _load_ontology(args.ontology, args.strict)
     sig = _load_signature(args, onto)
     flavor = LocalityFlavor(args.flavor)
-    budget = Budget(args.max_steps, args.max_seconds)
+    budget = _budget(args)
     unknowns = 0
     for a in onto.axioms:
         if flavor.is_syntactic:
@@ -287,7 +296,7 @@ def _cmd_genuine(args) -> int:
     from .parser import serialize_ontology
 
     onto = _load_ontology(args.ontology, args.strict)
-    budget = Budget(args.max_steps, args.max_seconds)
+    budget = _budget(args)
     results = genuine_modules(
         onto, LocalityFlavor(args.flavor), refined=args.refined, budget=budget
     )
@@ -302,7 +311,7 @@ def _cmd_genuine(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    budget = Budget(args.max_steps, args.max_seconds)
+    budget = _budget(args)
     try:
         cfg = SamplingConfig(
             sample_count=args.samples,

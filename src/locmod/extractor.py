@@ -4,7 +4,7 @@ A module for a seed signature Σ is the fixpoint of: move any axiom that is
 not local w.r.t. Σ ∪ Sig(M) from the ontology into M, until a full pass
 changes nothing. The result is independent of the order in which axioms
 are examined. Nested extraction alternates two flavors once; star
-extraction repeats the nested step until the module stops shrinking.
+extraction alternates them until a pass after the first keeps its scope.
 
 The extractor works in rounds: each round moves the axioms not local
 w.r.t. one signature into M, and then grows the signature once by their
@@ -44,9 +44,9 @@ becomes an `Ontology`, and it takes its records from the input.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, islice
 
 from .model import (
     Axiom,
@@ -87,8 +87,8 @@ class ModuleResult:
     round that checks it (with `naive=True`, one per axiom outside M per
     pass); for a syntactic flavor it counts the counter updates of the
     propagation, one per gate input that fired. A nested extraction sums
-    both over its two passes; a star extraction counts nested iterations in
-    `rounds` and sums the checks of all of them.
+    both over its two passes; a star extraction counts in `rounds` the
+    nested steps that shrank their scope, and sums both over its passes.
     """
 
     module: Ontology
@@ -137,7 +137,7 @@ class _Checker:
         key = (self.flavor.is_bottom, self.refined)
         found = self.o.circuits.get(key)
         if found is None:
-            found = self.o.circuits[key] = compile_circuit(self.axioms, self.flavor, self.refined)
+            found = self.o.circuits[key] = compile_circuit(self.o, self.flavor, self.refined)
         return found
 
     def candidates(self, scope: Collection[int], sig: Signature) -> list[int]:
@@ -240,20 +240,22 @@ def _extract(
     return dict.fromkeys(sorted(module)), Signature(concepts, roles, individuals), rounds
 
 
-def _nested(
+def _alternate(
     checkers: list[_Checker],
-    scope: Collection[int],
     sig: Signature,
     naive: bool,
     trace: list | None,
-    step: int = 1,
-) -> tuple[dict[int, None], Signature, int]:
-    """Nested step number `step` over `scope`: `_extract` with the second
-    checker, then with the first over what the second kept."""
-    first, second = checkers
-    inner, _, inner_rounds = _extract(second, scope, sig, naive, trace, step)
-    outer, extended, outer_rounds = _extract(first, inner, sig, naive, trace, step)
-    return outer, extended, inner_rounds + outer_rounds
+) -> Iterator[tuple[Collection[int], dict[int, None], Signature, int]]:
+    """`_extract` with the second checker over the whole ontology, then
+    with the first over what it kept, then the second again, and so on.
+    Yields each pass's scope, module, extended signature and rounds;
+    passes 2n − 1 and 2n make nested step n and are traced with its number."""
+    scope: Collection[int] = range(len(checkers[0].axioms))
+    for k in count():
+        checker = checkers[(k + 1) % 2]
+        module, extended, rounds = _extract(checker, scope, sig, naive, trace, k // 2 + 1)
+        yield scope, module, extended, rounds
+        scope = module
 
 
 def _result(
@@ -306,8 +308,10 @@ def extract_nested(
     flavor of their pass."""
     naive, trace = options.pop("naive", False), options.pop("trace", None)
     checkers = [_Checker(o, flavor, **options) for flavor in pair]
-    module, extended, rounds = _nested(checkers, range(len(o)), sig, naive, trace)
-    return _result(o, module, extended, rounds, checkers)
+    (_, _, _, inner_rounds), (_, module, extended, outer_rounds) = islice(
+        _alternate(checkers, sig, naive, trace), 2
+    )
+    return _result(o, module, extended, inner_rounds + outer_rounds, checkers)
 
 
 def extract_star(
@@ -316,23 +320,23 @@ def extract_star(
     pair: FlavorPair = SYN_STAR,
     **options,
 ) -> ModuleResult:
-    """Iterate nested extraction from the full ontology until the module
-    reaches a fixpoint. `rounds` is the smallest n with Mₙ = Mₙ₊₁; the
-    chain strictly shrinks until then. The extended signature is that of
-    the last nested step, which returned the fixpoint module. Rounds are
-    traced as by `extract_nested`, labelled with their nested step, from
-    1."""
+    """The fixpoint of nested extraction, by alternating its two passes
+    from the full ontology until a pass after the first keeps its whole
+    scope. A module is its own module for the same seed (Cuenca Grau et
+    al., JAIR 2008), so the pass before would keep that scope too: it is
+    the fixpoint, and no nested step runs to confirm it. `rounds` is the
+    smallest n with Mₙ = Mₙ₊₁, the nested steps (the last maybe one pass)
+    that shrank their scope. Rounds are traced as by `extract_nested`,
+    labelled with their nested step; the last pass adds the module."""
     naive, trace = options.pop("naive", False), options.pop("trace", None)
     checkers = [_Checker(o, flavor, **options) for flavor in pair]
-    scope: Collection[int] = range(len(o))
-    rounds = 0
-    while True:
-        module, extended, _ = _nested(checkers, scope, sig, naive, trace, rounds + 1)
-        if len(module) == len(scope):
+    shrank: set[int] = set()  # the nested steps that shrank their scope
+    for k, (scope, module, extended, _) in enumerate(_alternate(checkers, sig, naive, trace)):
+        if len(module) < len(scope):
+            shrank.add(k // 2)
+        elif k:  # the ontology itself is no module, so the first pass does not count
             break
-        scope = module
-        rounds += 1
-    return _result(o, module, extended, rounds, checkers)
+    return _result(o, module, extended, len(shrank), checkers)
 
 
 def genuine_modules(

@@ -624,6 +624,10 @@ def parse_signature(text: str, against: Ontology) -> Signature:
             continue
         if entry[:2] in ("C:", "R:", "I:"):
             kind, name = entry[0], _local_name(entry[2:].strip())
+            if not name:
+                message = f"'{entry}' has no name"
+                errors.append(ParseError(lineno, 1, message, ParseErrorKind.SYNTAX))
+                continue
         else:
             name = _local_name(entry)
             kind = known.get(name)

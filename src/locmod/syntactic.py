@@ -16,14 +16,16 @@ The grammar is written once as two monotone Boolean functions per concept
 C of which of its names are in Σ: nb, "C is not in Bot(Σ)", and nt, "C is
 not in Top(Σ)"; C ⊑ D is non-local iff nb(C) ∧ nt(D). Its rules build over
 a builder. Evaluated (`_Evaluator`), a name is "it is in Σ" and the rules
-fold to a bool; compiled (`_Compiler`), the rules build every axiom's
-non-locality as AND/OR gates, the ontology's `Circuit`, over which the
-extractor propagates counters (Dowling & Gallier's Horn propagation).
+fold to a bool. Compiled (`compile_circuit`), the rules build the AND/OR
+gates of each axiom structure once, and each axiom copies them, fed by its
+own names, into the ontology's `Circuit`, over which the extractor
+propagates counters (Dowling & Gallier's Horn propagation).
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections import defaultdict
+from collections.abc import Collection
 
 from .model import (
     And,
@@ -41,6 +43,7 @@ from .model import (
     LocalityFlavor,
     Not,
     OneOf,
+    Ontology,
     Or,
     Role,
     Signature,
@@ -221,48 +224,57 @@ def _fold(inputs, absorbing: bool):
     return (1 if absorbing else len(kept), kept)
 
 
-class _Compiler:
-    """A name is the list of its targets, shared by all axioms, so the
-    rules build gates. `place` numbers them from an axiom's root down, so
-    the unused half of an (nb, nt) pair is never placed."""
+class _Template:
+    """The gates of one axiom structure, over slots of the axiom's record
+    (`Ontology.shapes`): k is its k-th concept name, ~k its k-th role name.
+    `place` numbers the gates from the root down, so the unused half of an
+    (nb, nt) pair is never placed; -1 stands for the axiom's root."""
 
     and_ = staticmethod(lambda inputs: _fold(inputs, False))
     or_ = staticmethod(lambda inputs: _fold(inputs, True))
 
-    def __init__(self):
-        self.uses: tuple[dict, dict] = ({}, {})  # concept and role names
-        self.need, self.owner, self.up = [], [], []
+    def __init__(self, a: Axiom, concepts, roles, bot: bool, refined: bool):
+        self.concept = {n: k for k, n in enumerate(concepts)}.__getitem__
+        self.role = {n: ~k for k, n in enumerate(roles)}.__getitem__
+        self.need, self.up, self.feeds = [], [], []
+        self.root = _nonlocal(a, self, bot, refined)
+        if self.root is not True and self.root is not False:
+            self.place(self.root, -1)
 
-    def concept(self, name):
-        return self.uses[0].setdefault(name, [])
-
-    def role(self, name):
-        return self.uses[1].setdefault(name, [])
-
-    def place(self, gate, owner: int, up: int):
-        """Number `gate` and its inputs for the axiom `owner`, feeding `up`."""
-        if isinstance(gate, list):  # a name
-            gate.append(up)
+    def place(self, x, target: int):
+        if type(x) is int:  # a slot
+            self.feeds.append((x, target))
             return
         g = len(self.need)
-        self.need.append(gate[0])
-        self.owner.append(owner)
-        self.up.append(up)
-        for x in gate[1]:
-            self.place(x, owner, g)
+        self.need.append(x[0])
+        self.up.append(target)
+        for y in x[1]:
+            self.place(y, g)
 
 
-def compile_circuit(axioms: Sequence[Axiom], flavor: LocalityFlavor, refined=False) -> Circuit:
-    """The `Circuit` of syntactic non-locality of `axioms`, by position,
-    with the grammar `is_syntactically_local` uses for `flavor`."""
-    b = _Compiler()
-    bot = flavor.is_bottom
-    always: list[int] = []
-    for i, a in enumerate(axioms):
-        root = _nonlocal(a, b, bot, refined)
-        if root is True:
+def compile_circuit(o: Ontology, flavor: LocalityFlavor, refined=False) -> Circuit:
+    """The `Circuit` of syntactic non-locality of the axioms of `o`, by
+    position, with the grammar `is_syntactically_local` uses for `flavor`,
+    run once per structure: each axiom copies its structure's `_Template`."""
+    bot, templates = flavor.is_bottom, {}
+    concept_uses, role_uses = defaultdict(list), defaultdict(list)
+    need, owner, up, always = [], [], [], []
+    for i, (number, concepts, roles, _) in enumerate(o.shapes):
+        t = templates.get(number)
+        if t is None:
+            t = templates[number] = _Template(o.axioms[i], concepts, roles, bot, refined)
+        if t.root is True:
             always.append(i)
-        elif root is not False:
-            b.place(root, i, ~i)
-    uses = tuple({n: tuple(gates) for n, gates in by.items()} for by in b.uses)
-    return Circuit(uses, tuple(b.need), tuple(b.owner), tuple(b.up), tuple(always))
+        base = len(need)
+        if t.need:
+            need += t.need
+            owner += [i] * len(t.need)
+            up += [u + base if u >= 0 else ~i for u in t.up]
+        for x, u in t.feeds:
+            target = u + base if u >= 0 else ~i
+            if x >= 0:
+                concept_uses[concepts[x]].append(target)
+            else:
+                role_uses[roles[~x]].append(target)
+    uses = tuple({n: tuple(ts) for n, ts in by.items()} for by in (concept_uses, role_uses))
+    return Circuit(uses, tuple(need), tuple(owner), tuple(up), tuple(always))

@@ -77,10 +77,14 @@ __all__ = ["Budget", "SatStatus", "SatResult", "is_satisfiable"]
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for one satisfiability check."""
+    """Resource limits for one satisfiability check, both positive."""
 
     max_steps: int = 1_000_000
     max_seconds: float = 5.0
+
+    def __post_init__(self):
+        if not (self.max_steps > 0 and self.max_seconds > 0):  # NaN fails too
+            raise ValueError(f"limits must be positive: {self}")
 
 
 DEFAULT_BUDGET = Budget()

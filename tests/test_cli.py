@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from locmod import SEM_STAR, SYN_STAR, Signature, extract_star, parse_ontology
+import locmod.extractor as extractor
+from locmod import SEM_STAR, SYN_STAR, Signature, parse_ontology
 from locmod.cli import _parse_terms, main
-from locmod.parser import MAX_NESTING, parse_signature
+from locmod.parser import MAX_NESTING, ParseFailure, parse_signature
 from conftest import fixture_path, nested_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -88,20 +89,23 @@ class TestExtract:
         assert code == 0
         assert "round 1" in capsys.readouterr().err
 
-    def test_verbose_trace_of_star_flavors(self, capsys):
+    def test_verbose_trace_of_star_flavors(self, capsys, monkeypatch):
         # every nested step of a star extraction reports its rounds, each
         # labelled with its step, the flavor of its pass and its number;
-        # the outer pass of the last step adds exactly the module
-        koala = parse_ontology(fixture_path("koala.ofs").read_text(encoding="utf-8"))
-        seeds = {
-            "C:Koala": Signature({"Koala"}),
-            "C:Student,R:hasChildren,R:hasGender": Signature(
-                {"Student"}, {"hasChildren", "hasGender"}
-            ),
-        }
+        # the last pass that ran keeps its whole scope, the module, so its
+        # lines add exactly the module
+        passes = []
+        run = extractor._extract
+
+        def recorded(c, scope, sig, naive, trace, step=1):
+            passes.append(f"step {step}, {c.flavor} round ")
+            return run(c, scope, sig, naive, trace, step)
+
+        monkeypatch.setattr(extractor, "_extract", recorded)
         for flavor, pair in (("star", SYN_STAR), ("sem-star", SEM_STAR)):
-            outer, inner = (str(f) for f in pair)
-            for terms, sig in seeds.items():
+            inner = str(pair[1])
+            for terms in ("C:Koala", "C:Student,R:hasChildren,R:hasGender"):
+                passes.clear()
                 code = main(
                     [
                         "extract",
@@ -123,11 +127,8 @@ class TestExtract:
                 # the lines of one round come together: no label repeats
                 runs = [x for i, x in enumerate(labels) if i == 0 or x != labels[i - 1]]
                 assert len(runs) == len(set(runs)), (flavor, terms)
-                last = extract_star(koala, sig, pair).rounds + 1
                 added = sorted(
-                    line.split(": + ", 1)[1]
-                    for line in lines
-                    if line.startswith(f"step {last}, {outer} round ")
+                    line.split(": + ", 1)[1] for line in lines if line.startswith(passes[-1])
                 )
                 module = parse_ontology(captured.out)
                 assert added == sorted(map(str, module.axioms)), (flavor, terms)
@@ -372,6 +373,46 @@ class TestUsage:
         assert capsys.readouterr().err == f"{var} must be a number, not 'abc'\n"
 
     @pytest.mark.parametrize(
+        "flag, limits",
+        [
+            ("--max-steps=0", "max_steps=0, max_seconds=5.0"),
+            ("--max-steps=-5", "max_steps=-5, max_seconds=5.0"),
+            ("--max-seconds=nan", "max_steps=1000000, max_seconds=nan"),
+            ("--max-seconds=0", "max_steps=1000000, max_seconds=0.0"),
+            ("--max-seconds=-1", "max_steps=1000000, max_seconds=-1.0"),
+        ],
+    )
+    def test_bad_budget_flag_is_a_usage_error(self, capsys, flag, limits):
+        # NaN would switch the clock off, and a step limit below 1 would
+        # make every semantic verdict UNKNOWN
+        for command in (
+            ["extract", "--flavor", "sem-star", "--terms", "C:Koala"],
+            ["check", "--flavor", "sem-top", "--terms", "C:Koala"],
+            ["genuine", "--flavor", "sem-bot"],
+            ["compare"],
+        ):
+            assert main(command + ["--ontology", fx("koala.ofs"), flag]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"invalid budget: limits must be positive: Budget({limits})\n"
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "var, value, limits",
+        [
+            ("LOCMOD_MAX_STEPS", "-1", "max_steps=-1, max_seconds=5.0"),
+            ("LOCMOD_MAX_SECONDS", "nan", "max_steps=1000000, max_seconds=nan"),
+            ("LOCMOD_MAX_SECONDS", "0", "max_steps=1000000, max_seconds=0.0"),
+        ],
+    )
+    def test_bad_budget_env_is_a_usage_error(self, monkeypatch, capsys, var, value, limits):
+        monkeypatch.setenv(var, value)
+        code = main(["check", "--flavor", "sem-bot", "--ontology", fx("koala.ofs")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"invalid budget: limits must be positive: Budget({limits})\n"
+        )
+
+    @pytest.mark.parametrize(
         "flags, problem",
         [
             (["--samples", "0"], "sample count must be positive"),
@@ -404,6 +445,34 @@ class TestTermNames:
             modules.append(parse_ontology(capsys.readouterr().out).axioms)
         assert modules[0] == modules[1]
         assert len(modules[0]) > 4
+
+
+class TestEmptyNames:
+    # a kind prefix with no name after it is an error at that entry, not
+    # the name ''
+    @pytest.mark.parametrize("terms", ["C:", "C:,R:hasChildren", "C:Koala,I:ex:"])
+    def test_inline_terms(self, capsys, terms):
+        code = main(["extract", "--flavor", "bot", "--ontology", fx("koala.ofs"), "--terms", terms])
+        assert code == 1
+        captured = capsys.readouterr()
+        empty = [t for t in terms.split(",") if t.endswith(":")][0]
+        assert captured.err == f"inline term '{empty}' has no name\n"
+        assert captured.out == ""
+
+    def test_signature_file(self, tmp_path, capsys):
+        koala = parse_ontology(Path(fx("koala.ofs")).read_text())
+        with pytest.raises(ParseFailure) as failure:
+            parse_signature("C:Koala\nC:\nR: # nothing\n", koala)
+        assert [(e.line, e.message) for e in failure.value.errors] == [
+            (2, "'C:' has no name"),
+            (3, "'R:' has no name"),
+        ]
+        sig = tmp_path / "seed.sig"
+        sig.write_text("C:\n")
+        base = ["extract", "--flavor", "bot", "--ontology", fx("koala.ofs")]
+        code = main(base + ["--signature", str(sig)])
+        assert code == 1
+        assert capsys.readouterr().err == f"{sig}:1:1: Syntax: 'C:' has no name\n"
 
 
 class TestKindConflicts:

@@ -1,8 +1,10 @@
 import gc
+import itertools
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import locmod.extractor as extractor
 import locmod.semantic as semantic
@@ -76,13 +78,38 @@ def reference_nested(o, sig, pair, naive):
 
 
 def reference_star(o, sig, pair, naive):
-    current, rounds, checks = o, 0, 0
+    """Star extraction as a chain of explicit ontologies, one per pass:
+    the second flavor of `pair`, then the first, and so on, each over the
+    module of the pass before, up to the first pass after the first that
+    keeps its whole ontology. `rounds` counts the nested steps (pairs of
+    passes) that shrank their ontology."""
+    first, second = pair
+    current, shrank, checks = o, set(), 0
+    for k in itertools.count():
+        result = extract_module(current, sig, (second, first)[k % 2], naive=naive)
+        checks += result.locality_checks
+        if len(result.module) < len(current):
+            shrank.add(k // 2)
+        elif k:
+            return result.module, result.extended_signature, len(shrank), checks
+        current = result.module
+
+
+def textbook_star(o, sig, pair, naive=False, budget=None):
+    """The star module by its definition: repeat the nested step, each over
+    an explicit ontology, until the module stops shrinking. Returns the
+    module, its extended signature, the number of steps that shrank it,
+    whether any verdict was UNKNOWN and the number of passes run."""
+    first, second = pair
+    current, rounds, unknown, passes = o, 0, False, 0
     while True:
-        module, extended, _, step_checks = reference_nested(current, sig, pair, naive)
-        checks += step_checks
-        if len(module) == len(current):
-            return current, extended, rounds, checks
-        current, rounds = module, rounds + 1
+        inner = extract_module(current, sig, second, naive=naive, budget=budget)
+        outer = extract_module(inner.module, sig, first, naive=naive, budget=budget)
+        unknown |= bool(inner.unknown_verdicts or outer.unknown_verdicts)
+        passes += 2
+        if len(outer.module) == len(current):
+            return current, outer.extended_signature, rounds, unknown, passes
+        current, rounds = outer.module, rounds + 1
 
 
 class TestExtractModule:
@@ -681,6 +708,69 @@ class TestNestedAndStar:
         result = extract_star(o, sig, SEM_STAR)
         assert module_set(result) <= frozenset(o.axioms)
 
+
+class TestStarStoppingRule:
+    """`extract_star` stops at the first pass after the first that keeps its
+    whole scope, and returns what the textbook loop returns."""
+
+    # a step limit alone, so that which verdicts are UNKNOWN does not
+    # depend on machine load
+    BUDGET = Budget(max_steps=2_000, max_seconds=1e9)
+
+    def assert_as_textbook(self, o, sig):
+        for pair in (SYN_STAR, SEM_STAR):
+            for naive in (False, True):
+                result = extract_star(o, sig, pair, budget=self.BUDGET, naive=naive)
+                module, extended, rounds, unknown, _ = textbook_star(
+                    o, sig, pair, naive, self.BUDGET
+                )
+                kept = set(module.axioms)
+                assert result.positions == tuple(i for i, a in enumerate(o.axioms) if a in kept)
+                assert result.extended_signature == extended
+                assert result.rounds == rounds
+                assert (result.unknown_verdicts > 0) == unknown
+
+    def test_equals_the_textbook_loop(self):
+        rng = random.Random(52)
+        inputs = [(load_fixture(name), 0.5) for name in CORPUS_NAMES]
+        inputs.append((synthetic_ontology(300), 0.03))
+        for o, p in inputs:
+            entities = signature_of(o)
+            for _ in range(6):
+                sig = random_signature(
+                    rng,
+                    p,
+                    concepts=sorted(entities.concept_names),
+                    roles=sorted(entities.role_names),
+                )
+                self.assert_as_textbook(o, sig)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_the_textbook_loop_on_random_ontologies(self, seed):
+        rng = random.Random(seed)
+        axioms = [random_axiom(rng, depth=2) for _ in range(rng.randrange(1, 9))]
+        self.assert_as_textbook(Ontology(tuple(axioms)), random_signature(rng, 0.3))
+
+    def test_a_step_that_keeps_its_scope_is_not_run(self, monkeypatch):
+        # the ⊤ pass keeps the whole ⊥ module: the textbook loop runs a
+        # second nested step to see the module stay, which takes 2 passes
+        o = load_fixture("mixed.ofs")
+        sig = Signature({"Manager"})
+        *_, passes = textbook_star(o, sig, SYN_STAR)
+        assert passes == 4
+        scopes = []
+        run = extractor._extract
+
+        def counted(c, scope, *args):
+            scopes.append(len(scope))
+            return run(c, scope, *args)
+
+        monkeypatch.setattr(extractor, "_extract", counted)
+        result = extract_star(o, sig, SYN_STAR)
+        assert len(scopes) == 2
+        assert scopes[1] == len(result.module) < len(o)
+        assert result.rounds == 1
 
 def reference_rounds(o, sig, flavor):
     """The axioms each round adds when every round checks every axiom

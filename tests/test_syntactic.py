@@ -18,6 +18,7 @@ from locmod import (
     Locality,
     LocalityFlavor,
     OneOf,
+    Ontology,
     RoleName,
     Signature,
     SubClassOf,
@@ -31,8 +32,18 @@ from locmod import (
     is_syntactically_local,
     substitute,
 )
+import locmod.syntactic as syntactic
 from locmod.syntactic import compile_circuit
-from genlib import random_axiom, random_concept, random_signature
+from genlib import (
+    CONCEPTS,
+    ROLES,
+    random_axiom,
+    random_concept,
+    random_renaming,
+    random_signature,
+    renamed,
+    synthetic_ontology,
+)
 
 BOT = LocalityFlavor.SYN_BOT
 TOPF = LocalityFlavor.SYN_TOP
@@ -201,7 +212,9 @@ class TestOneGrammar:
                             with pytest.raises(ValueError):
                                 check(x, sig, flavor)
                             with pytest.raises(ValueError):
-                                compile_circuit([SubClassOf(x, x) if x is concept else x], flavor)
+                                compile_circuit(
+                                    Ontology((SubClassOf(x, x) if x is concept else x,)), flavor
+                                )
                             continue
                         try:
                             assert check(x, sig, flavor) == expected
@@ -250,9 +263,10 @@ class TestSoundGrammar:
 
     def test_circuit_equals_evaluation(self):
         rng = random.Random(18)
-        axioms = [random_axiom(rng, depth=3) for _ in range(300)]
+        o = Ontology(tuple(random_axiom(rng, depth=3) for _ in range(300)))
+        axioms = o.axioms
         for sem in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
-            circuit = compile_circuit(axioms, sem)
+            circuit = compile_circuit(o, sem)
             for _ in range(40):
                 sig = random_signature(rng)
                 roots, _ = circuit.fire(
@@ -261,3 +275,105 @@ class TestSoundGrammar:
                 assert set(roots) | set(circuit.always) == {
                     i for i, a in enumerate(axioms) if not is_syntactically_local(a, sig, sem)
                 }
+
+
+def compile_per_axiom(axioms, flavor, refined=False):
+    """The `Circuit` fields compiled axiom by axiom, the reference for
+    `compile_circuit`: the grammar runs on every axiom, over a builder whose
+    name is the list of its targets shared by all axioms, and each axiom's
+    gates are numbered from its root down."""
+    uses = ({}, {})
+    need, owner, up, always = [], [], [], []
+
+    class Lists:
+        and_ = staticmethod(lambda inputs: syntactic._fold(inputs, False))
+        or_ = staticmethod(lambda inputs: syntactic._fold(inputs, True))
+        concept = staticmethod(lambda name: uses[0].setdefault(name, []))
+        role = staticmethod(lambda name: uses[1].setdefault(name, []))
+
+    def place(gate, i, target):
+        if isinstance(gate, list):  # a name
+            gate.append(target)
+            return
+        g = len(need)
+        need.append(gate[0])
+        owner.append(i)
+        up.append(target)
+        for x in gate[1]:
+            place(x, i, g)
+
+    for i, a in enumerate(axioms):
+        root = syntactic._nonlocal(a, Lists, flavor.is_bottom, refined)
+        if root is True:
+            always.append(i)
+        elif root is not False:
+            place(root, i, ~i)
+    # a name whose half of an (nb, nt) pair was never placed has no targets
+    used = tuple({n: tuple(ts) for n, ts in by.items() if ts} for by in uses)
+    return used, tuple(need), tuple(owner), tuple(up), tuple(always)
+
+
+def renamed_copies(seed: int, count: int):
+    """An ontology of random axioms, each followed by up to three renamed
+    copies; `random_axiom` repeats names within an axiom and draws inverse
+    roles and nominals."""
+    rng = random.Random(seed)
+    axioms = []
+    for _ in range(count):
+        a = random_axiom(rng, depth=3)
+        axioms.append(a)
+        for _ in range(rng.randrange(4)):
+            concepts = random_renaming(rng, CONCEPTS, [f"C{j}" for j in range(8)])
+            roles = random_renaming(rng, ROLES, [f"r{j}" for j in range(5)])
+            axioms.append(renamed(a, concepts, roles))
+    return Ontology(tuple(axioms))
+
+
+class TestCircuitPerStructure:
+    """`compile_circuit` runs the grammar once per axiom structure and
+    copies the gates to every axiom of the structure."""
+
+    @staticmethod
+    def ontologies():
+        return [synthetic_ontology(300), renamed_copies(19, 150)]
+
+    def test_equals_the_per_axiom_compilation(self):
+        rng = random.Random(20)
+        for o in self.ontologies():
+            assert len(o.structures) < len(o)
+            for flavor in (BOT, TOPF):
+                for refined in (False, True):
+                    circuit = compile_circuit(o, flavor, refined)
+                    fields = (circuit.uses, circuit.need, circuit.owner, circuit.up, circuit.always)
+                    assert fields == compile_per_axiom(o.axioms, flavor, refined)
+                    names = o.names
+                    for _ in range(10):
+                        sig = random_signature(
+                            rng,
+                            0.3,
+                            concepts=sorted(names.concept_names),
+                            roles=sorted(names.role_names),
+                        )
+                        roots, _ = circuit.fire(
+                            list(circuit.need), sig.concept_names, sig.role_names, None
+                        )
+                        assert set(roots) | set(circuit.always) == {
+                            i
+                            for i, a in enumerate(o.axioms)
+                            if not is_syntactically_local(a, sig, flavor, refined)
+                        }
+
+    def test_grammar_runs_once_per_structure(self, monkeypatch):
+        calls = []
+        nonlocal_ = syntactic._nonlocal
+
+        def counted(a, *args):
+            calls.append(a)
+            return nonlocal_(a, *args)
+
+        monkeypatch.setattr(syntactic, "_nonlocal", counted)
+        for o in self.ontologies():
+            for flavor in (BOT, TOPF):
+                calls.clear()
+                compile_circuit(o, flavor)
+                assert len(calls) == len(set(calls)) == len(o.structures)

@@ -4,6 +4,8 @@ import sys
 import time
 import tracemalloc
 
+import pytest
+
 import locmod.tableau
 from locmod import (
     AtLeast,
@@ -144,6 +146,14 @@ class TestBudgetAndDeterminism:
         assert result.status in (SatStatus.UNKNOWN, SatStatus.SATISFIABLE, SatStatus.UNSATISFIABLE)
         tiny = is_satisfiable(nnf(conj(A, B, Exists(R, A))), Budget(max_steps=2))
         assert tiny.status is SatStatus.UNKNOWN
+
+    def test_budget_limits_are_positive(self):
+        # NaN compares false with every number, so a NaN clock would never
+        # run out; a step limit below 1 would make every verdict UNKNOWN
+        for steps, seconds in ((0, 5.0), (-3, 5.0), (10, 0.0), (10, -1.0), (10, float("nan"))):
+            with pytest.raises(ValueError, match="must be positive"):
+                Budget(steps, seconds)
+        assert Budget(1, float("inf")).max_steps == 1
 
     def test_choice_points_do_not_recurse(self):
         # every binary disjunction is a choice point; a search that recursed
