@@ -27,8 +27,7 @@ from .harness import (
 from .model import LocalityFlavor, Ontology, Signature
 from .oracle import find_countermodel
 from .parser import ParseErrorKind, ParseFailure, _local_name, parse_ontology, parse_signature
-from .semantic import is_semantically_local, substitute
-from .syntactic import is_syntactically_local
+from .semantic import substitute, verdict_in
 from .tableau import Budget
 
 __all__ = ["main"]
@@ -41,6 +40,7 @@ EXIT_INVARIANT = 4
 
 _FLAVOR_NAMES = sorted(f.value for f in LocalityFlavor)
 _STAR_FLAVORS = {"star": SYN_STAR, "sem-star": SEM_STAR}
+_REFINED_HELP = "count inverse-role tautologies as local (syntactic flavors only)"
 
 ENV_MAX_STEPS = "LOCMOD_MAX_STEPS"
 ENV_MAX_SECONDS = "LOCMOD_MAX_SECONDS"
@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=_FLAVOR_NAMES + sorted(_STAR_FLAVORS),
         help="locality notion (star variants alternate top/bottom to a fixpoint)",
     )
-    p.add_argument("--refined", action="store_true", help="detect inverse-role tautologies")
+    p.add_argument("--refined", action="store_true", help=_REFINED_HELP)
     p.add_argument("--strict-verdicts", action="store_true")
     p.add_argument("--out", help="write the module here instead of stdout")
     p.add_argument("-v", "--verbose", action="store_true", help="trace per-round additions")
@@ -126,14 +126,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="per-axiom locality verdicts")
     _add_input_flags(p)
     p.add_argument("--flavor", required=True, choices=_FLAVOR_NAMES)
-    p.add_argument("--refined", action="store_true")
+    p.add_argument("--refined", action="store_true", help=_REFINED_HELP)
     p.add_argument("--strict-verdicts", action="store_true")
     _add_budget_flags(p)
 
     p = sub.add_parser("genuine", help="deduplicated modules for single-axiom signatures")
     _add_input_flags(p, with_signature=False)
     p.add_argument("--flavor", required=True, choices=_FLAVOR_NAMES)
-    p.add_argument("--refined", action="store_true")
+    p.add_argument("--refined", action="store_true", help=_REFINED_HELP)
     p.add_argument("--out")
     _add_budget_flags(p)
 
@@ -277,15 +277,12 @@ def _cmd_check(args) -> int:
     flavor = LocalityFlavor(args.flavor)
     budget = _budget(args)
     unknowns = 0
-    for a in onto.axioms:
-        if flavor.is_syntactic:
-            word = "local" if is_syntactically_local(a, sig, flavor, args.refined) else "non-local"
-        else:
-            verdict = is_semantically_local(a, sig, flavor, budget)
-            word = verdict.status.value
-            if verdict.reason:
-                word += f" ({verdict.reason})"
-                unknowns += 1
+    for i, a in enumerate(onto.axioms):
+        verdict = verdict_in(onto, i, sig, flavor, budget, args.refined)
+        word = verdict.status.value
+        if verdict.reason:
+            word += f" ({verdict.reason})"
+            unknowns += 1
         print(f"{word}\t{a}")
     if args.strict_verdicts and unknowns:
         return EXIT_UNKNOWN_VERDICTS

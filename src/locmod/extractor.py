@@ -33,7 +33,7 @@ All loops work on positions of the input ontology: the steps of a nested
 or star extraction narrow the positions, not the ontology, and a wave
 counts down only the gates of axioms at those positions. So the axiom
 records (`Ontology.shapes`, one walk per axiom), the name index, the
-circuits and the semantic verdict memo (`semantic.verdict_in`) are shared
+circuits and the verdict memo (`semantic.verdict_in`) are shared
 by all steps and by every extraction over one instance. A round reads the
 names it adds to the signature off the records of the axioms it adds, and
 the memo keys a verdict by the record's structure number and by which of
@@ -55,7 +55,7 @@ from .model import (
     Signature,
 )
 from .semantic import IS_UNKNOWN, verdict_in
-from .syntactic import Circuit, compile_circuit, is_syntactically_local
+from .syntactic import Circuit, compile_circuit
 from .tableau import Budget
 
 __all__ = [
@@ -101,10 +101,10 @@ class ModuleResult:
 
 class _Checker:
     """Locality test of the axioms of one ontology, by position, with
-    check/unknown counters. Semantic verdicts go through the ontology's
-    memo (`semantic.verdict_in`); extraction runs over the ontology's
-    `Circuit` for the flavor's polarity, so a semantic flavor shares the
-    circuit of its syntactic counterpart."""
+    check/unknown counters. Verdicts of every flavor go through the
+    ontology's memo (`semantic.verdict_in`); extraction runs over the
+    ontology's `Circuit` for the flavor's polarity, which a semantic
+    flavor shares with its syntactic counterpart."""
 
     def __init__(
         self,
@@ -114,7 +114,6 @@ class _Checker:
         budget: Budget | None = None,
     ):
         self.o = o
-        self.axioms = o.axioms
         self.flavor = flavor
         self.syntactic = flavor.is_syntactic
         self.refined = refined and self.syntactic
@@ -124,9 +123,7 @@ class _Checker:
 
     def is_local(self, i: int, sig: Signature) -> bool:
         self.checks += 1
-        if self.syntactic:
-            return is_syntactically_local(self.axioms[i], sig, self.flavor, self.refined)
-        verdict = verdict_in(self.o, i, sig, self.flavor, self.budget)
+        verdict = verdict_in(self.o, i, sig, self.flavor, self.budget, self.refined)
         if verdict.status is IS_UNKNOWN:
             self.unknowns += 1
             return False
@@ -191,7 +188,7 @@ def _extract(
     shapes = o.shapes
     circuit = c.circuit()
     need = list(circuit.need)
-    within = None if len(scope) == len(c.axioms) else scope
+    within = None if len(scope) == len(c.o) else scope
     fired = [i for i in circuit.always if i in scope]
     waiting: set[int] = set()  # fired, but semantically local so far
     concepts, roles = set(sig.concept_names), set(sig.role_names)
@@ -250,7 +247,7 @@ def _alternate(
     with the first over what it kept, then the second again, and so on.
     Yields each pass's scope, module, extended signature and rounds;
     passes 2n − 1 and 2n make nested step n and are traced with its number."""
-    scope: Collection[int] = range(len(checkers[0].axioms))
+    scope: Collection[int] = range(len(checkers[0].o))
     for k in count():
         checker = checkers[(k + 1) % 2]
         module, extended, rounds = _extract(checker, scope, sig, naive, trace, k // 2 + 1)

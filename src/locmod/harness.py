@@ -18,9 +18,10 @@ A T1a case checks, for both notions, only the axioms the seed can reach:
 those syntactically ⊥-non-local w.r.t. ∅ (the `always` of the ontology's
 SYN_BOT circuit) and those that mention a seed name. Any other axiom has
 its verdict w.r.t. ∅, syntactically and so semantically LOCAL, so this is
-exact. Every candidate gets a real semantic verdict, even a syntactically
-local one, so the direction check below sees each of them; `syn_time` and
-`sem_time` time the checks of these candidates.
+exact. Both notions ask the ontology's verdict memo (`semantic.verdict_in`)
+about every candidate, even a syntactically local one, so the direction
+check below sees each of them; `syn_time` and `sem_time` time these
+lookups and the grammar walk or semantic check of each memo miss.
 
 A difference record is produced only for cases where the two notions
 disagree; the direction is checked on every case and a syntactically-local
@@ -52,7 +53,6 @@ from .model import (
     Signature,
 )
 from .semantic import Locality, verdict_in
-from .syntactic import is_syntactically_local
 from .tableau import Budget
 
 __all__ = [
@@ -212,11 +212,9 @@ def _culprits_of(axioms, ids) -> tuple[tuple[str, CulpritType], ...]:
 def _t1a_case(o, axioms, sig, case_id, budget, timed):
     # SYN_BOT and SEM_BOT share one circuit, so one candidate list serves both
     candidates = _Checker(o, LocalityFlavor.SYN_BOT).candidates(range(len(axioms)), sig)
-    syn_nonlocal = set()
     started = time.perf_counter() if timed else 0.0
-    for i in candidates:
-        if not is_syntactically_local(axioms[i], sig, LocalityFlavor.SYN_BOT):
-            syn_nonlocal.add(i)
+    syn = LocalityFlavor.SYN_BOT
+    syn_nonlocal = {i for i in candidates if not verdict_in(o, i, sig, syn).is_local}
     syn_time = time.perf_counter() - started if timed else 0.0
 
     sem_nonlocal = set()

@@ -484,10 +484,8 @@ class Ontology:
 
     @cached_property
     def verdicts(self) -> dict:
-        """Definite semantic locality verdicts of the axioms, filled by
-        `semantic.verdict_in`, which also defines the key: the flavor, the
-        number of an axiom's structure and which of its names lie in the
-        signature."""
+        """Definite locality verdicts of the axioms, of every flavor, filled
+        by `semantic.verdict_in`, which also defines their keys."""
         return {}
 
     @cached_property

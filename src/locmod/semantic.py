@@ -1,4 +1,4 @@
-"""Semantic locality via substitution and validity.
+"""Semantic locality via substitution and validity, and the verdict memo.
 
 An axiom is semantically local w.r.t. Σ exactly when the axiom obtained by
 sending every non-Σ concept name to ⊥ (bottom flavor) or ⊤ (top flavor)
@@ -8,7 +8,8 @@ without touching Σ, so locality reduces to a tautology test. Role axioms
 over the constants are decided structurally. Substitution folds the
 constants it brings in, so a concept axiom that collapses to ⊥ ⊑ D or
 C ⊑ ⊤ is valid at once; the others go through negation normal form,
-constant propagation and then the tableau.
+constant propagation and then the tableau. `verdict_in` keeps the verdicts
+of an ontology's axioms, of all four flavors, one per axiom shape.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .model import (
     nnf,
     role_name_of,
 )
+from .syntactic import is_syntactically_local
 from .tableau import Budget, DEFAULT_BUDGET, SatResult, SatStatus, is_satisfiable
 
 __all__ = [
@@ -79,9 +81,9 @@ _SAT, _UNSAT, _GAVE_UP = SatStatus.SATISFIABLE, SatStatus.UNSATISFIABLE, SatStat
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a semantic locality check. UNKNOWN comes only from the
-    budget or the universal-role counting valve; callers that need a module
-    guarantee must treat it as non-local."""
+    """Outcome of a locality check. UNKNOWN comes only from the budget or
+    the universal-role counting valve of a semantic check; callers that
+    need a module guarantee must treat it as non-local."""
 
     status: Locality
     reason: str | None = None
@@ -307,35 +309,43 @@ def verdict_in(
     sig: Signature,
     flavor: LocalityFlavor,
     budget: Budget | None = None,
+    refined: bool = False,
 ) -> Verdict:
-    """`is_semantically_local` of axiom `i` of `o`, memoized in `o.verdicts`.
+    """The verdict of axiom `i` of `o` for any flavor, memoized in
+    `o.verdicts`: `is_syntactically_local` (with `refined`) for a syntactic
+    flavor, `is_semantically_local` (under `budget`) for a semantic one.
 
-    Substitution reads only the concept and role names of the axiom, and an
-    injective renaming of concepts and roles maps each probe to an
-    isomorphic one, so the verdict depends on `sig` only through which of
-    the axiom's names lie in it. The key is read off the axiom's record in
-    `o.shapes`: the flavor, the number of its structure and, for each of
-    its concept names and then each of its role names in the order of
-    their numbers, whether it lies in `sig` among the names of its kind.
-    Renamed copies of an axiom, and one axiom under signatures that share
-    the same of its names, meet one key. LOCAL and NON_LOCAL hold under
-    every budget, so no budget enters the key; an UNKNOWN is returned but
-    not kept, and a later call tries again.
+    The grammar and substitution read only the concept and role names of
+    the axiom, and an injective renaming of concepts and roles maps each
+    grammar walk to an equal one and each probe to an isomorphic one, so
+    the verdict depends on `sig` only through which of the axiom's names
+    lie in it. The key is read off the axiom's record in `o.shapes`: the
+    flavor, `refined` for a syntactic flavor only, the number of its
+    structure and, for each of its concept names and then each of its role
+    names in the order of their numbers, whether it lies in `sig` among
+    the names of its kind. Renamed copies of an axiom, and one axiom under
+    signatures that share the same of its names, meet one key. LOCAL and
+    NON_LOCAL hold under every budget, so no budget enters the key; an
+    UNKNOWN is returned but not kept, and a later call tries again.
     """
     number, concepts, roles, _ = o.shapes[i]
+    syntactic = flavor.is_syntactic
     # `map` over bound membership tests: before Python 3.12 each list
     # comprehension is a function call, and every check pays for the key
     key = (
-        flavor,
-        number,
+        *((flavor, refined, number) if syntactic else (flavor, number)),
         *map(sig.concept_names.__contains__, concepts),
         *map(sig.role_names.__contains__, roles),
     )
     verdicts = o.verdicts
     verdict = verdicts.get(key)
     if verdict is None:
-        verdict = is_semantically_local(o.axioms[i], sig, flavor, budget)
-        if verdict.status is IS_UNKNOWN:
-            return verdict
+        a = o.axioms[i]
+        if syntactic:
+            verdict = LOCAL if is_syntactically_local(a, sig, flavor, refined) else NON_LOCAL
+        else:
+            verdict = is_semantically_local(a, sig, flavor, budget)
+            if verdict.status is IS_UNKNOWN:
+                return verdict
         verdicts[key] = verdict
     return verdict

@@ -1,5 +1,7 @@
 import glob
+import itertools
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -9,10 +11,18 @@ from pathlib import Path
 import pytest
 
 import locmod.extractor as extractor
-from locmod import SEM_STAR, SYN_STAR, Signature, parse_ontology
+from locmod import (
+    SEM_STAR,
+    SYN_STAR,
+    LocalityFlavor,
+    Signature,
+    is_semantically_local,
+    is_syntactically_local,
+    parse_ontology,
+)
 from locmod.cli import _parse_terms, main
 from locmod.parser import MAX_NESTING, ParseFailure, parse_signature
-from conftest import fixture_path, nested_text
+from conftest import CORPUS_NAMES, fixture_path, load_fixture, nested_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -191,6 +201,25 @@ class TestExtract:
         assert len(refined) < len(plain)
 
 
+def check_reference(name, flavor, terms, refined, strict):
+    """The stdout and exit code of `locmod check`, from a plain check of
+    each axiom on its own."""
+    onto = load_fixture(name)
+    sig, flavor = _parse_terms(terms), LocalityFlavor(flavor)
+    lines, unknowns = [], 0
+    for a in onto.axioms:
+        if flavor.is_syntactic:
+            word = "local" if is_syntactically_local(a, sig, flavor, refined) else "non-local"
+        else:
+            verdict = is_semantically_local(a, sig, flavor)
+            word = verdict.status.value
+            if verdict.reason:
+                word += f" ({verdict.reason})"
+                unknowns += 1
+        lines.append(f"{word}\t{a}\n")
+    return "".join(lines), 3 if strict and unknowns else 0
+
+
 class TestCheck:
     def test_verdict_lines(self, capsys):
         code = main(
@@ -239,6 +268,35 @@ class TestCheck:
         assert capsys.readouterr().out.startswith("unknown (rule application limit reached)\t")
         assert main(args) == 0
         assert capsys.readouterr().out.startswith("non-local\t")
+
+    def test_verdicts_equal_a_check_of_each_axiom(self, capsys):
+        # every flavor goes through the verdict memo; its output must not show it
+        rng = random.Random(12)
+        outputs = set()
+        for name in CORPUS_NAMES:
+            names = load_fixture(name).names
+            entities = [f"C:{n}" for n in sorted(names.concept_names)]
+            entities += [f"R:{n}" for n in sorted(names.role_names)]
+            drawn = [",".join(e for e in entities if rng.random() < 0.5) for _ in range(3)]
+            signatures = ["", *drawn]
+            if name == "mixed.ofs":
+                signatures.append("C:SmallTeam,C:Team")
+            flavors = ("bot", "top", "sem-bot", "sem-top")
+            for terms, flavor in itertools.product(signatures, flavors):
+                for refined, strict in itertools.product((False, True), repeat=2):
+                    args = ["check", "--flavor", flavor, "--ontology", fx(name), "--terms", terms]
+                    args += ["--refined"] * refined + ["--strict-verdicts"] * strict
+                    code = main(args)
+                    out = capsys.readouterr().out
+                    assert (out, code) == check_reference(name, flavor, terms, refined, strict)
+                    outputs.update(out.splitlines())
+        assert (
+            "unknown (counting over the universal role)\t"
+            "SmallTeam ≡ Team ⊓ ∀memberOf.Employee ⊓ ≥2 memberOf.⊤"
+        ) in outputs
+        # the self-inverse axiom of inverse_loop.ofs with partOf in Σ: local
+        # under --refined (or a semantic flavor), non-local under plain bot/top
+        assert {"local\tInv(partOf, partOf⁻)", "non-local\tInv(partOf, partOf⁻)"} <= outputs
 
 
 class TestGenuine:

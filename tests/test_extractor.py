@@ -394,10 +394,10 @@ class TestSeededFirstRound:
         inputs = [(name, 0.5) for name in CORPUS_NAMES] + [(None, 0.03)]
         seen = []
 
-        def recording(o, i, sig, flavor, budget=None):
+        def recording(o, i, sig, flavor, *options):
             # every check a round makes, memo hits included
             seen.append((o.axioms[i], sig, flavor))
-            return semantic.verdict_in(o, i, sig, flavor, budget)
+            return semantic.verdict_in(o, i, sig, flavor, *options)
 
         runs = [
             (extract_module, LocalityFlavor.SEM_BOT),

@@ -32,8 +32,8 @@ from locmod import (
     sample_signatures,
     signature_of,
 )
-import locmod.extractor as extractor
 import locmod.harness as harness
+import locmod.semantic as semantic
 from locmod.semantic import Locality
 from conftest import CORPUS_NAMES, load_fixture
 from genlib import synthetic_ontology
@@ -180,10 +180,11 @@ class TestRunComparison:
     def test_direction_violations_abort(self, monkeypatch):
         # a lying syntactic checker must trip the direction assertion, also
         # on the axioms not local w.r.t. the empty signature, which the
-        # compiled circuit finds and the liar then checks (fresh instances)
+        # compiled circuit finds and the liar then checks: the liar stands
+        # where the verdict memo asks the grammar (fresh instances, so no
+        # honest verdict is kept yet)
         liar = lambda *args, **kw: True  # noqa: E731
-        monkeypatch.setattr(harness, "is_syntactically_local", liar)
-        monkeypatch.setattr(extractor, "is_syntactically_local", liar)
+        monkeypatch.setattr(semantic, "is_syntactically_local", liar)
         with pytest.raises(InvariantViolation):
             run_comparison(
                 load_fixture("taxonomy.ofs"), "t1a", SamplingConfig(sample_count=20, rng_seed=8)
@@ -263,16 +264,27 @@ class TestSeededT1a:
         assert records >= 20 and unknowns >= 1
 
     def test_warm_case_checks_only_reachable_axioms(self, monkeypatch):
+        # a warm case asks the memo about each reachable axiom once per
+        # notion, and walks the grammar at most once per distinct key
         counts = {"syn": 0, "sem": 0}
+        keys, walks = set(), []
+        lookup, walk = harness.verdict_in, semantic.is_syntactically_local
 
-        def counted(key, check):
-            def wrapper(*args, **kw):
-                counts[key] += 1
-                return check(*args, **kw)
+        def counted_lookup(o, i, sig, flavor, *options):
+            if flavor.is_syntactic:
+                counts["syn"] += 1
+                number, concepts, roles, _ = o.shapes[i]
+                in_sig = [n in sig.concept_names for n in concepts]
+                keys.add((number, *in_sig, *(n in sig.role_names for n in roles)))
+            else:
+                counts["sem"] += 1
+            return lookup(o, i, sig, flavor, *options)
 
-            return wrapper
+        def counted_walk(*args):
+            walks.append(args)
+            return walk(*args)
 
-        cases = 0
+        cases = walked = 0
         for o in self.ontologies():
             run_comparison(o, "t1a", SamplingConfig(sample_count=1))  # warm the instance
             syn_at_empty = {
@@ -286,10 +298,12 @@ class TestSeededT1a:
                 if not is_semantically_local(a, Signature(), LocalityFlavor.SEM_BOT).is_local
             }
             with monkeypatch.context() as m:
-                m.setattr(harness, "is_syntactically_local", counted("syn", is_syntactically_local))
-                m.setattr(harness, "verdict_in", counted("sem", harness.verdict_in))
+                m.setattr(harness, "verdict_in", counted_lookup)
+                m.setattr(semantic, "is_syntactically_local", counted_walk)
                 for term in sorted(o.names.concept_names):
                     counts.update(syn=0, sem=0)
+                    keys.clear()
+                    walks.clear()
                     harness._t1a_case(o, o.axioms, Signature({term}), "s0", None, False)
                     mentions = set(o.name_index.get(term, ()))
                     reached = {
@@ -298,8 +312,10 @@ class TestSeededT1a:
                     }
                     assert counts == reached
                     assert max(reached.values()) < len(o)
+                    assert len(walks) <= len(keys)
+                    walked += len(walks)
                     cases += 1
-        assert cases >= 100
+        assert cases >= 100 and walked > 0
 
 
 class TestRenderReport:

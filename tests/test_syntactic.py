@@ -32,8 +32,12 @@ from locmod import (
     is_syntactically_local,
     substitute,
 )
+import locmod.model as model
+import locmod.semantic as semantic
 import locmod.syntactic as syntactic
+from locmod.semantic import verdict_in
 from locmod.syntactic import compile_circuit
+from conftest import CORPUS_NAMES, load_fixture
 from genlib import (
     CONCEPTS,
     ROLES,
@@ -377,3 +381,72 @@ class TestCircuitPerStructure:
                 calls.clear()
                 compile_circuit(o, flavor)
                 assert len(calls) == len(set(calls)) == len(o.structures)
+
+
+def memo_key(a, sig, flavor, refined):
+    """The key under which `verdict_in` keeps a syntactic verdict of `a`,
+    with the structure in place of its number."""
+    structure, concepts, roles, _ = model.axiom_shape(a)
+    return (
+        flavor,
+        refined,
+        structure,
+        *(name in sig.concept_names for name in concepts),
+        *(name in sig.role_names for name in roles),
+    )
+
+
+class TestVerdictMemo:
+    """`semantic.verdict_in` answers a syntactic flavor as the grammar does,
+    and walks the grammar once per key."""
+
+    def test_equals_the_grammar_in_any_order(self, monkeypatch):
+        rng = random.Random(37)
+        walk, walked = syntactic.is_syntactically_local, []
+
+        def counted(a, sig, flavor, refined):
+            walked.append(memo_key(a, sig, flavor, refined))
+            return walk(a, sig, flavor, refined)
+
+        monkeypatch.setattr(semantic, "is_syntactically_local", counted)
+        ontologies = [load_fixture(name) for name in CORPUS_NAMES]
+        ontologies += [synthetic_ontology(300), renamed_copies(21, 60), renamed_copies(22, 60)]
+        for o in ontologies:
+            names = o.names
+            cases = [
+                (i, sig, flavor, refined)
+                for sig in (
+                    random_signature(
+                        rng, concepts=sorted(names.concept_names), roles=sorted(names.role_names)
+                    )
+                    for _ in range(20)
+                )
+                for i in range(len(o))
+                for flavor in (BOT, TOPF)
+                for refined in (False, True)
+            ]
+            walked.clear()
+            keys = set()
+            for _ in range(2):  # the second order meets a warm memo
+                rng.shuffle(cases)
+                for i, sig, flavor, refined in cases:
+                    a = o.axioms[i]
+                    expected = walk(a, sig, flavor, refined)
+                    assert verdict_in(o, i, sig, flavor, refined=refined).is_local is expected
+                    keys.add(memo_key(a, sig, flavor, refined))
+            assert len(walked) == len(set(walked)) == len(keys) < len(cases)
+
+    def test_refined_is_in_the_key(self):
+        # the self-inverse axiom and a renamed copy, with both roles in Σ:
+        # the plain grammar calls them non-local, the refined one local, on
+        # one instance, whichever is asked first
+        o = Ontology((InverseRoles(P, Inverse(P)), InverseRoles(R, Inverse(R))))
+        sig = Signature(frozenset(), frozenset({"P", "R"}))
+        for flavor in (BOT, TOPF):
+            for order in ((False, True), (True, False)):
+                o = Ontology(o.axioms)
+                for refined in order:
+                    for i in (0, 1):
+                        verdict = verdict_in(o, i, sig, flavor, refined=refined)
+                        assert verdict.status is (Locality.LOCAL if refined else Locality.NON_LOCAL)
+                assert len(o.verdicts) == 2
