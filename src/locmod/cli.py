@@ -43,7 +43,6 @@ _STAR_FLAVORS = {"star": SYN_STAR, "sem-star": SEM_STAR}
 _REFINED_HELP = "count inverse-role tautologies as local (syntactic flavors only)"
 
 ENV_MAX_STEPS = "LOCMOD_MAX_STEPS"
-ENV_MAX_SECONDS = "LOCMOD_MAX_SECONDS"
 
 
 class _CliError(Exception):
@@ -52,40 +51,27 @@ class _CliError(Exception):
         self.code = code
 
 
-def _default_limits() -> list:
-    values = []
-    for var, convert, default in (
-        (ENV_MAX_STEPS, int, Budget.max_steps),
-        (ENV_MAX_SECONDS, float, Budget.max_seconds),
-    ):
-        raw = os.environ.get(var)
-        try:
-            values.append(default if raw is None else convert(raw))
-        except ValueError:
-            raise _CliError(f"{var} must be a number, not {raw!r}", EXIT_PARSE)
-    return values
+def _default_max_steps() -> int:
+    raw = os.environ.get(ENV_MAX_STEPS)
+    try:
+        return Budget.max_steps if raw is None else int(raw)
+    except ValueError:
+        raise _CliError(f"{ENV_MAX_STEPS} must be a number, not {raw!r}", EXIT_PARSE)
 
 
 def _budget(args) -> Budget:
     try:
-        return Budget(args.max_steps, args.max_seconds)
-    except ValueError as exc:  # Budget is where the limits are checked
+        return Budget(args.max_steps)
+    except ValueError as exc:  # Budget is where the limit is checked
         raise _CliError(f"invalid budget: {exc}", EXIT_PARSE) from None
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
-    max_steps, max_seconds = _default_limits()
     p.add_argument(
         "--max-steps",
         type=int,
-        default=max_steps,
-        help="tableau rule-application limit per check",
-    )
-    p.add_argument(
-        "--max-seconds",
-        type=float,
-        default=max_seconds,
-        help="wall-clock limit per check, in seconds",
+        default=_default_max_steps(),
+        help="tableau rule-application limit per check (default: %(default)s)",
     )
 
 

@@ -200,18 +200,37 @@ def _axiom_id(i: int) -> str:
     return f"ax{i}"
 
 
-def _culprits_of(axioms, ids) -> tuple[tuple[str, CulpritType], ...]:
-    out = []
-    for i in ids:
-        kind = classify_culprit(axioms[i])
+def _record(o, test, case_id, sig, syn, sem, unknowns, syn_time, sem_time):
+    """The record of a case whose syntactic and semantic position sets are
+    `syn` and `sem`, or None when every syntactic position is semantic."""
+    diff = sorted(syn - sem)
+    if not diff:
+        return None
+    culprits = []
+    for i in diff:
+        kind = classify_culprit(o.axioms[i])
         if kind is not CulpritType.NONE:
-            out.append((_axiom_id(i), kind))
-    return tuple(out)
+            culprits.append((_axiom_id(i), kind))
+    return DifferenceRecord(
+        ontology=o.name,
+        axiom_count=len(o.axioms),
+        test=test,
+        case_id=case_id,
+        seed_signature=sig,
+        syntactic_size=len(syn),
+        semantic_size=len(sem),
+        difference_axioms=tuple(_axiom_id(i) for i in diff),
+        relative_difference=len(diff) / len(syn),
+        syn_time=syn_time,
+        sem_time=sem_time,
+        culprits=tuple(culprits),
+        unknown_verdicts=unknowns,
+    )
 
 
-def _t1a_case(o, axioms, sig, case_id, budget, timed):
+def _t1a_case(o, sig, case_id, budget, timed):
     # SYN_BOT and SEM_BOT share one circuit, so one candidate list serves both
-    candidates = _Checker(o, LocalityFlavor.SYN_BOT).candidates(range(len(axioms)), sig)
+    candidates = _Checker(o, LocalityFlavor.SYN_BOT).candidates(range(len(o.axioms)), sig)
     started = time.perf_counter() if timed else 0.0
     syn = LocalityFlavor.SYN_BOT
     syn_nonlocal = {i for i in candidates if not verdict_in(o, i, sig, syn).is_local}
@@ -227,34 +246,18 @@ def _t1a_case(o, axioms, sig, case_id, budget, timed):
             if i not in syn_nonlocal:
                 raise InvariantViolation(
                     f"{o.name}: axiom {_axiom_id(i)} is syntactically local but "
-                    f"semantically non-local w.r.t. {sig}: {axioms[i]}"
+                    f"semantically non-local w.r.t. {sig}: {o.axioms[i]}"
                 )
         elif verdict.status is Locality.UNKNOWN:
             unknowns += 1
             sem_nonlocal.add(i)  # conservative, like the extractor
     sem_time = time.perf_counter() - started if timed else 0.0
-
-    diff = sorted(syn_nonlocal - sem_nonlocal)
-    if not diff:
-        return None
-    return DifferenceRecord(
-        ontology=o.name,
-        axiom_count=len(axioms),
-        test="T1a",
-        case_id=case_id,
-        seed_signature=sig,
-        syntactic_size=len(syn_nonlocal),
-        semantic_size=len(sem_nonlocal),
-        difference_axioms=tuple(_axiom_id(i) for i in diff),
-        relative_difference=len(diff) / len(syn_nonlocal) if syn_nonlocal else 0.0,
-        syn_time=syn_time,
-        sem_time=sem_time,
-        culprits=_culprits_of(axioms, diff),
-        unknown_verdicts=unknowns,
+    return _record(
+        o, "T1a", case_id, sig, syn_nonlocal, sem_nonlocal, unknowns, syn_time, sem_time
     )
 
 
-def _module_case(o, axioms, sig, case_id, test, budget, timed):
+def _module_case(o, sig, case_id, test, budget, timed):
     started = time.perf_counter() if timed else 0.0
     syn = extract_module(o, sig, LocalityFlavor.SYN_BOT)
     syn_time = time.perf_counter() - started if timed else 0.0
@@ -266,28 +269,13 @@ def _module_case(o, axioms, sig, case_id, test, budget, timed):
     syn_set = set(syn.positions)
     sem_set = set(sem.positions)
     if not sem_set <= syn_set:
-        extra = axioms[min(sem_set - syn_set)]
+        extra = o.axioms[min(sem_set - syn_set)]
         raise InvariantViolation(
             f"{o.name}: semantic module exceeds syntactic module w.r.t. {sig}; "
             f"first extra axiom: {extra}"
         )
-    diff = sorted(syn_set - sem_set)
-    if not diff:
-        return None
-    return DifferenceRecord(
-        ontology=o.name,
-        axiom_count=len(axioms),
-        test=test,
-        case_id=case_id,
-        seed_signature=sig,
-        syntactic_size=len(syn_set),
-        semantic_size=len(sem_set),
-        difference_axioms=tuple(_axiom_id(i) for i in diff),
-        relative_difference=len(diff) / len(syn_set) if syn_set else 0.0,
-        syn_time=syn_time,
-        sem_time=sem_time,
-        culprits=_culprits_of(axioms, diff),
-        unknown_verdicts=sem.unknown_verdicts,
+    return _record(
+        o, test, case_id, sig, syn_set, sem_set, sem.unknown_verdicts, syn_time, sem_time
     )
 
 
@@ -314,7 +302,6 @@ def run_comparison(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
-    axioms = o.axioms
 
     if mode == "t2":
         cases = [(s, _axiom_id(i)) for i, s in enumerate(o.axiom_signatures)]
@@ -324,9 +311,9 @@ def run_comparison(
     def run_case(case):
         sig, case_id = case
         if mode == "t1a":
-            return _t1a_case(o, axioms, sig, case_id, budget, measure_timings)
+            return _t1a_case(o, sig, case_id, budget, measure_timings)
         test = "T1b" if mode == "t1b" else "T2"
-        return _module_case(o, axioms, sig, case_id, test, budget, measure_timings)
+        return _module_case(o, sig, case_id, test, budget, measure_timings)
 
     if measure_timings and cases:
         run_case(cases[0])  # warm-up pass, excluded from the records

@@ -385,6 +385,4 @@ def brute_force_refutes_locality(
     the domain cap, i.e. the axiom is refuted as semantically local."""
     from .semantic import substitute  # local import: semantic sits above this module
 
-    if flavor.is_syntactic:
-        raise ValueError(f"expected a semantic flavor, got {flavor}")
     return find_countermodel(substitute(a, sig, flavor), max_domain) is not None

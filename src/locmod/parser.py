@@ -57,6 +57,7 @@ from .model import (
     Transitive,
     UniversalRoleType,
     EmptyRoleType,
+    exactly,
     signature_of,
 )
 
@@ -404,8 +405,6 @@ def _parse_axiom_form(form: _Form, names: _NameTable):
     if kw == "SubObjectPropertyOf":
         if len(args) != 2:
             _syntax_error(form, "SubObjectPropertyOf takes two property expressions", names)
-        if not args[0].is_atom and args[0].text == "ObjectPropertyChain":
-            _unsupported(args[0], names)
         return [SubRoleOf(_parse_role(args[0], names), _parse_role(args[1], names))]
 
     if kw == "EquivalentObjectProperties":
@@ -451,13 +450,16 @@ def _parse_role(form: _Form, names: _NameTable) -> Role:
     _unsupported(form, names)
 
 
+_DIGITS = re.compile(r"[0-9]+")
+
+
 def _parse_cardinality(form: _Form, names: _NameTable) -> tuple[int, Role, Concept]:
     args = form.children
     if len(args) not in (2, 3) or not args[0].is_atom:
         _syntax_error(form, f"malformed {form.text}", names)
-    try:
-        n = int(args[0].text)
-    except ValueError:
+    try:  # OWL's nonNegativeInteger: ASCII digits only, no sign or `_`
+        n = int(args[0].text) if _DIGITS.fullmatch(args[0].text) else -1
+    except ValueError:  # more digits than `int` converts
         n = -1
     if n < 0:
         _syntax_error(args[0], "cardinality must be a non-negative integer", names)
@@ -506,7 +508,7 @@ def _parse_concept(form: _Form, names: _NameTable) -> Concept:
         return AtMost(n, role, filler)
     if kw == "ObjectExactCardinality":
         n, role, filler = _parse_cardinality(form, names)
-        return And((AtLeast(n, role, filler), AtMost(n, role, filler)))
+        return exactly(n, role, filler)
     if kw == "ObjectOneOf":
         if len(args) != 1 or not args[0].is_atom:
             _unsupported(form, names, construct="ObjectOneOf with more than one individual")

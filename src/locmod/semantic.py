@@ -55,7 +55,7 @@ from .model import (
     role_name_of,
 )
 from .syntactic import is_syntactically_local
-from .tableau import Budget, DEFAULT_BUDGET, SatResult, SatStatus, is_satisfiable
+from .tableau import Budget, SatResult, SatStatus, is_satisfiable
 
 __all__ = [
     "Locality",
@@ -235,11 +235,11 @@ def is_tautology(a: Axiom, budget: Budget | None = None) -> bool | None:
     negation: C ⊑ D is valid iff nnf(C ⊓ ¬D) has no model. Equivalences
     check both directions. None means the reasoner gave up (budget or
     safety valve)."""
-    status = _refutation(a, budget or DEFAULT_BUDGET).status
+    status = _refutation(a, budget).status
     return None if status is _GAVE_UP else status is _UNSAT
 
 
-def _refutation(a: Axiom, budget: Budget) -> SatResult:
+def _refutation(a: Axiom, budget: Budget | None) -> SatResult:
     """The search for a counterexample to the concept axiom `a`:
     UNSATISFIABLE when it is valid, SATISFIABLE when it is not, and an
     UNKNOWN with the tableau's reason when the search gave up."""
@@ -257,7 +257,7 @@ def _refutation(a: Axiom, budget: Budget) -> SatResult:
 _NO_COUNTEREXAMPLE = SatResult(_UNSAT)
 
 
-def _counterexample(sub: Concept, sup: Concept, budget: Budget) -> SatResult:
+def _counterexample(sub: Concept, sup: Concept, budget: Budget | None) -> SatResult:
     """Satisfiability of the probe simplify(nnf(sub ⊓ ¬sup)). A substituted
     ⊥ ⊑ D or C ⊑ ⊤ has no counterexample, found before any probe is built."""
     if type(sub) is BottomType or type(sup) is TopType:
@@ -281,7 +281,7 @@ def is_semantically_local(
     _check_semantic(flavor)
     s = substitute(a, sig, flavor)
     if isinstance(s, (SubClassOf, EquivalentClasses)):
-        result = _refutation(s, budget or DEFAULT_BUDGET)
+        result = _refutation(s, budget)
         if result.status is _GAVE_UP:
             return Verdict(IS_UNKNOWN, reason=result.reason)
         return LOCAL if result.status is _UNSAT else NON_LOCAL

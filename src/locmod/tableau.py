@@ -6,8 +6,8 @@ an empty TBox no blocking is needed: the quantifier depth of labels
 strictly decreases along tree edges, so expansion depth is bounded by the
 nesting depth of the input; merging only shrinks the graph. ∀R∆.C acts
 as the axiom ⊤ ⊑ C, though, and an existential in C can make every new
-node ask for another. A step/time budget caps that and pathological
-branching.
+node ask for another. A step budget caps that and pathological
+branching; a wall-clock limit is there only when a caller asks for one.
 
 The search keeps one state and an agenda (Tsarkov & Horrocks 2006).
 Adding a concept to a label puts the (node, concept) pair on a FIFO
@@ -43,6 +43,7 @@ model of the open state is built on first access.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,14 +78,19 @@ __all__ = ["Budget", "SatStatus", "SatResult", "is_satisfiable"]
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for one satisfiability check, both positive."""
+    """Resource limits for one satisfiability check, both positive.
 
-    max_steps: int = 1_000_000
-    max_seconds: float = 5.0
+    Steps alone end a check by default, so a verdict does not depend on
+    machine load; a finite `max_seconds` is an explicit opt-in."""
+
+    max_steps: int = 200_000
+    max_seconds: float = math.inf
 
     def __post_init__(self):
-        if not (self.max_steps > 0 and self.max_seconds > 0):  # NaN fails too
-            raise ValueError(f"limits must be positive: {self}")
+        for name in ("max_steps", "max_seconds"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -441,7 +447,8 @@ def is_satisfiable(c: Concept, budget: Budget | None = None) -> SatResult:
     """Decide satisfiability of a concept in negation normal form.
 
     Sound always; complete within the budget except for the counting
-    constructs handled by the Unknown safety valve.
+    constructs handled by the Unknown safety valve. No budget means
+    `Budget()`: steps alone, so the verdict does not depend on the clock.
     """
     if budget is None:
         budget = DEFAULT_BUDGET

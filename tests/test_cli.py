@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -423,52 +424,62 @@ class TestUsage:
         assert code == 3
 
 
-    @pytest.mark.parametrize("var", ["LOCMOD_MAX_STEPS", "LOCMOD_MAX_SECONDS"])
+    @pytest.mark.parametrize("var", ["LOCMOD_MAX_STEPS"])
     def test_malformed_budget_env_is_a_usage_error(self, monkeypatch, capsys, var):
         monkeypatch.setenv(var, "abc")
         code = main(["check", "--flavor", "bot", "--ontology", fx("koala.ofs")])
         assert code == 1
         assert capsys.readouterr().err == f"{var} must be a number, not 'abc'\n"
 
-    @pytest.mark.parametrize(
-        "flag, limits",
-        [
-            ("--max-steps=0", "max_steps=0, max_seconds=5.0"),
-            ("--max-steps=-5", "max_steps=-5, max_seconds=5.0"),
-            ("--max-seconds=nan", "max_steps=1000000, max_seconds=nan"),
-            ("--max-seconds=0", "max_steps=1000000, max_seconds=0.0"),
-            ("--max-seconds=-1", "max_steps=1000000, max_seconds=-1.0"),
-        ],
-    )
-    def test_bad_budget_flag_is_a_usage_error(self, capsys, flag, limits):
-        # NaN would switch the clock off, and a step limit below 1 would
-        # make every semantic verdict UNKNOWN
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_bad_budget_flag_is_a_usage_error(self, capsys, steps):
+        # a step limit below 1 would make every semantic verdict UNKNOWN
         for command in (
             ["extract", "--flavor", "sem-star", "--terms", "C:Koala"],
             ["check", "--flavor", "sem-top", "--terms", "C:Koala"],
             ["genuine", "--flavor", "sem-bot"],
             ["compare"],
         ):
-            assert main(command + ["--ontology", fx("koala.ofs"), flag]) == 1
+            assert main(command + ["--ontology", fx("koala.ofs"), f"--max-steps={steps}"]) == 1
             captured = capsys.readouterr()
-            assert captured.err == f"invalid budget: limits must be positive: Budget({limits})\n"
+            assert captured.err == f"invalid budget: max_steps must be positive, got {steps}\n"
             assert captured.out == ""
 
-    @pytest.mark.parametrize(
-        "var, value, limits",
-        [
-            ("LOCMOD_MAX_STEPS", "-1", "max_steps=-1, max_seconds=5.0"),
-            ("LOCMOD_MAX_SECONDS", "nan", "max_steps=1000000, max_seconds=nan"),
-            ("LOCMOD_MAX_SECONDS", "0", "max_steps=1000000, max_seconds=0.0"),
-        ],
-    )
-    def test_bad_budget_env_is_a_usage_error(self, monkeypatch, capsys, var, value, limits):
-        monkeypatch.setenv(var, value)
+    def test_bad_budget_env_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("LOCMOD_MAX_STEPS", "-1")
         code = main(["check", "--flavor", "sem-bot", "--ontology", fx("koala.ofs")])
         assert code == 1
-        assert capsys.readouterr().err == (
-            f"invalid budget: limits must be positive: Budget({limits})\n"
-        )
+        assert capsys.readouterr().err == "invalid budget: max_steps must be positive, got -1\n"
+
+    def test_no_wall_clock_setting(self, monkeypatch, capsys):
+        # steps alone bound a command-line check: there is no seconds flag,
+        # and a leftover seconds variable is not read
+        for command in (
+            ["extract", "--flavor", "sem-bot"],
+            ["check", "--flavor", "sem-top"],
+            ["genuine", "--flavor", "sem-bot"],
+            ["compare"],
+        ):
+            assert main(command + ["--ontology", fx("koala.ofs"), "--max-seconds=5"]) == 1
+            assert "unrecognized arguments: --max-seconds=5" in capsys.readouterr().err
+        monkeypatch.setenv("LOCMOD_MAX_SECONDS", "abc")
+        assert main(["check", "--flavor", "sem-bot", "--ontology", fx("koala.ofs")]) == 0
+
+    def test_check_ignores_the_clock(self, monkeypatch, capsys):
+        # ≤100 memberOf.⊤ takes the tableau past the meter's first clock
+        # read; a clock that jumps 1,000 s per read changes no line
+        command = [
+            "check", "--flavor", "sem-top", "--ontology", fx("mixed.ofs"),
+            "--terms", "C:Team,C:LargeTeam,R:memberOf",
+        ]
+        assert main(command) == 0
+        expected = capsys.readouterr().out
+        start = time.monotonic()
+        reads = iter(range(1, 10**9))
+        monkeypatch.setattr(time, "monotonic", lambda: start + 1000.0 * next(reads))
+        assert main(command) == 0
+        assert capsys.readouterr().out == expected
+        assert next(reads) > 3  # the checks did read the clock
 
     @pytest.mark.parametrize(
         "flags, problem",
@@ -609,3 +620,32 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
             argv[at] = str(tmp_path / argv[at])
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_names_only_real_options():
+    # a --flag in the command-line sections must be an option of some
+    # subcommand, and a LOCMOD_* variable anywhere must be one cli reads
+    import argparse
+    import inspect
+
+    import locmod.cli as cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sections = [
+        readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+        for title in ("Command line", "File formats")
+    ]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "".join(sections)))
+    (commands,) = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        option for sub in commands.choices.values() for option in sub._option_string_actions
+    }
+    assert len(flags) >= 10
+    assert flags <= options, flags - options
+    variables = set(re.findall(r"LOCMOD_[A-Z_]+", readme))
+    source = inspect.getsource(cli)
+    assert variables and {v for v in variables if f'"{v}"' not in source} == set()

@@ -5,6 +5,7 @@ import pytest
 
 from locmod import (
     TOP,
+    AtLeast,
     Budget,
     ConceptName,
     CulpritType,
@@ -263,6 +264,21 @@ class TestSeededT1a:
                 unknowns += sum(r.unknown_verdicts for r in expected)
         assert records >= 20 and unknowns >= 1
 
+    def test_starved_syntactically_local_axiom_counts_as_unknown(self):
+        # B ⊑ ≥0 r.A is syntactically ⊥-local, but its probe B ⊓ ∃r.(A ⊓ ¬A)
+        # reaches the tableau, so one step leaves it UNKNOWN: counted, and no
+        # violation, since only a definite NON_LOCAL contradicts the grammar
+        A, B, r = ConceptName("A"), ConceptName("B"), RoleName("r")
+        starved = SubClassOf(B, AtLeast(0, r, A))
+        o = Ontology((starved, InverseRoles(r, Inverse(r))), name="starved")
+        sig = Signature({"A", "B"}, {"r"})
+        assert is_syntactically_local(starved, sig, LocalityFlavor.SYN_BOT)
+        records = run_comparison(o, "t1a", SamplingConfig(), budget=Budget(max_steps=1))
+        (full,) = [rec for rec in records if rec.seed_signature == sig]
+        assert full.unknown_verdicts == 1
+        assert full.difference_axioms == ("ax1",)
+        assert sum(rec.unknown_verdicts for rec in records) == 1
+
     def test_warm_case_checks_only_reachable_axioms(self, monkeypatch):
         # a warm case asks the memo about each reachable axiom once per
         # notion, and walks the grammar at most once per distinct key
@@ -304,7 +320,7 @@ class TestSeededT1a:
                     counts.update(syn=0, sem=0)
                     keys.clear()
                     walks.clear()
-                    harness._t1a_case(o, o.axioms, Signature({term}), "s0", None, False)
+                    harness._t1a_case(o, Signature({term}), "s0", None, False)
                     mentions = set(o.name_index.get(term, ()))
                     reached = {
                         "syn": len(syn_at_empty | mentions),

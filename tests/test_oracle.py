@@ -177,7 +177,7 @@ class TestBruteForceLocal:
         assert not brute_force_refutes_locality(axiom, Signature(role_names={"P"}), SEM_BOT)
 
     def test_rejects_syntactic_flavor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected a semantic flavor, got"):
             brute_force_refutes_locality(SubClassOf(A, B), Signature(), LocalityFlavor.SYN_BOT)
 
     def test_one_sided_agreement_with_checker(self):

@@ -82,6 +82,20 @@ class TestParseOntology:
         rhs = o.axioms[0].sup
         assert rhs == And((AtLeast(3, RoleName("c"), TOP), AtMost(3, RoleName("c"), TOP)))
 
+    @pytest.mark.parametrize(
+        "n",
+        ["1_000", "+2", "٣", "３", "9" * 5_000],
+        ids=["separator", "sign", "arabic-indic", "fullwidth", "5000-digits"],
+    )
+    def test_cardinality_is_ascii_digits(self, n):
+        # OWL's nonNegativeInteger: Python's `int` also reads separators,
+        # signs and non-ASCII digits, and refuses 5,000 digits outright
+        with pytest.raises(ParseFailure) as err:
+            parse_ontology(wrap(f"SubClassOf(A ObjectMinCardinality({n} r B))"))
+        (error,) = err.value.errors
+        assert error.kind is ParseErrorKind.SYNTAX
+        assert "cardinality must be a non-negative integer" in str(error)
+
     def test_has_value_desugars(self):
         o = parse_ontology(wrap("SubClassOf(A ObjectHasValue(g m))"))
         assert o.axioms[0].sup == Exists(RoleName("g"), OneOf("m"))

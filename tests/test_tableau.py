@@ -150,10 +150,32 @@ class TestBudgetAndDeterminism:
     def test_budget_limits_are_positive(self):
         # NaN compares false with every number, so a NaN clock would never
         # run out; a step limit below 1 would make every verdict UNKNOWN
-        for steps, seconds in ((0, 5.0), (-3, 5.0), (10, 0.0), (10, -1.0), (10, float("nan"))):
-            with pytest.raises(ValueError, match="must be positive"):
+        for steps, seconds, message in (
+            (0, 5.0, "max_steps must be positive, got 0"),
+            (-3, 5.0, "max_steps must be positive, got -3"),
+            (10, 0.0, "max_seconds must be positive, got 0.0"),
+            (10, -1.0, "max_seconds must be positive, got -1.0"),
+            (10, float("nan"), "max_seconds must be positive, got nan"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 Budget(steps, seconds)
         assert Budget(1, float("inf")).max_steps == 1
+
+    def test_verdicts_ignore_the_clock_by_default(self, monkeypatch):
+        # a clock that jumps 1,000 s per read: the default budget never
+        # reads it as a limit, and an explicit max_seconds still does
+        start = time.monotonic()
+        reads = iter(range(1, 10**9))
+        monkeypatch.setattr(
+            locmod.tableau.time, "monotonic", lambda: start + 1000.0 * next(reads)
+        )
+        axiom = SubClassOf(AtLeast(300, RoleName("r"), B), A)
+        sig = Signature({"A", "B"}, {"r"})
+        flavor = LocalityFlavor.SEM_BOT
+        assert is_semantically_local(axiom, sig, flavor).status is Locality.NON_LOCAL
+        timed = is_semantically_local(axiom, sig, flavor, Budget(max_seconds=1.0))
+        assert timed.status is Locality.UNKNOWN
+        assert timed.reason == "time limit reached"
 
     def test_choice_points_do_not_recurse(self):
         # every binary disjunction is a choice point; a search that recursed
