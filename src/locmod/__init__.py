@@ -66,7 +66,6 @@ from .model import (
 )
 from .oracle import (
     Interpretation,
-    brute_force_refutes_locality,
     eval_concept,
     eval_role,
     find_countermodel,

@@ -51,17 +51,18 @@ class _CliError(Exception):
         self.code = code
 
 
-def _default_max_steps() -> int:
-    raw = os.environ.get(ENV_MAX_STEPS)
-    try:
-        return Budget.max_steps if raw is None else int(raw)
-    except ValueError:
-        raise _CliError(f"{ENV_MAX_STEPS} must be a number, not {raw!r}", EXIT_PARSE)
-
-
 def _budget(args) -> Budget:
+    """The budget of a command: `--max-steps`, else `LOCMOD_MAX_STEPS`, else
+    the default, read only by the commands that check locality."""
+    steps = args.max_steps
+    if steps is None:
+        raw = os.environ.get(ENV_MAX_STEPS)
+        try:
+            steps = Budget.max_steps if raw is None else int(raw)
+        except ValueError:
+            raise _CliError(f"{ENV_MAX_STEPS} must be a number, not {raw!r}", EXIT_PARSE)
     try:
-        return Budget(args.max_steps)
+        return Budget(steps)
     except ValueError as exc:  # Budget is where the limit is checked
         raise _CliError(f"invalid budget: {exc}", EXIT_PARSE) from None
 
@@ -70,8 +71,8 @@ def _add_budget_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--max-steps",
         type=int,
-        default=_default_max_steps(),
-        help="tableau rule-application limit per check (default: %(default)s)",
+        help="tableau rule-application limit per check "
+        f"(default: ${ENV_MAX_STEPS}, else {Budget.max_steps})",
     )
 
 

@@ -250,7 +250,10 @@ def _t1a_case(o, sig, case_id, budget, timed):
                 )
         elif verdict.status is Locality.UNKNOWN:
             unknowns += 1
-            sem_nonlocal.add(i)  # conservative, like the extractor
+            # conservative, like the extractor; but a syntactically local
+            # axiom is semantically local, so it is only counted
+            if i in syn_nonlocal:
+                sem_nonlocal.add(i)
     sem_time = time.perf_counter() - started if timed else 0.0
     return _record(
         o, "T1a", case_id, sig, syn_nonlocal, sem_nonlocal, unknowns, syn_time, sem_time

@@ -1,23 +1,26 @@
-"""Brute-force finite-model evaluation and countermodel search.
+"""Finite-model evaluation and an exact countermodel search.
 
 This is the independent referee for the tableau and the semantic checker:
 `eval_concept`/`holds` implement the textbook set semantics directly, and
-`find_countermodel` exhaustively enumerates every interpretation up to a
-domain-size cap (all concept subsets, all role pair-sets, all individual
-assignments) in a fixed lexicographic order. Refutation only: a found
-countermodel disproves validity, exhaustion proves nothing beyond the cap.
+`find_countermodel` searches every interpretation up to a domain-size cap.
+Refutation only: a found countermodel disproves validity, exhaustion
+proves nothing beyond the cap.
 
-Enumeration is doubly exponential in the number of names, so callers keep
-signatures tiny (four or so names) and the cap at 3 or 4. The enumerator
-evaluates through a compiled bitmask representation for speed; tests pin
-it against the plain set semantics below.
+For each domain size the search fixes one thing at a time, in this order:
+each individual's element, each concept name's extension, then each
+role's successors of each element, names sorted and values ascending.
+Whatever is not fixed yet is unknown, and `_bounds` evaluates a concept
+in Kleene's three-valued logic to the elements surely in it and those
+possibly in it. A branch is cut as soon as these bounds show that the
+axiom holds in every completion, so the search stays exact; on a complete
+assignment the bounds coincide and are the plain semantics. Callers still
+keep signatures small (a few names, two roles) and the cap at 2 or 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import product
+from functools import reduce
 
 from .model import (
     And,
@@ -34,13 +37,11 @@ from .model import (
     ForAll,
     Inverse,
     InverseRoles,
-    LocalityFlavor,
     Not,
     OneOf,
     Or,
     Role,
     RoleName,
-    Signature,
     SubClassOf,
     SubRoleOf,
     TopType,
@@ -55,7 +56,6 @@ __all__ = [
     "eval_role",
     "holds",
     "find_countermodel",
-    "brute_force_refutes_locality",
 ]
 
 
@@ -162,227 +162,166 @@ def holds(a: Axiom, interp: Interpretation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Compiled bitmask evaluation (used only by the enumerator)
+# Bounds over a partial interpretation (used only by the search)
 # ---------------------------------------------------------------------------
-# An environment is (cvals, rvals, ivals, n, full): concept extensions as
-# bitmasks, role extensions as per-element successor-mask tuples,
-# individuals as elements.
 
-def _transpose(succ: tuple[int, ...], n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for x in range(n):
-        row = succ[x]
-        y = 0
-        while row:
-            if row & 1:
-                out[y] |= 1 << x
-            row >>= 1
-            y += 1
-    return tuple(out)
+@dataclass
+class _Partial:
+    """An interpretation over {0, ..., n - 1} under construction. Each
+    concept name and individual has a pair of bitmasks, the elements surely
+    and those possibly in its extension, and each role one such pair of
+    successor masks per element: equal masks once fixed, (0, full) before."""
+
+    n: int
+    full: int
+    concepts: dict[str, tuple[int, int]]
+    roles: dict[str, list[tuple[int, int]]]
+    individuals: dict[str, tuple[int, int]]
 
 
-def _compile_role(r: Role, ridx: dict[str, int]):
+def _successors(r: Role, p: _Partial) -> list[tuple[int, int]]:
+    """Per element, the masks of its sure and of its possible `r`-successors."""
     if isinstance(r, RoleName):
-        k = ridx[r.name]
-        return lambda env: env[1][k]
+        return p.roles[r.name]
     if isinstance(r, Inverse):
-        k = ridx[r.role.name]
-        return lambda env: _transpose(env[1][k], env[3])
+        los, his = [0] * p.n, [0] * p.n
+        for x, (lo, hi) in enumerate(p.roles[r.role.name]):
+            for y in range(p.n):
+                los[y] |= (lo >> y & 1) << x
+                his[y] |= (hi >> y & 1) << x
+        return list(zip(los, his))
     if isinstance(r, EmptyRoleType):
-        return lambda env: (0,) * env[3]
+        return [(0, 0)] * p.n
     if isinstance(r, UniversalRoleType):
-        return lambda env: (env[4],) * env[3]
+        return [(p.full, p.full)] * p.n
     raise TypeError(f"not a role: {r!r}")
 
 
-def _compile_concept(c: Concept, cidx, ridx, iidx):
-    if isinstance(c, TopType):
-        return lambda env: env[4]
-    if isinstance(c, BottomType):
-        return lambda env: 0
+def _bounds(c: Concept, p: _Partial) -> tuple[int, int]:
+    """The elements surely in `c` and those possibly in it, as bitmasks
+    (Kleene's three-valued semantics). Once `p` fixes every name of `c`
+    the two are equal: the extension of `c`."""
     if isinstance(c, ConceptName):
-        k = cidx[c.name]
-        return lambda env: env[0][k]
+        return p.concepts[c.name]
     if isinstance(c, OneOf):
-        k = iidx[c.individual]
-        return lambda env: 1 << env[2][k]
+        return p.individuals[c.individual]
+    if isinstance(c, TopType):
+        return p.full, p.full
+    if isinstance(c, BottomType):
+        return 0, 0
     if isinstance(c, Not):
-        f = _compile_concept(c.arg, cidx, ridx, iidx)
-        return lambda env: env[4] & ~f(env)
+        lo, hi = _bounds(c.arg, p)
+        return p.full & ~hi, p.full & ~lo
     if isinstance(c, And):
-        fs = [_compile_concept(a, cidx, ridx, iidx) for a in c.args]
-
-        def et(env):
-            m = env[4]
-            for f in fs:
-                m &= f(env)
-                if not m:
-                    return 0
-            return m
-
-        return et
+        lo = hi = p.full
+        for arg in c.args:
+            alo, ahi = _bounds(arg, p)
+            lo, hi = lo & alo, hi & ahi
+            if not hi:
+                break
+        return lo, hi
     if isinstance(c, Or):
-        fs = [_compile_concept(a, cidx, ridx, iidx) for a in c.args]
-
-        def vel(env):
-            m = 0
-            full = env[4]
-            for f in fs:
-                m |= f(env)
-                if m == full:
-                    return m
-            return m
-
-        return vel
-    rf = _compile_role(c.role, ridx)
-    ff = _compile_concept(c.filler, cidx, ridx, iidx)
-    if isinstance(c, Exists):
-        def ex(env):
-            succ, fm, m = rf(env), ff(env), 0
-            for x in range(env[3]):
-                if succ[x] & fm:
-                    m |= 1 << x
-            return m
-
-        return ex
+        lo = hi = 0
+        for arg in c.args:
+            alo, ahi = _bounds(arg, p)
+            lo, hi = lo | alo, hi | ahi
+            if lo == p.full:
+                break
+        return lo, hi
+    if not isinstance(c, (Exists, ForAll, AtLeast, AtMost)):
+        raise TypeError(f"not a concept: {c!r}")
+    # each restriction is "at least k successors in the filler" or the
+    # complement of one: ∀R.C is ¬≥1 R.¬C and ≤k R.C is ¬≥(k+1) R.C
+    flo, fhi = _bounds(c.filler, p)
     if isinstance(c, ForAll):
-        def fa(env):
-            succ, fm, m = rf(env), ff(env), 0
-            for x in range(env[3]):
-                if not (succ[x] & ~fm & env[4]):
-                    m |= 1 << x
-            return m
-
-        return fa
-    if isinstance(c, AtLeast):
-        n0 = c.n
-
-        def ge(env):
-            succ, fm, m = rf(env), ff(env), 0
-            for x in range(env[3]):
-                if (succ[x] & fm).bit_count() >= n0:
-                    m |= 1 << x
-            return m
-
-        return ge
-    if isinstance(c, AtMost):
-        n0 = c.n
-
-        def le(env):
-            succ, fm, m = rf(env), ff(env), 0
-            for x in range(env[3]):
-                if (succ[x] & fm).bit_count() <= n0:
-                    m |= 1 << x
-            return m
-
-        return le
-    raise TypeError(f"not a concept: {c!r}")
+        flo, fhi = p.full & ~fhi, p.full & ~flo
+    k = 1 if isinstance(c, (Exists, ForAll)) else c.n + isinstance(c, AtMost)
+    lo = hi = 0
+    for x, (slo, shi) in enumerate(_successors(c.role, p)):
+        if (slo & flo).bit_count() >= k:
+            lo |= 1 << x
+        if (shi & fhi).bit_count() >= k:
+            hi |= 1 << x
+    if isinstance(c, (ForAll, AtMost)):
+        return p.full & ~hi, p.full & ~lo
+    return lo, hi
 
 
-def _compile_axiom(a: Axiom, cidx, ridx, iidx):
+def _surely_holds(a: Axiom, p: _Partial) -> bool:
+    """Whether `a` holds in every completion of `p`; once `p` is complete,
+    whether `a` holds in it."""
     if isinstance(a, SubClassOf):
-        f, g = (
-            _compile_concept(a.sub, cidx, ridx, iidx),
-            _compile_concept(a.sup, cidx, ridx, iidx),
-        )
-        return lambda env: not (f(env) & ~g(env))
+        return not _bounds(a.sub, p)[1] & ~_bounds(a.sup, p)[0]
     if isinstance(a, EquivalentClasses):
-        f, g = (
-            _compile_concept(a.left, cidx, ridx, iidx),
-            _compile_concept(a.right, cidx, ridx, iidx),
-        )
-        return lambda env: f(env) == g(env)
-    if isinstance(a, SubRoleOf):
-        f, g = _compile_role(a.sub, ridx), _compile_role(a.sup, ridx)
-
-        def sub_ok(env):
-            rs, ss = f(env), g(env)
-            return all(not (rs[x] & ~ss[x]) for x in range(env[3]))
-
-        return sub_ok
-    if isinstance(a, EquivalentRoles):
-        f, g = _compile_role(a.left, ridx), _compile_role(a.right, ridx)
-        return lambda env: f(env) == g(env)
-    if isinstance(a, InverseRoles):
-        f, g = _compile_role(a.left, ridx), _compile_role(a.right, ridx)
-        return lambda env: _transpose(f(env), env[3]) == tuple(g(env))
+        (llo, lhi), (rlo, rhi) = _bounds(a.left, p), _bounds(a.right, p)
+        return not (lhi & ~rlo or rhi & ~llo)
     if isinstance(a, Transitive):
-        f = _compile_role(a.role, ridx)
+        rows = _successors(a.role, p)
+        return not any(
+            rows[y][1] & ~lo for lo, hi in rows for y in range(p.n) if hi >> y & 1
+        )
+    if isinstance(a, SubRoleOf):
+        inclusions = [(a.sub, a.sup)]
+    elif isinstance(a, (EquivalentRoles, InverseRoles)):
+        left = Inverse(a.left) if isinstance(a, InverseRoles) else a.left
+        inclusions = [(left, a.right), (a.right, left)]
+    else:
+        raise TypeError(f"not an axiom: {a!r}")
+    return not any(
+        hi & ~lo
+        for r, s in inclusions
+        for (_, hi), (lo, _) in zip(_successors(r, p), _successors(s, p))
+    )
 
-        def trans_ok(env):
-            succ = f(env)
-            for x in range(env[3]):
-                row = succ[x]
-                y = 0
-                while row:
-                    if row & 1 and succ[y] & ~succ[x]:
-                        return False
-                    row >>= 1
-                    y += 1
+
+def _falsify(a: Axiom, p: _Partial, slots: list, k: int = 0) -> bool:
+    """Fix `slots[k:]` in order, each to its values in ascending order, and
+    cut every branch on which `a` surely holds. True, with `p` left at the
+    first complete assignment that falsifies `a`, when there is one."""
+    if _surely_holds(a, p):
+        return False
+    if k == len(slots):
+        return True
+    table, key, values = slots[k]
+    for v in values:
+        table[key] = v
+        if _falsify(a, p, slots, k + 1):
             return True
-
-        return trans_ok
-    raise TypeError(f"not an axiom: {a!r}")
-
-
-@lru_cache(maxsize=8)
-def _role_space(n: int) -> tuple[tuple[int, ...], ...]:
-    """All successor-mask tuples for one role over an n-element domain."""
-    return tuple(product(range(1 << n), repeat=n))
-
-
-def _materialize(cnames, rnames, inames, env) -> Interpretation:
-    cvals, rvals, ivals, n, _full = env
-    concept_ext = {
-        a: frozenset(x for x in range(n) if (cvals[k] >> x) & 1)
-        for k, a in enumerate(cnames)
-    }
-    role_ext = {}
-    for k, r in enumerate(rnames):
-        pairs = set()
-        for x in range(n):
-            row = rvals[k][x]
-            for y in range(n):
-                if (row >> y) & 1:
-                    pairs.add((x, y))
-        role_ext[r] = frozenset(pairs)
-    individual_ext = {m: ivals[k] for k, m in enumerate(inames)}
-    return Interpretation(n, concept_ext, role_ext, individual_ext)
+    table[key] = (0, p.full)
+    return False
 
 
 def find_countermodel(a: Axiom, max_domain: int = 3) -> Interpretation | None:
-    """Exhaustively search domain sizes 1..max_domain for an interpretation
-    falsifying `a`; the first one in lexicographic order wins."""
+    """Search domain sizes 1..max_domain for an interpretation falsifying
+    `a`, exactly: only branches on which `a` holds in every completion are
+    cut. The first one in lexicographic order wins, reading an
+    interpretation as its individuals' elements, then its concept masks,
+    then each role's successor mask per element, names sorted."""
     sig = signature_of(a)
-    cnames = sorted(sig.concept_names)
-    rnames = sorted(sig.role_names)
-    inames = sorted(sig.individual_names)
-    cidx = {name: k for k, name in enumerate(cnames)}
-    ridx = {name: k for k, name in enumerate(rnames)}
-    iidx = {name: k for k, name in enumerate(inames)}
-    check = _compile_axiom(a, cidx, ridx, iidx)
     for n in range(1, max_domain + 1):
         full = (1 << n) - 1
-        space = _role_space(n)
-        concept_grid = list(product(range(full + 1), repeat=len(cnames)))
-        individual_grid = list(product(range(n), repeat=len(inames)))
-        for rvals in product(space, repeat=len(rnames)):
-            for cvals in concept_grid:
-                for ivals in individual_grid:
-                    env = (cvals, rvals, ivals, n, full)
-                    if not check(env):
-                        return _materialize(cnames, rnames, inames, env)
+        unknown, masks = (0, full), [(m, m) for m in range(full + 1)]
+        p = _Partial(
+            n,
+            full,
+            dict.fromkeys(sorted(sig.concept_names), unknown),
+            {r: [unknown] * n for r in sorted(sig.role_names)},
+            dict.fromkeys(sorted(sig.individual_names), unknown),
+        )
+        slots = [(p.individuals, m, [(1 << e, 1 << e) for e in range(n)]) for m in p.individuals]
+        slots += [(p.concepts, c, masks) for c in p.concepts]
+        slots += [(rows, x, masks) for rows in p.roles.values() for x in range(n)]
+        if _falsify(a, p, slots):
+            def members(mask):
+                return frozenset(x for x in range(n) if mask >> x & 1)
+
+            return Interpretation(
+                n,
+                {c: members(m) for c, (m, _) in p.concepts.items()},
+                {
+                    r: frozenset((x, y) for x, (row, _) in enumerate(rows) for y in members(row))
+                    for r, rows in p.roles.items()
+                },
+                {m: e.bit_length() - 1 for m, (e, _) in p.individuals.items()},
+            )
     return None
-
-
-def brute_force_refutes_locality(
-    a: Axiom,
-    sig: Signature,
-    flavor: LocalityFlavor,
-    max_domain: int = 3,
-) -> bool:
-    """True when the substituted axiom has a finite counterexample within
-    the domain cap, i.e. the axiom is refuted as semantically local."""
-    from .semantic import substitute  # local import: semantic sits above this module
-
-    return find_countermodel(substitute(a, sig, flavor), max_domain) is not None

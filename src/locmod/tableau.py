@@ -504,7 +504,9 @@ def _has_clique(nodes: list[int], n: int, graph: list[_Node], meter=None) -> boo
 def _extract_model(state: _State) -> Interpretation:
     """Read a finite interpretation off a saturated open state. Element 0
     is the root, whose label holds the input concept, so the label
-    signatures cover the input's."""
+    signatures cover its concept and role names. Each individual tags a
+    node from the start, and a merge moves tags to the node it keeps, so
+    the tags name every individual."""
     live = [x for x in range(len(state.nodes)) if x not in state.dead]
     index = {x: pos for pos, x in enumerate(live)}
 
@@ -527,17 +529,8 @@ def _extract_model(state: _State) -> Interpretation:
             if isinstance(role, RoleName):
                 role_ext[role.name].update((elem, index[y]) for y in ends if y in index)
 
-    # individuals mentioned only under negation still denote something;
-    # park them on an element that nothing forbids
-    for ind in sorted(sig.individual_names - set(individual_ext)):
-        allowed = [
-            index[x] for x in live if Not(OneOf(ind)) not in state.nodes[x].label
-        ]
-        individual_ext[ind] = allowed[0] if allowed else len(live)
-
-    domain_size = max([len(live)] + [e + 1 for e in individual_ext.values()])
     return Interpretation(
-        domain_size=domain_size,
+        domain_size=len(live),
         concept_ext={a: frozenset(s) for a, s in concept_ext.items()},
         role_ext={r: frozenset(s) for r, s in role_ext.items()},
         individual_ext=dict(sorted(individual_ext.items())),

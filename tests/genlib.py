@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import product
 
 from locmod import (
     And,
@@ -22,6 +23,7 @@ from locmod import (
     Interpretation,
     Inverse,
     InverseRoles,
+    LocalityFlavor,
     Not,
     OneOf,
     Ontology,
@@ -36,6 +38,10 @@ from locmod import (
     Transitive,
     conj,
     disj,
+    find_countermodel,
+    holds,
+    signature_of,
+    substitute,
 )
 
 CONCEPTS = ("A", "B", "C")
@@ -209,6 +215,37 @@ def random_interpretation(
         },
         individual_ext={m: rng.randrange(size) for m in individuals},
     )
+
+
+def textbook_countermodel(a: Axiom, cap: int) -> Interpretation | None:
+    """An interpretation of at most `cap` elements over the names of `a`
+    that falsifies it, or None: every one is built and checked with `holds`."""
+    sig = signature_of(a)
+    concepts, roles = sorted(sig.concept_names), sorted(sig.role_names)
+    individuals = sorted(sig.individual_names)
+    for n in range(1, cap + 1):
+        dom = range(n)
+        pairs = [(x, y) for x in dom for y in dom]
+        subsets = [frozenset(x for x in dom if m >> x & 1) for m in range(1 << n)]
+        relations = [
+            frozenset(p for k, p in enumerate(pairs) if m >> k & 1) for m in range(1 << n * n)
+        ]
+        for cs in product(subsets, repeat=len(concepts)):
+            for rs in product(relations, repeat=len(roles)):
+                for es in product(dom, repeat=len(individuals)):
+                    i = Interpretation(
+                        n, dict(zip(concepts, cs)), dict(zip(roles, rs)), dict(zip(individuals, es))
+                    )
+                    if not holds(a, i):
+                        return i
+    return None
+
+
+def refutes_locality(a: Axiom, sig: Signature, flavor: LocalityFlavor, cap: int = 3) -> bool:
+    """True when `a`, its names outside `sig` replaced as `flavor` says,
+    has a countermodel of at most `cap` elements: `a` is then not
+    semantically local for `sig`."""
+    return find_countermodel(substitute(a, sig, flavor), cap) is not None
 
 
 def synthetic_ontology(

@@ -431,6 +431,19 @@ class TestUsage:
         assert code == 1
         assert capsys.readouterr().err == f"{var} must be a number, not 'abc'\n"
 
+    def test_only_a_budget_reads_the_budget_env(self, monkeypatch, capsys):
+        # help and the oracle build no budget, and a flag overrides the
+        # variable, so none of them reads a malformed value
+        monkeypatch.setenv("LOCMOD_MAX_STEPS", "abc")
+        assert main(["--help"]) == 0
+        assert main(["check", "--help"]) == 0
+        assert "200000" in capsys.readouterr().out
+        oracle = ["oracle", "--flavor", "sem-bot", "--ontology", fx("inverse_loop.ofs")]
+        assert main(oracle + ["--max-domain", "2"]) == 0
+        check = ["check", "--flavor", "sem-bot", "--ontology", fx("koala.ofs")]
+        assert main(check + ["--max-steps", "50000"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("steps", ["0", "-5"])
     def test_bad_budget_flag_is_a_usage_error(self, capsys, steps):
         # a step limit below 1 would make every semantic verdict UNKNOWN

@@ -29,7 +29,6 @@ from locmod import (
     SamplingConfig,
     Signature,
     SubClassOf,
-    brute_force_refutes_locality,
     extract_module,
     extract_nested,
     extract_star,
@@ -42,7 +41,7 @@ from locmod import (
     signature_of,
 )
 from conftest import CORPUS_NAMES, load_fixture
-from genlib import random_axiom, random_signature, synthetic_ontology
+from genlib import random_axiom, random_signature, refutes_locality, synthetic_ontology
 
 A, B = ConceptName("A"), ConceptName("B")
 ALL_FLAVORS = tuple(LocalityFlavor)
@@ -148,7 +147,7 @@ class TestExtractModule:
         assert module_set(result) == frozenset()
         # the referee agrees both axioms are harmless for this seed
         for a in o.axioms:
-            assert not brute_force_refutes_locality(a, sig, LocalityFlavor.SEM_BOT)
+            assert not refutes_locality(a, sig, LocalityFlavor.SEM_BOT)
             assert is_semantically_local(a, sig, LocalityFlavor.SEM_BOT).is_local
 
     def test_post_hoc_correctness(self):
@@ -441,7 +440,7 @@ class TestSeededFirstRound:
         # textbook loop does
         axiom = SubClassOf(A, AtLeast(2, RoleName("R"), B))
         sig = Signature({"A"})
-        assert brute_force_refutes_locality(axiom, sig, LocalityFlavor.SEM_TOP, max_domain=1)
+        assert refutes_locality(axiom, sig, LocalityFlavor.SEM_TOP, 1)
         o = Ontology((axiom,))
         for extract, flavor in (
             (extract_module, LocalityFlavor.SYN_TOP),
@@ -461,7 +460,7 @@ class TestSeededFirstRound:
         sig = Signature({"A"})
         assert is_syntactically_local(axiom, sig, LocalityFlavor.SEM_TOP)
         assert is_semantically_local(axiom, sig, LocalityFlavor.SEM_TOP).status is Locality.UNKNOWN
-        assert not brute_force_refutes_locality(axiom, sig, LocalityFlavor.SEM_TOP)
+        assert not refutes_locality(axiom, sig, LocalityFlavor.SEM_TOP)
         o = Ontology((axiom,))
         fast = extract_module(o, sig, LocalityFlavor.SEM_TOP)
         slow = extract_module(o, sig, LocalityFlavor.SEM_TOP, naive=True)

@@ -266,8 +266,9 @@ class TestSeededT1a:
 
     def test_starved_syntactically_local_axiom_counts_as_unknown(self):
         # B ⊑ ≥0 r.A is syntactically ⊥-local, but its probe B ⊓ ∃r.(A ⊓ ¬A)
-        # reaches the tableau, so one step leaves it UNKNOWN: counted, and no
-        # violation, since only a definite NON_LOCAL contradicts the grammar
+        # reaches the tableau, so one step leaves it UNKNOWN: counted, kept
+        # out of the semantic set, and no violation, since only a definite
+        # NON_LOCAL contradicts the grammar
         A, B, r = ConceptName("A"), ConceptName("B"), RoleName("r")
         starved = SubClassOf(B, AtLeast(0, r, A))
         o = Ontology((starved, InverseRoles(r, Inverse(r))), name="starved")
@@ -276,6 +277,7 @@ class TestSeededT1a:
         records = run_comparison(o, "t1a", SamplingConfig(), budget=Budget(max_steps=1))
         (full,) = [rec for rec in records if rec.seed_signature == sig]
         assert full.unknown_verdicts == 1
+        assert full.semantic_size == 0
         assert full.difference_axioms == ("ax1",)
         assert sum(rec.unknown_verdicts for rec in records) == 1
 

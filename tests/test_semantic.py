@@ -52,6 +52,7 @@ from genlib import (
     random_interpretation,
     random_renaming,
     random_signature,
+    refutes_locality,
     renamed,
     renamed_signature,
 )
@@ -312,14 +313,12 @@ class TestLocality:
         # interpretation refutes the substituted axiom. The top grammar
         # leaves it out of Top(Σ), and the checker answers Unknown there,
         # never Local, so the conservative direction survives.
-        from locmod import brute_force_refutes_locality
-
         axiom = SubClassOf(A, AtLeast(2, R, B))
         sig = Signature({"A"})
         assert not is_syntactically_local(axiom, sig, LocalityFlavor.SYN_TOP)
         verdict = is_semantically_local(axiom, sig, SEM_TOP)
         assert verdict.status is Locality.UNKNOWN
-        assert brute_force_refutes_locality(axiom, sig, SEM_TOP, max_domain=1)
+        assert refutes_locality(axiom, sig, SEM_TOP, 1)
 
 
 class TestImplicationSample:

@@ -25,7 +25,6 @@ from locmod import (
     SubRoleOf,
     TOP,
     Transitive,
-    brute_force_refutes_locality,
     conj,
     exactly,
     is_semantically_local,
@@ -45,6 +44,7 @@ from genlib import (
     random_concept,
     random_renaming,
     random_signature,
+    refutes_locality,
     renamed,
     synthetic_ontology,
 )
@@ -260,7 +260,7 @@ class TestSoundGrammar:
                 sem = LocalityFlavor.SEM_BOT if flavor.is_bottom else LocalityFlavor.SEM_TOP
                 if is_syntactically_local(axiom, sig, flavor):
                     local += 1
-                    assert not brute_force_refutes_locality(axiom, sig, sem, max_domain=2)
+                    assert not refutes_locality(axiom, sig, sem, 2)
                     verdict = is_semantically_local(axiom, sig, sem)
                     assert verdict.status is not Locality.NON_LOCAL
         assert local >= 600
