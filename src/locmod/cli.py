@@ -5,9 +5,9 @@ verdicts), `genuine` (deduplicated single-axiom-signature modules),
 `compare` (the syntactic-vs-semantic experiment), and a hidden `oracle`
 for brute-force countermodel search.
 
-Exit codes: 0 success, 1 parse or usage error, 2 unsupported construct,
-3 unknown verdicts present under --strict-verdicts, 4 internal invariant
-violation.
+Exit codes: 0 success (also when the reader closes the output pipe
+early), 1 parse or usage error, 2 unsupported construct, 3 unknown
+verdicts present under --strict-verdicts, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -352,7 +352,16 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has all it wants; the interpreter flushes stdout once
+        # more at exit, so what is left goes to nowhere instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except SystemExit as exc:
         # argparse exits 2 on bad flags; --help stays 0
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE

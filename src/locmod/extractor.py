@@ -15,14 +15,14 @@ syntactically non-local w.r.t. the working signature (the circuit's
 `always` are non-local even w.r.t. ∅ and fire in the first round). A
 syntactic round moves the fired axioms into M. A semantic round checks
 only fired axioms, over the circuit of the syntactic flavor of the same
-polarity (`syntactic.compile_circuit`): syntactic locality implies
-semantic locality, so any other axiom is local. It checks those that
-fired in this wave and those that fired earlier, were found local, and
-mention a name new in the round before; a verdict depends on the signature only through
-the names it shares with the axiom, so the verdicts of the rest still
-hold. Locality is anti-monotone in Σ, so the fixpoint does not depend on
-when the signature grows, and the result equals that of the textbook
-loop, which rescans the axioms and grows the signature after every added
+polarity (`circuit`): syntactic locality implies semantic locality, so
+any other axiom is local. It checks those that fired in this wave and
+those that fired earlier, were found local, and mention a name new in
+the round before; a verdict depends on the signature only through the
+names it shares with the axiom, so the verdicts of the rest still hold.
+Locality is anti-monotone in Σ, so the fixpoint does not depend on when
+the signature grows, and the result equals that of the textbook loop,
+which rescans the axioms and grows the signature after every added
 axiom (`naive=True` runs it for differential testing). Both count an
 UNKNOWN verdict as non-local, but the rounds never check an axiom the
 grammar calls local: where the tableau gives up on one (A ⊑ ∃R.B ⊔
@@ -60,6 +60,7 @@ from .tableau import Budget
 
 __all__ = [
     "ModuleResult",
+    "circuit",
     "extract_module",
     "extract_nested",
     "extract_star",
@@ -70,6 +71,9 @@ FlavorPair = tuple[LocalityFlavor, LocalityFlavor]
 
 SYN_STAR: FlavorPair = (LocalityFlavor.SYN_TOP, LocalityFlavor.SYN_BOT)
 SEM_STAR: FlavorPair = (LocalityFlavor.SEM_TOP, LocalityFlavor.SEM_BOT)
+
+# one `_extract` pass: module, extended signature, rounds, checks, UNKNOWNs
+Pass = tuple[dict[int, None], Signature, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -99,74 +103,48 @@ class ModuleResult:
     unknown_verdicts: int
 
 
-class _Checker:
-    """Locality test of the axioms of one ontology, by position, with
-    check/unknown counters. Verdicts of every flavor go through the
-    ontology's memo (`semantic.verdict_in`); extraction runs over the
-    ontology's `Circuit` for the flavor's polarity, which a semantic
-    flavor shares with its syntactic counterpart."""
-
-    def __init__(
-        self,
-        o: Ontology,
-        flavor: LocalityFlavor,
-        refined: bool = False,
-        budget: Budget | None = None,
-    ):
-        self.o = o
-        self.flavor = flavor
-        self.syntactic = flavor.is_syntactic
-        self.refined = refined and self.syntactic
-        self.budget = budget
-        self.checks = 0
-        self.unknowns = 0
-
-    def is_local(self, i: int, sig: Signature) -> bool:
-        self.checks += 1
-        verdict = verdict_in(self.o, i, sig, self.flavor, self.budget, self.refined)
-        if verdict.status is IS_UNKNOWN:
-            self.unknowns += 1
-            return False
-        return verdict.is_local
-
-    def circuit(self) -> Circuit:
-        """The ontology's circuit for this flavor's polarity, kept once built."""
-        key = (self.flavor.is_bottom, self.refined)
-        found = self.o.circuits.get(key)
-        if found is None:
-            found = self.o.circuits[key] = compile_circuit(self.o, self.flavor, self.refined)
-        return found
-
-    def candidates(self, scope: Collection[int], sig: Signature) -> list[int]:
-        """Ascending positions in `scope` that may be non-local w.r.t.
-        `sig`: those syntactically non-local w.r.t. ∅ (the circuit's
-        `always`) and those that mention a name of `sig`. Any other axiom
-        has its verdict w.r.t. ∅: local."""
-        index = self.o.name_index
-        seeded = chain(
-            self.circuit().always,
-            *(index.get(name, ()) for name in sig.concept_names | sig.role_names),
-        )
-        return sorted({i for i in seeded if i in scope})
+def circuit(o: Ontology, flavor: LocalityFlavor, refined: bool = False) -> Circuit:
+    """The circuit of `o` for the polarity of `flavor`, which a semantic
+    flavor shares with its syntactic counterpart (`refined` counts for a
+    syntactic flavor only). Compiled on first use and kept in
+    `o.circuits`, which this function alone keys and fills."""
+    key = (flavor.is_bottom, refined and flavor.is_syntactic)
+    found = o.circuits.get(key)
+    if found is None:
+        found = o.circuits[key] = compile_circuit(o, flavor, key[1])
+    return found
 
 
 def _extract(
-    c: _Checker,
+    o: Ontology,
+    flavor: LocalityFlavor,
     scope: Collection[int],
     sig: Signature,
-    naive: bool,
-    trace: list | None,
     step: int = 1,
-) -> tuple[dict[int, None], Signature, int]:
-    """The module for `sig` of the axioms of `c.o` at `scope`, ascending
-    positions with constant-time membership (a `range`, or a dict used as
-    an ordered set). Returns the module's positions, ascending, as such a
-    dict, its extended signature and the number of rounds that added
-    axioms. A round that adds axioms appends `((step, flavor, round),
-    added_axioms)` to `trace`, if given."""
-    o = c.o
+    *,
+    refined: bool = False,
+    budget: Budget | None = None,
+    naive: bool = False,
+    trace: list | None = None,
+) -> Pass:
+    """The `flavor` module for `sig` of the axioms of `o` at `scope`,
+    ascending positions with constant-time membership (a `range`, or a
+    dict used as an ordered set). Returns the module's positions,
+    ascending, as such a dict, its extended signature, the number of
+    rounds that added axioms, the locality checks and the UNKNOWN
+    verdicts, which count as non-local. A round that adds axioms appends
+    `((step, flavor, round), added_axioms)` to `trace`, if given."""
     module: set[int] = set()
-    rounds = 0
+    rounds = checks = unknowns = 0
+
+    def is_local(i: int, working: Signature) -> bool:
+        nonlocal checks, unknowns
+        checks += 1
+        verdict = verdict_in(o, i, working, flavor, budget, refined)
+        if verdict.status is IS_UNKNOWN:
+            unknowns += 1
+            return False
+        return verdict.is_local
 
     if naive:
         sigs = o.axiom_signatures
@@ -174,7 +152,7 @@ def _extract(
         while True:
             added: list[int] = []
             for i in scope:
-                if i not in module and not c.is_local(i, working):
+                if i not in module and not is_local(i, working):
                     module.add(i)
                     working = working | sigs[i]
                     added.append(i)
@@ -182,14 +160,15 @@ def _extract(
                 break
             rounds += 1
             if trace is not None:
-                trace.append(((step, c.flavor, rounds), [o.axioms[i] for i in added]))
-        return dict.fromkeys(sorted(module)), working, rounds
+                trace.append(((step, flavor, rounds), [o.axioms[i] for i in added]))
+        return dict.fromkeys(sorted(module)), working, rounds, checks, unknowns
 
+    syntactic = flavor.is_syntactic
     shapes = o.shapes
-    circuit = c.circuit()
-    need = list(circuit.need)
-    within = None if len(scope) == len(c.o) else scope
-    fired = [i for i in circuit.always if i in scope]
+    wave = circuit(o, flavor, refined)
+    need = list(wave.need)
+    within = None if len(scope) == len(o) else scope
+    fired = [i for i in wave.always if i in scope]
     waiting: set[int] = set()  # fired, but semantically local so far
     concepts, roles = set(sig.concept_names), set(sig.role_names)
     individuals = set(sig.individual_names)
@@ -197,10 +176,10 @@ def _extract(
     working = sig
     while True:
         # one wave: the names new in the round before fire
-        roots, updates = circuit.fire(need, *fresh, within)
+        roots, updates = wave.fire(need, *fresh, within)
         fired += roots
-        if c.syntactic:
-            c.checks += updates
+        if syntactic:
+            checks += updates
             added = sorted(fired)
         else:
             # an axiom found local in an earlier round keeps its verdict
@@ -209,14 +188,14 @@ def _extract(
             if waiting:
                 reached = chain.from_iterable(o.name_index[n] for n in chain(*fresh))
                 fired += waiting.intersection(reached)
-            added = [i for i in sorted(fired) if not c.is_local(i, working)]
+            added = [i for i in sorted(fired) if not is_local(i, working)]
             waiting.update(fired)
             waiting.difference_update(added)
         if not added:
             break
         rounds += 1
         if trace is not None:
-            trace.append(((step, c.flavor, rounds), [o.axioms[i] for i in added]))
+            trace.append(((step, flavor, rounds), [o.axioms[i] for i in added]))
         module.update(added)
         new_concepts, new_roles = set(), set()
         for i in added:
@@ -230,46 +209,43 @@ def _extract(
         fresh = (new_concepts - concepts, new_roles - roles)
         concepts |= fresh[0]
         roles |= fresh[1]
-        if not c.syntactic:
+        if not syntactic:
             working = Signature(frozenset(concepts), frozenset(roles))
         fired = []
 
-    return dict.fromkeys(sorted(module)), Signature(concepts, roles, individuals), rounds
+    extended = Signature(concepts, roles, individuals)
+    return dict.fromkeys(sorted(module)), extended, rounds, checks, unknowns
 
 
 def _alternate(
-    checkers: list[_Checker],
-    sig: Signature,
-    naive: bool,
-    trace: list | None,
-) -> Iterator[tuple[Collection[int], dict[int, None], Signature, int]]:
-    """`_extract` with the second checker over the whole ontology, then
-    with the first over what it kept, then the second again, and so on.
-    Yields each pass's scope, module, extended signature and rounds;
-    passes 2n − 1 and 2n make nested step n and are traced with its number."""
-    scope: Collection[int] = range(len(checkers[0].o))
-    for k in count():
-        checker = checkers[(k + 1) % 2]
-        module, extended, rounds = _extract(checker, scope, sig, naive, trace, k // 2 + 1)
-        yield scope, module, extended, rounds
-        scope = module
-
-
-def _result(
     o: Ontology,
-    module: Collection[int],
-    extended: Signature,
-    rounds: int,
-    checkers: list[_Checker],
-) -> ModuleResult:
+    pair: FlavorPair,
+    sig: Signature,
+    options: dict,
+) -> Iterator[tuple[Collection[int], Pass]]:
+    """`_extract` with the second flavor of `pair` over the whole
+    ontology, then with the first over what it kept, then the second
+    again, and so on. Yields each pass's scope and result; passes 2n − 1
+    and 2n make nested step n and are traced with its number."""
+    scope: Collection[int] = range(len(o))
+    for k in count():
+        found = _extract(o, pair[(k + 1) % 2], scope, sig, k // 2 + 1, **options)
+        yield scope, found
+        scope = found[0]
+
+
+def _result(o: Ontology, passes: list[Pass], rounds: int) -> ModuleResult:
+    """The result of the last of `passes`, with their checks and UNKNOWNs
+    added up."""
+    module, extended, *_ = passes[-1]
     positions = tuple(module)
     return ModuleResult(
         module=o.restrict(positions),
         positions=positions,
         extended_signature=extended,
         rounds=rounds,
-        locality_checks=sum(c.checks for c in checkers),
-        unknown_verdicts=sum(c.unknowns for c in checkers),
+        locality_checks=sum(p[3] for p in passes),
+        unknown_verdicts=sum(p[4] for p in passes),
     )
 
 
@@ -288,9 +264,10 @@ def extract_module(
     With `trace` given, appends one `((1, flavor, round), added_axioms)`
     tuple per round that added axioms.
     """
-    checker = _Checker(o, flavor, refined, budget)
-    module, extended, rounds = _extract(checker, range(len(o)), sig, naive, trace)
-    return _result(o, module, extended, rounds, [checker])
+    found = _extract(
+        o, flavor, range(len(o)), sig, refined=refined, budget=budget, naive=naive, trace=trace
+    )
+    return _result(o, [found], found[2])
 
 
 def extract_nested(
@@ -303,12 +280,8 @@ def extract_nested(
     outer pass with the first over the inner module, both against the same
     seed. Rounds are traced as by `extract_module`, labelled with the
     flavor of their pass."""
-    naive, trace = options.pop("naive", False), options.pop("trace", None)
-    checkers = [_Checker(o, flavor, **options) for flavor in pair]
-    (_, _, _, inner_rounds), (_, module, extended, outer_rounds) = islice(
-        _alternate(checkers, sig, naive, trace), 2
-    )
-    return _result(o, module, extended, inner_rounds + outer_rounds, checkers)
+    passes = [found for _, found in islice(_alternate(o, pair, sig, options), 2)]
+    return _result(o, passes, passes[0][2] + passes[1][2])
 
 
 def extract_star(
@@ -325,15 +298,15 @@ def extract_star(
     smallest n with Mₙ = Mₙ₊₁, the nested steps (the last maybe one pass)
     that shrank their scope. Rounds are traced as by `extract_nested`,
     labelled with their nested step; the last pass adds the module."""
-    naive, trace = options.pop("naive", False), options.pop("trace", None)
-    checkers = [_Checker(o, flavor, **options) for flavor in pair]
+    passes: list[Pass] = []
     shrank: set[int] = set()  # the nested steps that shrank their scope
-    for k, (scope, module, extended, _) in enumerate(_alternate(checkers, sig, naive, trace)):
-        if len(module) < len(scope):
+    for k, (scope, found) in enumerate(_alternate(o, pair, sig, options)):
+        passes.append(found)
+        if len(found[0]) < len(scope):
             shrank.add(k // 2)
         elif k:  # the ontology itself is no module, so the first pass does not count
             break
-    return _result(o, module, extended, len(shrank), checkers)
+    return _result(o, passes, len(shrank))
 
 
 def genuine_modules(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from statistics import mean
 
-from .extractor import _Checker, extract_module
+from .extractor import circuit, extract_module
 from .model import (
     And,
     AtLeast,
@@ -229,10 +229,13 @@ def _record(o, test, case_id, sig, syn, sem, unknowns, syn_time, sem_time):
 
 
 def _t1a_case(o, sig, case_id, budget, timed):
-    # SYN_BOT and SEM_BOT share one circuit, so one candidate list serves both
-    candidates = _Checker(o, LocalityFlavor.SYN_BOT).candidates(range(len(o.axioms)), sig)
-    started = time.perf_counter() if timed else 0.0
+    # SYN_BOT and SEM_BOT share one circuit, so one candidate list serves
+    # both: its `always` and the axioms that mention a seed name
     syn = LocalityFlavor.SYN_BOT
+    index = o.name_index
+    seeded = (index.get(name, ()) for name in sig.concept_names | sig.role_names)
+    candidates = sorted(set(circuit(o, syn).always).union(*seeded))
+    started = time.perf_counter() if timed else 0.0
     syn_nonlocal = {i for i in candidates if not verdict_in(o, i, sig, syn).is_local}
     syn_time = time.perf_counter() - started if timed else 0.0
 

@@ -490,8 +490,8 @@ class Ontology:
 
     @cached_property
     def circuits(self) -> dict:
-        """The syntactic locality circuits, read-only once stored, filled
-        and keyed by the extractor."""
+        """The syntactic locality circuits, read-only once stored, keyed
+        and filled by `extractor.circuit` alone."""
         return {}
 
     def restrict(self, positions: Sequence[int]) -> "Ontology":

@@ -108,9 +108,9 @@ class TestExtract:
         passes = []
         run = extractor._extract
 
-        def recorded(c, scope, sig, naive, trace, step=1):
-            passes.append(f"step {step}, {c.flavor} round ")
-            return run(c, scope, sig, naive, trace, step)
+        def recorded(o, flavor, scope, sig, step=1, **options):
+            passes.append(f"step {step}, {flavor} round ")
+            return run(o, flavor, scope, sig, step, **options)
 
         monkeypatch.setattr(extractor, "_extract", recorded)
         for flavor, pair in (("star", SYN_STAR), ("sem-star", SEM_STAR)):
@@ -298,6 +298,32 @@ class TestCheck:
         # the self-inverse axiom of inverse_loop.ofs with partOf in Σ: local
         # under --refined (or a semantic flavor), non-local under plain bot/top
         assert {"local\tInv(partOf, partOf⁻)", "non-local\tInv(partOf, partOf⁻)"} <= outputs
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("command", [["check"], ["extract", "--terms", "C:C0"]])
+    def test_a_reader_that_stops_early_ends_the_command_quietly(self, tmp_path, command):
+        # far more output than a pipe buffer holds, so the command is
+        # still writing when the reader closes its end
+        ontology = tmp_path / "chain.ofs"
+        axioms = "".join(f"SubClassOf(C{i} C{i + 1})\n" for i in range(10_000))
+        ontology.write_text(f"Ontology(<chain>\n{axioms})\n", encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        )
+        argv = [sys.executable, "-m", "locmod", *command, "--flavor", "bot"]
+        with subprocess.Popen(
+            [*argv, "--ontology", str(ontology)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 0, err
+        assert err == b""
 
 
 class TestGenuine:

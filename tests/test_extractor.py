@@ -761,9 +761,9 @@ class TestStarStoppingRule:
         scopes = []
         run = extractor._extract
 
-        def counted(c, scope, *args):
+        def counted(o, flavor, scope, *args, **options):
             scopes.append(len(scope))
-            return run(c, scope, *args)
+            return run(o, flavor, scope, *args, **options)
 
         monkeypatch.setattr(extractor, "_extract", counted)
         result = extract_star(o, sig, SYN_STAR)
@@ -854,6 +854,29 @@ class TestPropagation:
         monkeypatch.setattr(extractor, "compile_circuit", refuse)
         assert extract_all() == first
 
+    def test_one_circuit_per_key(self, monkeypatch):
+        # a semantic flavor and T1a share the circuit of their polarity;
+        # `refined` keys a circuit of its own for a syntactic flavor only
+        o = load_fixture("mixed.ofs")
+        sig = Signature({"Manager"})
+        compile_circuit = extractor.compile_circuit
+        compiled = []
+
+        def counted(*args):
+            compiled.append(args)
+            return compile_circuit(*args)
+
+        monkeypatch.setattr(extractor, "compile_circuit", counted)
+        extract_module(o, sig, LocalityFlavor.SYN_BOT)
+        extract_module(o, sig, LocalityFlavor.SEM_BOT, refined=True)
+        extract_star(o, sig, SEM_STAR)
+        run_comparison(o, "t1a", SamplingConfig(sample_count=8, rng_seed=5))
+        assert len(compiled) == 2
+        assert set(o.circuits) == {(True, False), (False, False)}
+        extract_module(o, sig, LocalityFlavor.SYN_BOT, refined=True)
+        assert len(compiled) == 3
+        assert set(o.circuits) == {(True, False), (False, False), (True, True)}
+
     def test_failed_compile_stores_nothing(self, monkeypatch):
         o = load_fixture("koala.ofs")
 
@@ -867,6 +890,23 @@ class TestPropagation:
         monkeypatch.undo()
         fresh = extract_module(load_fixture("koala.ofs"), Signature(), LocalityFlavor.SYN_BOT)
         assert extract_module(o, Signature(), LocalityFlavor.SYN_BOT).positions == fresh.positions
+
+
+@pytest.mark.parametrize(
+    "extract, args",
+    [
+        (extract_module, (LocalityFlavor.SYN_BOT,)),
+        (extract_nested, ()),
+        (extract_star, ()),
+        (genuine_modules, (LocalityFlavor.SYN_BOT,)),
+    ],
+)
+def test_a_misspelled_option_raises(extract, args):
+    o = load_fixture("mixed.ofs")
+    if extract is not genuine_modules:
+        args = (Signature({"Manager"}), *args)
+    with pytest.raises(TypeError, match="refnied"):
+        extract(o, *args, refnied=True)
 
 
 class TestGenuineModules:
