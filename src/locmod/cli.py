@@ -6,8 +6,10 @@ verdicts), `genuine` (deduplicated single-axiom-signature modules),
 for brute-force countermodel search.
 
 Exit codes: 0 success (also when the reader closes the output pipe
-early), 1 parse or usage error, 2 unsupported construct, 3 unknown
-verdicts present under --strict-verdicts, 4 internal invariant violation.
+early), 1 parse or usage error or an --out that cannot be written, 2
+unsupported construct, 3 unknown verdicts present under --strict-verdicts
+(compare counts those of every case, whether it has a report row or
+not), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from .harness import (
 )
 from .model import LocalityFlavor, Ontology, Signature
 from .oracle import find_countermodel
-from .parser import ParseErrorKind, ParseFailure, _local_name, parse_ontology, parse_signature
+from .parser import (
+    ParseErrorKind,
+    ParseFailure,
+    _local_name,
+    parse_ontology,
+    parse_signature,
+    serialize_ontology,
+)
 from .semantic import substitute, verdict_in
 from .tableau import Budget
 
@@ -216,8 +225,11 @@ def _load_signature(args, onto: Ontology) -> Signature:
 
 def _write_out(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {out}: {exc}", EXIT_PARSE)
     else:
         sys.stdout.write(text)
 
@@ -227,8 +239,6 @@ def _write_out(text: str, out: str | None):
 # ---------------------------------------------------------------------------
 
 def _cmd_extract(args) -> int:
-    from .parser import serialize_ontology
-
     onto = _load_ontology(args.ontology, args.strict)
     sig = _load_signature(args, onto)
     budget = _budget(args)
@@ -277,8 +287,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_genuine(args) -> int:
-    from .parser import serialize_ontology
-
     onto = _load_ontology(args.ontology, args.strict)
     budget = _budget(args)
     results = genuine_modules(
@@ -319,7 +327,7 @@ def _cmd_compare(args) -> int:
                 budget=budget,
                 measure_timings=args.measure_timings,
             )
-            unknowns += sum(r.unknown_verdicts for r in rs)
+            unknowns += rs.unknown_verdicts
             records.extend(rs)
     _write_out(render_report(records, args.format), args.out)
     if args.strict_verdicts and unknowns:

@@ -24,8 +24,9 @@ check below sees each of them; `syn_time` and `sem_time` time these
 lookups and the grammar walk or semantic check of each memo miss.
 
 A difference record is produced only for cases where the two notions
-disagree; the direction is checked on every case and a syntactically-local
-axiom that is semantically non-local aborts the run (that would break the
+disagree, but the UNKNOWN verdicts of every case are counted; the
+direction is checked on every case and a syntactically-local axiom that
+is semantically non-local aborts the run (that would break the
 containment the whole approach rests on).
 """
 
@@ -59,6 +60,7 @@ __all__ = [
     "SamplingConfig",
     "CulpritType",
     "DifferenceRecord",
+    "Comparison",
     "InvariantViolation",
     "sample_signatures",
     "classify_culprit",
@@ -116,6 +118,15 @@ class DifferenceRecord:
     sem_time: float
     culprits: tuple[tuple[str, CulpritType], ...]
     unknown_verdicts: int = 0
+
+
+class Comparison(list):
+    """The difference records of one test, in case order, and the UNKNOWN
+    verdicts met by all its cases, those without a record included."""
+
+    def __init__(self, records=(), unknown_verdicts: int = 0):
+        super().__init__(records)
+        self.unknown_verdicts = unknown_verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +269,10 @@ def _t1a_case(o, sig, case_id, budget, timed):
             if i in syn_nonlocal:
                 sem_nonlocal.add(i)
     sem_time = time.perf_counter() - started if timed else 0.0
-    return _record(
+    record = _record(
         o, "T1a", case_id, sig, syn_nonlocal, sem_nonlocal, unknowns, syn_time, sem_time
     )
+    return record, unknowns
 
 
 def _module_case(o, sig, case_id, test, budget, timed):
@@ -280,9 +292,9 @@ def _module_case(o, sig, case_id, test, budget, timed):
             f"{o.name}: semantic module exceeds syntactic module w.r.t. {sig}; "
             f"first extra axiom: {extra}"
         )
-    return _record(
-        o, test, case_id, sig, syn_set, sem_set, sem.unknown_verdicts, syn_time, sem_time
-    )
+    unknowns = sem.unknown_verdicts
+    record = _record(o, test, case_id, sig, syn_set, sem_set, unknowns, syn_time, sem_time)
+    return record, unknowns
 
 
 def run_comparison(
@@ -293,10 +305,10 @@ def run_comparison(
     budget: Budget | None = None,
     jobs: int = 1,
     measure_timings: bool = False,
-) -> list[DifferenceRecord]:
+) -> Comparison:
     """Run one of the tests over `o`, returning records for the cases with
-    differences, in case order. The cases run one after another: `jobs`
-    must be 1.
+    differences, in case order, and the UNKNOWN verdicts of all cases. The
+    cases run one after another: `jobs` must be 1.
 
     With `measure_timings` set, each case carries wall-clock phase times
     and one warm-up case runs untimed first (for T1a it also finds the
@@ -325,7 +337,9 @@ def run_comparison(
         run_case(cases[0])  # warm-up pass, excluded from the records
 
     results = [run_case(c) for c in cases]
-    return [r for r in results if r is not None]
+    return Comparison(
+        (r for r, _ in results if r is not None), sum(n for _, n in results)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ Reading takes two passes, neither recursive: one regular expression
 splits the text into (token, offset) pairs, and one loop with a stack of
 open forms groups them into `keyword(child ...)` forms. An error's line
 and column are worked out from its offset only when it is recorded.
+A form then becomes a term through the reader its keyword has in the
+table of its position (axiom, class or property). Most readers are built
+from an entry giving the constructor, the argument kinds and the text of
+the count error; writing looks each term's type up in one formatter table.
 
 Entity kinds come from declarations; in lenient mode (the default) an
 undeclared name takes its kind from first use, in strict mode it is an
@@ -55,8 +59,6 @@ from .model import (
     TOP,
     TopType,
     Transitive,
-    UniversalRoleType,
-    EmptyRoleType,
     exactly,
     signature_of,
 )
@@ -247,13 +249,7 @@ class _NameTable:
         column = offset - self.breaks[line - 1] if line else offset + 1
         self.errors.append(ParseError(line + 1, column, message, kind, construct))
 
-    def declare(self, name: str, kind: str, form: _Form):
-        self._bind(name, kind, form, declared=True)
-
-    def use(self, name: str, kind: str, form: _Form) -> None:
-        self._bind(name, kind, form, declared=False)
-
-    def _bind(self, name, kind, form, declared):
+    def use(self, name: str, kind: str, form: _Form, declared: bool = False) -> None:
         known = self.kinds.get(name)
         if known is None:
             if self.strict and not declared:
@@ -267,9 +263,6 @@ class _NameTable:
         elif known != kind:
             self.error(form.offset, _conflict(name, known, kind), ParseErrorKind.UNKNOWN_ENTITY)
             raise _Halt()
-
-    def signature(self) -> Signature:
-        return Signature.of_kinds(self.kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +314,7 @@ def parse_ontology(text: str, strict: bool = False) -> Ontology:
         raise ParseFailure(errors)
     if skipped_annotations:
         log.warning("skipped %d annotation construct(s)", skipped_annotations)
-    return Ontology(tuple(axioms), name=name, declared=names.signature())
+    return Ontology(tuple(axioms), name=name, declared=Signature.of_kinds(names.kinds))
 
 
 _SKIPPED = object()
@@ -334,19 +327,13 @@ def _syntax_error(form: _Form, message: str, names: _NameTable):
 
 def _unsupported(form: _Form, names: _NameTable, construct: str | None = None):
     construct = construct or form.text
-    names.error(
-        form.offset,
-        f"unsupported construct '{construct}'",
-        ParseErrorKind.UNSUPPORTED_CONSTRUCT,
-        construct,
-    )
+    kind = ParseErrorKind.UNSUPPORTED_CONSTRUCT
+    names.error(form.offset, f"unsupported construct '{construct}'", kind, construct)
     raise _Halt()
 
 
-def _strip_annotations(children: list[_Form]) -> tuple[_Form, ...]:
-    return tuple(
-        c for c in children if c.is_atom or c.text != "Annotation"
-    )
+def _unknown_form(form: _Form, args: list[_Form], names: _NameTable):
+    _unsupported(form, names)
 
 
 def _parse_axiom_form(form: _Form, names: _NameTable):
@@ -355,87 +342,8 @@ def _parse_axiom_form(form: _Form, names: _NameTable):
         _syntax_error(form, f"expected an axiom, found '{kw}'", names)
     if kw in _ANNOTATION_KEYWORDS:
         return _SKIPPED
-    args = _strip_annotations(form.children)
-
-    if kw == "Declaration":
-        if len(args) != 1 or args[0].is_atom or len(args[0].children) != 1:
-            _syntax_error(form, "malformed Declaration", names)
-        decl = args[0]
-        entity = decl.children[0]
-        if not entity.is_atom:
-            _syntax_error(entity, "expected an entity name", names)
-        ent_name = _local_name(entity.text)
-        kind_kw = decl.text
-        if kind_kw == "Class":
-            names.declare(ent_name, "C", entity)
-        elif kind_kw == "ObjectProperty":
-            names.declare(ent_name, "R", entity)
-        elif kind_kw == "NamedIndividual":
-            names.declare(ent_name, "I", entity)
-        elif kind_kw == "AnnotationProperty":
-            return _SKIPPED
-        else:
-            _unsupported(decl, names)
-        return []
-
-    if kw == "SubClassOf":
-        if len(args) != 2:
-            _syntax_error(form, "SubClassOf takes two class expressions", names)
-        return [SubClassOf(_parse_concept(args[0], names), _parse_concept(args[1], names))]
-
-    if kw == "EquivalentClasses":
-        if len(args) < 2:
-            _syntax_error(form, "EquivalentClasses takes at least two class expressions", names)
-        concepts = [_parse_concept(a, names) for a in args]
-        return [
-            EquivalentClasses(concepts[i], concepts[i + 1])
-            for i in range(len(concepts) - 1)
-        ]
-
-    if kw == "DisjointClasses":
-        if len(args) < 2:
-            _syntax_error(form, "DisjointClasses takes at least two class expressions", names)
-        concepts = [_parse_concept(a, names) for a in args]
-        return [
-            DisjointClasses(concepts[i], concepts[j])
-            for i in range(len(concepts))
-            for j in range(i + 1, len(concepts))
-        ]
-
-    if kw == "SubObjectPropertyOf":
-        if len(args) != 2:
-            _syntax_error(form, "SubObjectPropertyOf takes two property expressions", names)
-        return [SubRoleOf(_parse_role(args[0], names), _parse_role(args[1], names))]
-
-    if kw == "EquivalentObjectProperties":
-        if len(args) < 2:
-            _syntax_error(form, "EquivalentObjectProperties takes at least two properties", names)
-        roles = [_parse_role(a, names) for a in args]
-        return [
-            EquivalentRoles(roles[i], roles[i + 1]) for i in range(len(roles) - 1)
-        ]
-
-    if kw == "InverseObjectProperties":
-        if len(args) != 2:
-            _syntax_error(form, "InverseObjectProperties takes two property expressions", names)
-        return [InverseRoles(_parse_role(args[0], names), _parse_role(args[1], names))]
-
-    if kw == "TransitiveObjectProperty":
-        if len(args) != 1:
-            _syntax_error(form, "TransitiveObjectProperty takes one property expression", names)
-        return [Transitive(_parse_role(args[0], names))]
-
-    if kw == "ObjectPropertyDomain":
-        if len(args) != 2:
-            _syntax_error(form, "ObjectPropertyDomain takes a property and a class", names)
-        return [Domain(_parse_role(args[0], names), _parse_concept(args[1], names))]
-
-    if kw == "ObjectPropertyRange":
-        if len(args) != 2:
-            _syntax_error(form, "ObjectPropertyRange takes a property and a class", names)
-        return [Range(_parse_role(args[0], names), _parse_concept(args[1], names))]
-
-    _unsupported(form, names)
+    args = [c for c in form.children if c.is_atom or c.text != "Annotation"]
+    return _AXIOMS.get(kw, _unknown_form)(form, args, names)
 
 
 def _parse_role(form: _Form, names: _NameTable) -> Role:
@@ -443,29 +351,7 @@ def _parse_role(form: _Form, names: _NameTable) -> Role:
         name = _local_name(form.text)
         names.use(name, "R", form)
         return RoleName(name)
-    if form.text == "ObjectInverseOf":
-        if len(form.children) != 1:
-            _syntax_error(form, "ObjectInverseOf takes one property expression", names)
-        return Inverse(_parse_role(form.children[0], names))
-    _unsupported(form, names)
-
-
-_DIGITS = re.compile(r"[0-9]+")
-
-
-def _parse_cardinality(form: _Form, names: _NameTable) -> tuple[int, Role, Concept]:
-    args = form.children
-    if len(args) not in (2, 3) or not args[0].is_atom:
-        _syntax_error(form, f"malformed {form.text}", names)
-    try:  # OWL's nonNegativeInteger: ASCII digits only, no sign or `_`
-        n = int(args[0].text) if _DIGITS.fullmatch(args[0].text) else -1
-    except ValueError:  # more digits than `int` converts
-        n = -1
-    if n < 0:
-        _syntax_error(args[0], "cardinality must be a non-negative integer", names)
-    role = _parse_role(args[1], names)
-    filler = _parse_concept(args[2], names) if len(args) == 3 else TOP
-    return n, role, filler
+    return _ROLES.get(form.text, _unknown_form)(form, form.children, names)
 
 
 def _parse_concept(form: _Form, names: _NameTable) -> Concept:
@@ -478,50 +364,140 @@ def _parse_concept(form: _Form, names: _NameTable) -> Concept:
         name = _local_name(kw)
         names.use(name, "C", form)
         return ConceptName(name)
+    return _CONCEPTS.get(kw, _unknown_form)(form, form.children, names)
 
-    args = form.children
-    if kw == "ObjectIntersectionOf":
-        if len(args) < 2:
-            _syntax_error(form, "ObjectIntersectionOf takes at least two classes", names)
-        return And(tuple(_parse_concept(a, names) for a in args))
-    if kw == "ObjectUnionOf":
-        if len(args) < 2:
-            _syntax_error(form, "ObjectUnionOf takes at least two classes", names)
-        return Or(tuple(_parse_concept(a, names) for a in args))
-    if kw == "ObjectComplementOf":
-        if len(args) != 1:
-            _syntax_error(form, "ObjectComplementOf takes one class", names)
-        return Not(_parse_concept(args[0], names))
-    if kw == "ObjectSomeValuesFrom":
-        if len(args) != 2:
-            _syntax_error(form, "ObjectSomeValuesFrom takes a property and a class", names)
-        return Exists(_parse_role(args[0], names), _parse_concept(args[1], names))
-    if kw == "ObjectAllValuesFrom":
-        if len(args) != 2:
-            _syntax_error(form, "ObjectAllValuesFrom takes a property and a class", names)
-        return ForAll(_parse_role(args[0], names), _parse_concept(args[1], names))
-    if kw == "ObjectMinCardinality":
-        n, role, filler = _parse_cardinality(form, names)
-        return AtLeast(n, role, filler)
-    if kw == "ObjectMaxCardinality":
-        n, role, filler = _parse_cardinality(form, names)
-        return AtMost(n, role, filler)
-    if kw == "ObjectExactCardinality":
-        n, role, filler = _parse_cardinality(form, names)
-        return exactly(n, role, filler)
-    if kw == "ObjectOneOf":
-        if len(args) != 1 or not args[0].is_atom:
-            _unsupported(form, names, construct="ObjectOneOf with more than one individual")
-        ind = _local_name(args[0].text)
-        names.use(ind, "I", args[0])
-        return OneOf(ind)
-    if kw == "ObjectHasValue":
-        if len(args) != 2 or not args[1].is_atom:
-            _syntax_error(form, "ObjectHasValue takes a property and an individual", names)
-        ind = _local_name(args[1].text)
-        names.use(ind, "I", args[1])
-        return Exists(_parse_role(args[0], names), OneOf(ind))
-    _unsupported(form, names)
+
+_READ = {"C": _parse_concept, "R": _parse_role}
+
+
+def _reader(keyword: str, build, kinds: str, takes: str):
+    """The reader of `keyword(...)` forms: it checks the argument count,
+    reads each argument by its kind and passes them, in order, to `build`.
+    `kinds` has one letter per argument, `C` for a class expression and
+    `R` for a property expression; `C+` and `R+` take two or more."""
+    message = f"{keyword} takes {takes}"
+    read, second = _READ[kinds[0]], _READ.get(kinds[1:])
+    if kinds[1:] == "+":
+        def reader(form, args, names):
+            if len(args) < 2:
+                _syntax_error(form, message, names)
+            return build(*[read(a, names) for a in args])
+    elif second is None:
+        def reader(form, args, names):
+            if len(args) != 1:
+                _syntax_error(form, message, names)
+            return build(read(args[0], names))
+    else:
+        def reader(form, args, names):
+            if len(args) != 2:
+                _syntax_error(form, message, names)
+            return build(read(args[0], names), second(args[1], names))
+    return reader
+
+
+def _read_declaration(form: _Form, args: list[_Form], names: _NameTable):
+    if len(args) != 1 or args[0].is_atom or len(args[0].children) != 1:
+        _syntax_error(form, "malformed Declaration", names)
+    decl = args[0]
+    entity = decl.children[0]
+    if not entity.is_atom:
+        _syntax_error(entity, "expected an entity name", names)
+    if decl.text == "AnnotationProperty":
+        return _SKIPPED
+    kind = _DECLARED_KINDS.get(decl.text)
+    if kind is None:
+        _unsupported(decl, names)
+    names.use(_local_name(entity.text), kind, entity, declared=True)
+    return []
+
+
+_DECLARED_KINDS = {"Class": "C", "ObjectProperty": "R", "NamedIndividual": "I"}
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _cardinality(build):
+    """The reader of a cardinality form, `keyword(n role [class])`."""
+
+    def reader(form, args, names):
+        if len(args) not in (2, 3) or not args[0].is_atom:
+            _syntax_error(form, f"malformed {form.text}", names)
+        try:  # OWL's nonNegativeInteger: ASCII digits only, no sign or `_`
+            n = int(args[0].text) if _DIGITS.fullmatch(args[0].text) else -1
+        except ValueError:  # more digits than `int` converts
+            n = -1
+        if n < 0:
+            _syntax_error(args[0], "cardinality must be a non-negative integer", names)
+        role = _parse_role(args[1], names)
+        return build(n, role, _parse_concept(args[2], names) if len(args) == 3 else TOP)
+
+    return reader
+
+
+def _read_one_of(form: _Form, args: list[_Form], names: _NameTable) -> Concept:
+    if len(args) != 1 or not args[0].is_atom:
+        _unsupported(form, names, construct="ObjectOneOf with more than one individual")
+    ind = _local_name(args[0].text)
+    names.use(ind, "I", args[0])
+    return OneOf(ind)
+
+
+def _read_has_value(form: _Form, args: list[_Form], names: _NameTable) -> Concept:
+    if len(args) != 2 or not args[1].is_atom:
+        _syntax_error(form, "ObjectHasValue takes a property and an individual", names)
+    ind = _local_name(args[1].text)
+    names.use(ind, "I", args[1])
+    return Exists(_parse_role(args[0], names), OneOf(ind))
+
+
+def _one(build):
+    return lambda *xs: [build(*xs)]
+
+
+def _chain(build):
+    return lambda *xs: [build(x, y) for x, y in zip(xs, xs[1:])]
+
+
+def _pairs(build):
+    return lambda *xs: [build(x, y) for i, x in enumerate(xs) for y in xs[i + 1:]]
+
+
+def _readers(table: dict, **own) -> dict:
+    """Each keyword's reader: one built from the keyword's (constructor,
+    argument kinds, what it takes) entry, or its own."""
+    return {**{kw: _reader(kw, *entry) for kw, entry in table.items()}, **own}
+
+
+# An axiom reader returns a list: n-ary forms and Declaration read to any
+# number of axioms.
+_AXIOMS = _readers(
+    {
+        "SubClassOf": (_one(SubClassOf), "CC", "two class expressions"),
+        "EquivalentClasses": (_chain(EquivalentClasses), "C+", "at least two class expressions"),
+        "DisjointClasses": (_pairs(DisjointClasses), "C+", "at least two class expressions"),
+        "SubObjectPropertyOf": (_one(SubRoleOf), "RR", "two property expressions"),
+        "EquivalentObjectProperties": (_chain(EquivalentRoles), "R+", "at least two properties"),
+        "InverseObjectProperties": (_one(InverseRoles), "RR", "two property expressions"),
+        "TransitiveObjectProperty": (_one(Transitive), "R", "one property expression"),
+        "ObjectPropertyDomain": (_one(Domain), "RC", "a property and a class"),
+        "ObjectPropertyRange": (_one(Range), "RC", "a property and a class"),
+    },
+    Declaration=_read_declaration,
+)
+_CONCEPTS = _readers(
+    {
+        "ObjectIntersectionOf": (lambda *cs: And(cs), "C+", "at least two classes"),
+        "ObjectUnionOf": (lambda *cs: Or(cs), "C+", "at least two classes"),
+        "ObjectComplementOf": (Not, "C", "one class"),
+        "ObjectSomeValuesFrom": (Exists, "RC", "a property and a class"),
+        "ObjectAllValuesFrom": (ForAll, "RC", "a property and a class"),
+    },
+    ObjectMinCardinality=_cardinality(AtLeast),
+    ObjectMaxCardinality=_cardinality(AtMost),
+    ObjectExactCardinality=_cardinality(exactly),
+    ObjectOneOf=_read_one_of,
+    ObjectHasValue=_read_has_value,
+)
+_ROLES = _readers({"ObjectInverseOf": (Inverse, "R", "one property expression")})
 
 
 # ---------------------------------------------------------------------------
@@ -533,68 +509,48 @@ def serialize_ontology(o: Ontology) -> str:
     reproduces the ontology structurally."""
     lines = [f"Ontology({o.name}" if o.name else "Ontology("]
     declared = o.declared | signature_of(o)
-    for n in sorted(declared.concept_names):
-        lines.append(f"  Declaration(Class({n}))")
-    for n in sorted(declared.role_names):
-        lines.append(f"  Declaration(ObjectProperty({n}))")
-    for n in sorted(declared.individual_names):
-        lines.append(f"  Declaration(NamedIndividual({n}))")
-    for a in o.axioms:
-        lines.append(f"  {_ser_axiom(a)}")
+    for keyword, ns in zip(
+        ("Class", "ObjectProperty", "NamedIndividual"),
+        (declared.concept_names, declared.role_names, declared.individual_names),
+    ):
+        lines.extend(f"  Declaration({keyword}({n}))" for n in sorted(ns))
+    lines.extend(f"  {_write(a)}" for a in o.axioms)
     lines.append(")")
     return "\n".join(lines) + "\n"
 
 
-def _ser_axiom(a: Axiom) -> str:
-    if isinstance(a, SubClassOf):
-        return f"SubClassOf({_ser_concept(a.sub)} {_ser_concept(a.sup)})"
-    if isinstance(a, EquivalentClasses):
-        return f"EquivalentClasses({_ser_concept(a.left)} {_ser_concept(a.right)})"
-    if isinstance(a, SubRoleOf):
-        return f"SubObjectPropertyOf({_ser_role(a.sub)} {_ser_role(a.sup)})"
-    if isinstance(a, EquivalentRoles):
-        return f"EquivalentObjectProperties({_ser_role(a.left)} {_ser_role(a.right)})"
-    if isinstance(a, InverseRoles):
-        return f"InverseObjectProperties({_ser_role(a.left)} {_ser_role(a.right)})"
-    if isinstance(a, Transitive):
-        return f"TransitiveObjectProperty({_ser_role(a.role)})"
-    raise TypeError(f"not an axiom: {a!r}")
+def _write(x) -> str:
+    """The text of an axiom, class or property expression."""
+    return _WRITERS.get(type(x), _no_syntax)(x)
 
 
-def _ser_concept(c: Concept) -> str:
-    if isinstance(c, TopType):
-        return "owl:Thing"
-    if isinstance(c, BottomType):
-        return "owl:Nothing"
-    if isinstance(c, ConceptName):
-        return c.name
-    if isinstance(c, OneOf):
-        return f"ObjectOneOf({c.individual})"
-    if isinstance(c, Not):
-        return f"ObjectComplementOf({_ser_concept(c.arg)})"
-    if isinstance(c, And):
-        return "ObjectIntersectionOf(" + " ".join(_ser_concept(a) for a in c.args) + ")"
-    if isinstance(c, Or):
-        return "ObjectUnionOf(" + " ".join(_ser_concept(a) for a in c.args) + ")"
-    if isinstance(c, Exists):
-        return f"ObjectSomeValuesFrom({_ser_role(c.role)} {_ser_concept(c.filler)})"
-    if isinstance(c, ForAll):
-        return f"ObjectAllValuesFrom({_ser_role(c.role)} {_ser_concept(c.filler)})"
-    if isinstance(c, AtLeast):
-        return f"ObjectMinCardinality({c.n} {_ser_role(c.role)} {_ser_concept(c.filler)})"
-    if isinstance(c, AtMost):
-        return f"ObjectMaxCardinality({c.n} {_ser_role(c.role)} {_ser_concept(c.filler)})"
-    raise TypeError(f"not a concept: {c!r}")
-
-
-def _ser_role(r: Role) -> str:
-    if isinstance(r, RoleName):
-        return r.name
-    if isinstance(r, Inverse):
-        return f"ObjectInverseOf({_ser_role(r.role)})"
-    if isinstance(r, (EmptyRoleType, UniversalRoleType)):
+def _no_syntax(x):
+    if isinstance(x, Role):  # R∅ and R∆, the roles that only substitution makes
         raise ValueError("substitution constants have no surface syntax")
-    raise TypeError(f"not a role: {r!r}")
+    raise TypeError(f"not an axiom, class or property expression: {x!r}")
+
+
+_WRITERS = {
+    SubClassOf: lambda a: f"SubClassOf({_write(a.sub)} {_write(a.sup)})",
+    EquivalentClasses: lambda a: f"EquivalentClasses({_write(a.left)} {_write(a.right)})",
+    SubRoleOf: lambda a: f"SubObjectPropertyOf({_write(a.sub)} {_write(a.sup)})",
+    EquivalentRoles: lambda a: f"EquivalentObjectProperties({_write(a.left)} {_write(a.right)})",
+    InverseRoles: lambda a: f"InverseObjectProperties({_write(a.left)} {_write(a.right)})",
+    Transitive: lambda a: f"TransitiveObjectProperty({_write(a.role)})",
+    TopType: lambda c: "owl:Thing",
+    BottomType: lambda c: "owl:Nothing",
+    ConceptName: lambda c: c.name,
+    OneOf: lambda c: f"ObjectOneOf({c.individual})",
+    Not: lambda c: f"ObjectComplementOf({_write(c.arg)})",
+    And: lambda c: "ObjectIntersectionOf(" + " ".join(map(_write, c.args)) + ")",
+    Or: lambda c: "ObjectUnionOf(" + " ".join(map(_write, c.args)) + ")",
+    Exists: lambda c: f"ObjectSomeValuesFrom({_write(c.role)} {_write(c.filler)})",
+    ForAll: lambda c: f"ObjectAllValuesFrom({_write(c.role)} {_write(c.filler)})",
+    AtLeast: lambda c: f"ObjectMinCardinality({c.n} {_write(c.role)} {_write(c.filler)})",
+    AtMost: lambda c: f"ObjectMaxCardinality({c.n} {_write(c.role)} {_write(c.filler)})",
+    RoleName: lambda r: r.name,
+    Inverse: lambda r: f"ObjectInverseOf({_write(r.role)})",
+}
 
 
 # ---------------------------------------------------------------------------

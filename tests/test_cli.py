@@ -390,6 +390,34 @@ class TestCompare:
         assert out.read_text().count("\n") == 1
 
 
+    def test_strict_verdicts_see_cases_without_a_difference(self, capsys):
+        # koala's T1a cases meet 2,363 UNKNOWN verdicts at one step, and
+        # none of them has a difference record
+        args = ["compare", "--ontology", fx("koala.ofs"), "--mode", "t1a", "--strict-verdicts"]
+        assert main(args + ["--max-steps", "1"]) == 3
+        assert capsys.readouterr().out.count("\n") == 2  # the table header only
+        assert main(args) == 0
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["extract", "--flavor", "bot", "--terms", "C:Student"],
+            ["genuine", "--flavor", "bot"],
+            ["compare", "--mode", "t2"],
+        ],
+        ids=["extract", "genuine", "compare"],
+    )
+    def test_one_line_and_exit_1(self, tmp_path, capsys, command):
+        for out in (tmp_path, tmp_path / "missing" / "out.txt"):
+            argv = command + ["--ontology", fx("koala.ofs"), "--out", str(out)]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"cannot write {out}: ")
+            assert err.count("\n") == 1
+
+
 class TestUsage:
     def test_help_everywhere(self, capsys):
         assert main(["--help"]) == 0

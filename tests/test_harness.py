@@ -197,6 +197,18 @@ class TestRunComparison:
         with pytest.raises(InvariantViolation, match=r"axiom ax1 .* w\.r\.t\. \{\}"):
             run_comparison(o, "t1a", SamplingConfig())
 
+    @pytest.mark.parametrize(
+        "name, counts", [("koala.ofs", (2363, 3504, 33)), ("taxonomy.ofs", (320, 416, 14))]
+    )
+    def test_unknowns_of_cases_without_a_record_are_counted(self, name, counts):
+        # one step leaves many SEM_BOT verdicts UNKNOWN, yet no case of
+        # these tests keeps a difference record to carry the count
+        o = load_fixture(name)
+        for mode, expected in zip(("t1a", "t1b", "t2"), counts):
+            comparison = run_comparison(o, mode, SamplingConfig(), budget=Budget(max_steps=1))
+            assert comparison == []
+            assert comparison.unknown_verdicts == expected
+
     def test_unknown_mode_is_rejected(self, taxonomy):
         with pytest.raises(ValueError):
             run_comparison(taxonomy, "t3", SamplingConfig())

@@ -22,12 +22,15 @@ from locmod import (
     RoleName,
     Signature,
     SubClassOf,
+    SubRoleOf,
     TOP,
+    Transitive,
     parse_ontology,
     parse_signature,
     serialize_ontology,
     signature_of,
 )
+from locmod.model import EMPTY_ROLE, UNIVERSAL_ROLE
 from locmod.parser import MAX_NESTING
 from conftest import CORPUS_NAMES, fixture_path, load_fixture, nested_text
 from genlib import random_axiom, synthetic_ontology
@@ -341,6 +344,90 @@ class TestReaderErrors:
             (line, 3) for line in range(2, 20_002)
         ]
         assert {e.construct for e in err.value.errors} == {"DataPropertyAssertion"}
+
+
+class TestFormErrors:
+    # one malformed form per keyword the reader builds a term from; the
+    # pinned corpus reaches only some of these messages
+    @pytest.mark.parametrize(
+        "form, column, message",
+        [
+            ("SubClassOf(A)", 3, "SubClassOf takes two class expressions"),
+            ("EquivalentClasses(A)", 3, "EquivalentClasses takes at least two class expressions"),
+            ("DisjointClasses(A)", 3, "DisjointClasses takes at least two class expressions"),
+            ("SubObjectPropertyOf(p)", 3, "SubObjectPropertyOf takes two property expressions"),
+            (
+                "EquivalentObjectProperties(p)",
+                3,
+                "EquivalentObjectProperties takes at least two properties",
+            ),
+            (
+                "InverseObjectProperties(p)",
+                3,
+                "InverseObjectProperties takes two property expressions",
+            ),
+            (
+                "TransitiveObjectProperty(p q)",
+                3,
+                "TransitiveObjectProperty takes one property expression",
+            ),
+            ("ObjectPropertyDomain(p)", 3, "ObjectPropertyDomain takes a property and a class"),
+            ("ObjectPropertyRange(p)", 3, "ObjectPropertyRange takes a property and a class"),
+            (
+                "SubClassOf(A ObjectIntersectionOf(B))",
+                16,
+                "ObjectIntersectionOf takes at least two classes",
+            ),
+            ("SubClassOf(A ObjectUnionOf(B))", 16, "ObjectUnionOf takes at least two classes"),
+            ("SubClassOf(A ObjectComplementOf(B C))", 16, "ObjectComplementOf takes one class"),
+            (
+                "SubClassOf(A ObjectSomeValuesFrom(p))",
+                16,
+                "ObjectSomeValuesFrom takes a property and a class",
+            ),
+            (
+                "SubClassOf(A ObjectAllValuesFrom(p))",
+                16,
+                "ObjectAllValuesFrom takes a property and a class",
+            ),
+            (
+                "TransitiveObjectProperty(ObjectInverseOf(p q))",
+                28,
+                "ObjectInverseOf takes one property expression",
+            ),
+            (
+                "SubClassOf(A ObjectHasValue(p))",
+                16,
+                "ObjectHasValue takes a property and an individual",
+            ),
+            ("SubClassOf(A ObjectMinCardinality(1))", 16, "malformed ObjectMinCardinality"),
+            ("Declaration(Class(A B))", 3, "malformed Declaration"),
+        ],
+    )
+    def test_message_and_position(self, form, column, message):
+        with pytest.raises(ParseFailure) as err:
+            parse_ontology(wrap(form))
+        (error,) = err.value.errors
+        assert (error.line, error.column, error.message) == (2, column, message)
+        assert (error.kind, error.construct) == (ParseErrorKind.SYNTAX, None)
+
+
+class TestWriterErrors:
+    @pytest.mark.parametrize(
+        "axiom",
+        [
+            SubClassOf(Exists(UNIVERSAL_ROLE, TOP), ConceptName("A")),
+            SubRoleOf(EMPTY_ROLE, RoleName("p")),
+            Transitive(UNIVERSAL_ROLE),
+        ],
+    )
+    def test_substitution_constants_have_no_surface_syntax(self, axiom):
+        with pytest.raises(ValueError, match="^substitution constants have no surface syntax$"):
+            serialize_ontology(Ontology((axiom,), name="t"))
+
+    def test_a_non_term_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            serialize_ontology(Ontology((SubClassOf(ConceptName("A"), "B"),), name="t"))
 
 
 class TestPinnedOutcomes:
