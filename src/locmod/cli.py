@@ -15,6 +15,7 @@ not), 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -223,6 +224,14 @@ def _load_signature(args, onto: Ontology) -> Signature:
     return Signature()
 
 
+def _check_out(out: str | None):
+    """Refuse before any work an `--out` that is a directory or lies in a
+    missing one, without opening it: a failed command leaves a file as it was."""
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        code = errno.EISDIR if os.path.isdir(out) else errno.ENOENT
+        raise _CliError(f"cannot write {out}: {OSError(code, os.strerror(code), out)}", EXIT_PARSE)
+
+
 def _write_out(text: str, out: str | None):
     if out:
         try:
@@ -360,6 +369,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        _check_out(getattr(args, "out", None))
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code

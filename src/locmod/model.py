@@ -416,8 +416,8 @@ class Ontology:
     does not affect the ontology's own signature.
 
     `shapes`, `structures`, `axiom_signatures`, `names`, `name_index`,
-    `verdicts` and `circuits` are made on first use and kept by the
-    instance (they are not fields, so equality, hashing and repr ignore
+    `verdicts`, `circuits` and `texts` are made on first use and kept by
+    the instance (they are not fields, so equality, hashing and repr ignore
     them); every extraction over the same instance shares them. `shapes`
     walks each axiom once (`axiom_shape`) and keeps one record per axiom:
     the number of its structure and its concept, role and individual
@@ -426,12 +426,14 @@ class Ontology:
     serves every axiom of the instance that is a renamed copy of the one
     checked, with the same of its names in the seed signature. A circuit
     serves both flavors of its polarity, the syntactic and the semantic
-    one.
+    one. A module shares `texts` with its source, where its axioms sit
+    at `origin`.
     """
 
     axioms: tuple[Axiom, ...] = ()
     name: str = ""
     declared: Signature = EMPTY_SIGNATURE
+    origin = None  # not a field: set by `restrict`, None on a source ontology
 
     def __post_init__(self):
         object.__setattr__(self, "axioms", tuple(dict.fromkeys(self.axioms)))
@@ -494,12 +496,18 @@ class Ontology:
         and filled by `extractor.circuit` alone."""
         return {}
 
+    @cached_property
+    def texts(self) -> list:
+        """The written line of each axiom of the source ontology, by position
+        there, or None: filled by `parser.serialize_ontology` alone."""
+        return [None] * len(self.axioms)
+
     def restrict(self, positions: Sequence[int]) -> "Ontology":
         """The axioms at `positions` (distinct, ascending) as an ontology
-        of the same name. It takes their records and the structure
-        numbering from this instance instead of walking the axioms again,
-        and skips the deduplication of `__post_init__`, which would hash
-        every axiom again."""
+        of the same name, sharing their records, the structure numbering and
+        the text table of this instance instead of walking the axioms again;
+        it skips the deduplication of `__post_init__`, which would hash every
+        axiom again. A module of a source keeps `positions` as its `origin`."""
         shapes = self.shapes
         sub = object.__new__(Ontology)
         sub.__dict__.update(
@@ -508,6 +516,8 @@ class Ontology:
             declared=EMPTY_SIGNATURE,
             shapes=tuple(shapes[i] for i in positions),
             structures=self.structures,
+            texts=self.texts,
+            origin=positions if self.origin is None else tuple(self.origin[i] for i in positions),
         )
         return sub
 

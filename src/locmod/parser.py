@@ -13,7 +13,8 @@ and column are worked out from its offset only when it is recorded.
 A form then becomes a term through the reader its keyword has in the
 table of its position (axiom, class or property). Most readers are built
 from an entry giving the constructor, the argument kinds and the text of
-the count error; writing looks each term's type up in one formatter table.
+the count error; writing looks each term's type up in one formatter table
+and keeps each axiom's line in the table its source shares (`Ontology.texts`).
 
 Entity kinds come from declarations; in lenient mode (the default) an
 undeclared name takes its kind from first use, in strict mode it is an
@@ -514,7 +515,12 @@ def serialize_ontology(o: Ontology) -> str:
         (declared.concept_names, declared.role_names, declared.individual_names),
     ):
         lines.extend(f"  Declaration({keyword}({n}))" for n in sorted(ns))
-    lines.extend(f"  {_write(a)}" for a in o.axioms)
+    texts = o.texts
+    for a, i in zip(o.axioms, range(len(o)) if o.origin is None else o.origin):
+        line = texts[i]
+        if line is None:
+            line = texts[i] = f"  {_write(a)}"
+        lines.append(line)
     lines.append(")")
     return "\n".join(lines) + "\n"
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import locmod.cli as cli
 import locmod.extractor as extractor
 from locmod import (
     SEM_STAR,
@@ -416,6 +417,38 @@ class TestUnwritableOut:
             err = capsys.readouterr().err
             assert err.startswith(f"cannot write {out}: ")
             assert err.count("\n") == 1
+
+
+class TestOutBeforeWork:
+    # an --out that cannot be written is refused before any parsing or
+    # extraction, so the work functions must never be reached
+    COMMANDS = {
+        "extract_module": ["extract", "--flavor", "bot", "--terms", "C:Student"],
+        "genuine_modules": ["genuine", "--flavor", "bot"],
+        "run_comparison": ["compare", "--mode", "t2"],
+    }
+
+    @pytest.mark.parametrize("work", sorted(COMMANDS))
+    def test_refused_before_the_work(self, tmp_path, capsys, monkeypatch, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(cli, work, never)
+        for out in (tmp_path, tmp_path / "missing" / "out.txt"):
+            argv = self.COMMANDS[work] + ["--ontology", fx("koala.ofs"), "--out", str(out)]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"cannot write {out}: " + (
+                f"[Errno 21] Is a directory: '{out}'\n"
+                if out == tmp_path
+                else f"[Errno 2] No such file or directory: '{out}'\n"
+            )
+
+    def test_a_parse_error_leaves_an_existing_out_untouched(self, tmp_path, capsys):
+        out = tmp_path / "module.ofs"
+        out.write_bytes(b"kept\r\nas it was\n")
+        argv = ["extract", "--flavor", "bot", "--ontology", fx("bad_syntax.ofs"), "--out", str(out)]
+        assert main(argv) == 1
+        assert out.read_bytes() == b"kept\r\nas it was\n"
 
 
 class TestUsage:

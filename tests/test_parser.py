@@ -5,16 +5,21 @@ import time
 
 import pytest
 
+import locmod.parser as parser
 from locmod import (
+    SEM_STAR,
+    SYN_STAR,
     And,
     AtLeast,
     AtMost,
+    Budget,
     ConceptName,
     EquivalentClasses,
     EquivalentRoles,
     Exists,
     Inverse,
     InverseRoles,
+    LocalityFlavor,
     OneOf,
     Ontology,
     ParseErrorKind,
@@ -25,6 +30,9 @@ from locmod import (
     SubRoleOf,
     TOP,
     Transitive,
+    extract_module,
+    extract_star,
+    genuine_modules,
     parse_ontology,
     parse_signature,
     serialize_ontology,
@@ -428,6 +436,116 @@ class TestWriterErrors:
     def test_a_non_term_is_a_type_error(self):
         with pytest.raises(TypeError):
             serialize_ontology(Ontology((SubClassOf(ConceptName("A"), "B"),), name="t"))
+
+
+def untabled(m: Ontology) -> str:
+    """`m` written through a fresh ontology of the same axioms, whose text
+    table starts empty and belongs to it alone."""
+    return serialize_ontology(Ontology(m.axioms, name=m.name))
+
+
+def every_module(o: Ontology) -> list[Ontology]:
+    """The modules of `o` from `extract_module` of every flavor, from
+    `extract_star` of both pairs, each seeded with every axiom's
+    signature, and from `genuine_modules` of every flavor."""
+    budget = Budget(max_steps=2_000, max_seconds=1e9)
+    modules = []
+    for sig in o.axiom_signatures:
+        for flavor in LocalityFlavor:
+            modules.append(extract_module(o, sig, flavor, budget=budget).module)
+        for pair in (SYN_STAR, SEM_STAR):
+            modules.append(extract_star(o, sig, pair, budget=budget).module)
+    for flavor in LocalityFlavor:
+        modules.extend(r.module for _, r in genuine_modules(o, flavor, budget=budget))
+    return modules
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Counts the axioms written: each axiom writer of `parser._WRITERS`
+    is wrapped, and axioms do not nest, so a call is one top-level
+    render."""
+    count = [0]
+
+    def counted(write):
+        def wrapper(a):
+            count[0] += 1
+            return write(a)
+
+        return wrapper
+
+    for t in (SubClassOf, EquivalentClasses, SubRoleOf, EquivalentRoles, InverseRoles, Transitive):
+        monkeypatch.setitem(parser._WRITERS, t, counted(parser._WRITERS[t]))
+    return count
+
+
+class TestTextTable:
+    # modules write their axioms' lines into the text table of the source
+    # they were restricted from; no byte may depend on it
+
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_every_module_writes_as_a_fresh_ontology(self, name):
+        o = load_fixture(name)
+        for m in every_module(o):
+            assert serialize_ontology(m) == untabled(m)
+        assert serialize_ontology(o) == serialize_ontology(load_fixture(name))
+
+    def test_a_restrict_of_a_restrict(self):
+        o = load_fixture("koala.ofs")
+        m = o.restrict(range(1, len(o), 2))
+        mm = m.restrict((0, 2, 3))
+        assert mm.origin == (1, 5, 7)
+        assert mm.axioms == tuple(o.axioms[i] for i in mm.origin)
+        assert mm.texts is o.texts
+        assert serialize_ontology(mm) == untabled(mm)
+        assert serialize_ontology(m) == untabled(m)
+
+    def test_module_before_source_and_source_before_module(self):
+        for module_first in (True, False):
+            o = load_fixture("mixed.ofs")
+            m = o.restrict((0, 3, 4, len(o) - 1))
+            if module_first:
+                assert serialize_ontology(m) == untabled(m)
+            assert serialize_ontology(o) == serialize_ontology(load_fixture("mixed.ofs"))
+            assert serialize_ontology(m) == untabled(m)
+
+    def test_a_writer_error_part_way_leaves_the_table_sound(self):
+        a, b = ConceptName("A"), ConceptName("B")
+        p = RoleName("p")
+        axioms = (
+            SubClassOf(a, b),
+            SubClassOf(b, Exists(p, a)),
+            SubClassOf(Exists(UNIVERSAL_ROLE, TOP), a),
+            SubRoleOf(p, RoleName("q")),
+            Transitive(p),
+        )
+        o = Ontology(axioms, name="t")
+        with pytest.raises(ValueError, match="^substitution constants have no surface syntax$"):
+            serialize_ontology(o.restrict((0, 1, 2, 3)))
+        for positions in ((0, 1, 3, 4), (1, 4), (3,)):
+            m = o.restrict(positions)
+            assert serialize_ontology(m) == untabled(m)
+
+    def test_a_second_serialization_renders_nothing(self, renders):
+        for name in CORPUS_NAMES:
+            modules = every_module(load_fixture(name))
+            for m in modules:
+                serialize_ontology(m)
+            renders[0] = 0
+            for m in modules:
+                serialize_ontology(m)
+            assert renders[0] == 0
+
+    def test_only_the_written_axioms_are_rendered(self, renders):
+        o = synthetic_ontology(2000)
+        serialize_ontology(o.restrict((7, 700, 1999)))
+        assert renders[0] == 3
+
+    def test_genuine_modules_render_each_axiom_at_most_once(self, renders):
+        o = load_fixture("taxonomy.ofs")
+        for _, result in genuine_modules(o, LocalityFlavor.SYN_BOT):
+            serialize_ontology(result.module)
+        assert 0 < renders[0] <= len(o)
 
 
 class TestPinnedOutcomes:
