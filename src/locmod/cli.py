@@ -27,17 +27,18 @@ from .harness import (
     render_report,
     run_comparison,
 )
-from .model import LocalityFlavor, Ontology, Signature
+from .model import LocalityFlavor, Ontology, Signature, is_self_inverse
 from .oracle import find_countermodel
 from .parser import (
     ParseErrorKind,
     ParseFailure,
+    _conflict,
     _local_name,
     parse_ontology,
     parse_signature,
     serialize_ontology,
 )
-from .semantic import substitute, verdict_in
+from .semantic import LOCAL, substitute, verdict_in
 from .tableau import Budget
 
 __all__ = ["main"]
@@ -188,9 +189,11 @@ def _load_ontology(path: str, strict: bool) -> Ontology:
         raise _CliError(lines, _parse_failure_code(exc))
 
 
-def _parse_terms(spec: str) -> Signature:
+def _parse_terms(spec: str, onto: Ontology) -> Signature:
     """The signature of comma-separated `C:`/`R:`/`I:` terms, each name
-    reduced to its local fragment as in a signature file."""
+    reduced to its local fragment and checked against the kinds of `onto`
+    as in a signature file."""
+    known = onto.names.kinds
     kinds: dict[str, str] = {}
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -205,6 +208,9 @@ def _parse_terms(spec: str) -> Signature:
             raise _CliError(f"inline term '{chunk}' has no name", EXIT_PARSE)
         if kinds.setdefault(name, chunk[0]) != chunk[0]:
             raise _CliError(f"inline term '{chunk}' gives '{name}' a second kind", EXIT_PARSE)
+        if known.get(name, chunk[0]) != chunk[0]:
+            message = _conflict(name, known[name], chunk[0])
+            raise _CliError(f"inline term '{chunk}': {message}", EXIT_PARSE)
     return Signature.of_kinds(kinds)
 
 
@@ -214,7 +220,7 @@ def _load_signature(args, onto: Ontology) -> Signature:
     if terms and sig_path:
         print("warning: both --terms and --signature given; --terms wins", file=sys.stderr)
     if terms:
-        return _parse_terms(terms)
+        return _parse_terms(terms, onto)
     if sig_path:
         try:
             return parse_signature(_read_file(sig_path), onto)
@@ -282,9 +288,11 @@ def _cmd_check(args) -> int:
     sig = _load_signature(args, onto)
     flavor = LocalityFlavor(args.flavor)
     budget = _budget(args)
+    refined = args.refined and flavor.is_syntactic
     unknowns = 0
     for i, a in enumerate(onto.axioms):
-        verdict = verdict_in(onto, i, sig, flavor, budget, args.refined)
+        local = refined and is_self_inverse(a)
+        verdict = LOCAL if local else verdict_in(onto, i, sig, flavor, budget)
         word = verdict.status.value
         if verdict.reason:
             word += f" ({verdict.reason})"
@@ -349,7 +357,10 @@ def _cmd_oracle(args) -> int:
     sig = _load_signature(args, onto)
     flavor = LocalityFlavor(args.flavor)
     for a in onto.axioms:
-        witness = find_countermodel(substitute(a, sig, flavor), args.max_domain)
+        try:
+            witness = find_countermodel(substitute(a, sig, flavor), args.max_domain)
+        except ValueError as exc:  # find_countermodel is where the cap is checked
+            raise _CliError(f"invalid domain cap: {exc}", EXIT_PARSE) from None
         if witness is None:
             print(f"not-refuted\t{a}")
         else:

@@ -48,12 +48,7 @@ from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from itertools import chain, count, islice
 
-from .model import (
-    Axiom,
-    LocalityFlavor,
-    Ontology,
-    Signature,
-)
+from .model import Axiom, LocalityFlavor, Ontology, Signature, is_self_inverse
 from .semantic import IS_UNKNOWN, verdict_in
 from .syntactic import Circuit, compile_circuit
 from .tableau import Budget
@@ -103,15 +98,14 @@ class ModuleResult:
     unknown_verdicts: int
 
 
-def circuit(o: Ontology, flavor: LocalityFlavor, refined: bool = False) -> Circuit:
+def circuit(o: Ontology, flavor: LocalityFlavor) -> Circuit:
     """The circuit of `o` for the polarity of `flavor`, which a semantic
-    flavor shares with its syntactic counterpart (`refined` counts for a
-    syntactic flavor only). Compiled on first use and kept in
-    `o.circuits`, which this function alone keys and fills."""
-    key = (flavor.is_bottom, refined and flavor.is_syntactic)
-    found = o.circuits.get(key)
+    flavor shares with its syntactic counterpart. Compiled on first use and
+    kept in `o.circuits` under `flavor.is_bottom`, which this function
+    alone keys and fills."""
+    found = o.circuits.get(flavor.is_bottom)
     if found is None:
-        found = o.circuits[key] = compile_circuit(o, flavor, key[1])
+        found = o.circuits[flavor.is_bottom] = compile_circuit(o, flavor)
     return found
 
 
@@ -133,14 +127,18 @@ def _extract(
     ascending, as such a dict, its extended signature, the number of
     rounds that added axioms, the locality checks and the UNKNOWN
     verdicts, which count as non-local. A round that adds axioms appends
-    `((step, flavor, round), added_axioms)` to `trace`, if given."""
+    `((step, flavor, round), added_axioms)` to `trace`, if given. With
+    `refined` and a syntactic flavor, Inv(R, R⁻) is local for every Σ, so
+    it leaves `scope` before the first round: it would add no names."""
+    if refined and flavor.is_syntactic:
+        scope = dict.fromkeys(i for i in scope if not is_self_inverse(o.axioms[i]))
     module: set[int] = set()
     rounds = checks = unknowns = 0
 
     def is_local(i: int, working: Signature) -> bool:
         nonlocal checks, unknowns
         checks += 1
-        verdict = verdict_in(o, i, working, flavor, budget, refined)
+        verdict = verdict_in(o, i, working, flavor, budget)
         if verdict.status is IS_UNKNOWN:
             unknowns += 1
             return False
@@ -165,7 +163,7 @@ def _extract(
 
     syntactic = flavor.is_syntactic
     shapes = o.shapes
-    wave = circuit(o, flavor, refined)
+    wave = circuit(o, flavor)
     need = list(wave.need)
     within = None if len(scope) == len(o) else scope
     fired = [i for i in wave.always if i in scope]

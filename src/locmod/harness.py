@@ -47,11 +47,10 @@ from .model import (
     EquivalentClasses,
     Exists,
     ForAll,
-    Inverse,
-    InverseRoles,
     LocalityFlavor,
     Ontology,
     Signature,
+    is_self_inverse,
 )
 from .semantic import Locality, verdict_in
 from .tableau import Budget
@@ -181,10 +180,8 @@ def classify_culprit(a: Axiom) -> CulpritType:
     an inverse-role axiom that is a tautology (type 1), and a concept-name
     definition whose conjuncts put both a universal and an existential or
     min-cardinality restriction on one role (type 2)."""
-    if isinstance(a, InverseRoles):
-        if Inverse(a.left) == a.right:
-            return CulpritType.TYPE1
-        return CulpritType.NONE
+    if is_self_inverse(a):
+        return CulpritType.TYPE1
     if isinstance(a, EquivalentClasses):
         for name_side, defn in ((a.left, a.right), (a.right, a.left)):
             if not isinstance(name_side, ConceptName) or not isinstance(defn, And):

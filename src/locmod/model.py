@@ -316,6 +316,11 @@ class InverseRoles(Axiom):
         return f"Inv({self.left}, {self.right})"
 
 
+def is_self_inverse(a: Axiom) -> bool:
+    """Whether `a` is Inv(R, R⁻): valid, so local for every Σ and flavor."""
+    return type(a) is InverseRoles and Inverse(a.left) == a.right
+
+
 @dataclass(frozen=True)
 class Transitive(Axiom):
     role: Role
@@ -391,6 +396,12 @@ class Signature:
     def of_kinds(kinds: dict[str, str]) -> "Signature":
         """The signature of names mapped to their kind: "C", "R" or "I"."""
         return Signature(*(frozenset(n for n, k in kinds.items() if k == kind) for kind in "CRI"))
+
+    @property
+    def kinds(self) -> dict[str, str]:
+        """Each name mapped to its kind, the inverse of `of_kinds`."""
+        sets = (self.concept_names, self.role_names, self.individual_names)
+        return {n: kind for kind, names in zip("CRI", sets) for n in names}
 
     @property
     def term_count(self) -> int:

@@ -297,6 +297,8 @@ def find_countermodel(a: Axiom, max_domain: int = 3) -> Interpretation | None:
     cut. The first one in lexicographic order wins, reading an
     interpretation as its individuals' elements, then its concept masks,
     then each role's successor mask per element, names sorted."""
+    if max_domain < 1:
+        raise ValueError(f"max_domain must be at least 1, got {max_domain}")
     sig = signature_of(a)
     for n in range(1, max_domain + 1):
         full = (1 << n) - 1

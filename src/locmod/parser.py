@@ -571,15 +571,11 @@ _ENTRY = re.compile(r"(?:<[^>]*>|[^#])*")
 def parse_signature(text: str, against: Ontology) -> Signature:
     """Parse a newline-separated signature file. Entries may carry a
     `C:`/`R:`/`I:` kind prefix; unprefixed names are resolved against the
-    ontology's declarations and used names. A `#` outside an IRI begins a
-    comment. A name given two kinds is an error at the entry that gives
-    the second."""
-    table = against.names
-    known = {
-        n: kind
-        for kind, ns in zip("CRI", (table.concept_names, table.role_names, table.individual_names))
-        for n in ns
-    }
+    ontology's declarations and used names; a prefixed name the ontology
+    does not know is taken as given. A `#` outside an IRI begins a comment.
+    A name given a kind other than the ontology's, or than an earlier
+    entry's, is an error at that entry."""
+    known = against.names.kinds
     errors: list[ParseError] = []
     kinds: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -599,7 +595,7 @@ def parse_signature(text: str, against: Ontology) -> Signature:
                 message = f"'{name}' does not occur in ontology '{against.name}'"
                 errors.append(ParseError(lineno, 1, message, ParseErrorKind.UNKNOWN_ENTITY))
                 continue
-        first = kinds.setdefault(name, kind)
+        first = kinds.setdefault(name, known.get(name, kind))
         if first != kind:
             message = _conflict(name, first, kind)
             errors.append(ParseError(lineno, 1, message, ParseErrorKind.UNKNOWN_ENTITY))

@@ -4,12 +4,14 @@ An axiom is semantically local w.r.t. Σ exactly when the axiom obtained by
 sending every non-Σ concept name to ⊥ (bottom flavor) or ⊤ (top flavor)
 and every non-Σ role to the empty or universal relation is valid: the
 non-Σ part of any interpretation can always be rewired to those constants
-without touching Σ, so locality reduces to a tautology test. Role axioms
-over the constants are decided structurally. Substitution folds the
-constants it brings in, so a concept axiom that collapses to ⊥ ⊑ D or
-C ⊑ ⊤ is valid at once; the others go through negation normal form,
-constant propagation and then the tableau. `verdict_in` keeps the verdicts
-of an ontology's axioms, of all four flavors, one per axiom shape.
+without touching Σ, so locality reduces to the validity test that
+`is_tautology` applies to an axiom as it stands. A role axiom, over role
+names and the constants, is valid by structure alone. Substitution folds
+the constants it brings in, so a concept axiom that collapses to ⊥ ⊑ D
+or C ⊑ ⊤ is valid at once; the others go through negation normal form,
+constant propagation and then the tableau. `verdict_in` keeps the
+verdicts of an ontology's axioms, of all four flavors, one per axiom
+shape.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .model import (
     EquivalentRoles,
     Exists,
     ForAll,
-    Inverse,
     InverseRoles,
     LocalityFlavor,
     Not,
@@ -51,6 +52,7 @@ from .model import (
     UniversalRoleType,
     conj,
     disj,
+    is_self_inverse,
     nnf,
     role_name_of,
 )
@@ -95,11 +97,6 @@ class Verdict:
 
 LOCAL = Verdict(IS_LOCAL)
 NON_LOCAL = Verdict(IS_NON_LOCAL)
-
-
-def _check_semantic(flavor: LocalityFlavor):
-    if flavor.is_syntactic:
-        raise ValueError(f"expected a semantic flavor, got {flavor}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +144,8 @@ def substitute(a: Axiom, sig: Signature, flavor: LocalityFlavor) -> Axiom:
     The constants brought in are folded as `simplify` folds them (so an
     axiom whose names `sig` covers comes back unchanged); probes built from
     the result equal those built from the unfolded substitution."""
-    _check_semantic(flavor)
+    if flavor.is_syntactic:
+        raise ValueError(f"expected a semantic flavor, got {flavor}")
     if flavor.is_bottom:
         repl_c: Concept = BOTTOM
         repl_r: Role = EMPTY_ROLE
@@ -231,27 +229,42 @@ def _fold(c: Concept, role: Role | None, args) -> Concept:
 # ---------------------------------------------------------------------------
 
 def is_tautology(a: Axiom, budget: Budget | None = None) -> bool | None:
-    """Validity of a concept axiom, by refuting the satisfiability of the
-    negation: C ⊑ D is valid iff nnf(C ⊓ ¬D) has no model. Equivalences
-    check both directions. None means the reasoner gave up (budget or
-    safety valve)."""
-    status = _refutation(a, budget).status
-    return None if status is _GAVE_UP else status is _UNSAT
+    """Validity of `a`, of any of the six axiom kinds, by the test that
+    `is_semantically_local` applies to a substituted axiom. None means the
+    reasoner gave up (budget or safety valve)."""
+    verdict = _validity(a, budget)
+    return None if verdict.status is IS_UNKNOWN else verdict.is_local
 
 
-def _refutation(a: Axiom, budget: Budget | None) -> SatResult:
-    """The search for a counterexample to the concept axiom `a`:
-    UNSATISFIABLE when it is valid, SATISFIABLE when it is not, and an
-    UNKNOWN with the tableau's reason when the search gave up."""
-    if isinstance(a, SubClassOf):
-        return _counterexample(a.sub, a.sup, budget)
-    if isinstance(a, EquivalentClasses):
-        forward = _counterexample(a.left, a.right, budget)
-        if forward.status is _SAT:
-            return forward
-        backward = _counterexample(a.right, a.left, budget)
-        return forward if backward.status is _UNSAT else backward
-    raise TypeError(f"expected a concept axiom after substitution, got {a!r}")
+def _validity(s: Axiom, budget: Budget | None) -> Verdict:
+    """Validity of the axiom `s`, as LOCAL (valid), NON_LOCAL or an UNKNOWN
+    with the tableau's reason. C ⊑ D is valid iff nnf(C ⊓ ¬D) has no model,
+    and an equivalence checks both directions. A role axiom, over role
+    names and the substitution constants, is valid by structure alone."""
+    if isinstance(s, (SubClassOf, EquivalentClasses)):
+        left, right = (s.sub, s.sup) if isinstance(s, SubClassOf) else (s.left, s.right)
+        result = _counterexample(left, right, budget)
+        if result.status is not _SAT and isinstance(s, EquivalentClasses):
+            backward = _counterexample(right, left, budget)
+            result = result if backward.status is _UNSAT else backward
+        if result.status is _GAVE_UP:
+            return Verdict(IS_UNKNOWN, reason=result.reason)
+        return LOCAL if result.status is _UNSAT else NON_LOCAL
+    if isinstance(s, SubRoleOf):
+        valid = (
+            isinstance(s.sub, EmptyRoleType)
+            or isinstance(s.sup, UniversalRoleType)
+            or s.sub == s.sup
+        )
+    elif isinstance(s, EquivalentRoles):
+        valid = s.left == s.right
+    elif isinstance(s, InverseRoles):
+        valid = is_self_inverse(s)
+    elif isinstance(s, Transitive):
+        valid = isinstance(s.role, (EmptyRoleType, UniversalRoleType))
+    else:
+        raise TypeError(f"not an axiom: {s!r}")
+    return LOCAL if valid else NON_LOCAL
 
 
 _NO_COUNTEREXAMPLE = SatResult(_UNSAT)
@@ -275,32 +288,10 @@ def is_semantically_local(
     flavor: LocalityFlavor,
     budget: Budget | None = None,
 ) -> Verdict:
-    """Decide semantic locality of `a` w.r.t. `sig` for the given flavor.
-    Nothing is memoized: `verdict_in` keeps the definite verdicts of an
-    ontology's axioms."""
-    _check_semantic(flavor)
-    s = substitute(a, sig, flavor)
-    if isinstance(s, (SubClassOf, EquivalentClasses)):
-        result = _refutation(s, budget)
-        if result.status is _GAVE_UP:
-            return Verdict(IS_UNKNOWN, reason=result.reason)
-        return LOCAL if result.status is _UNSAT else NON_LOCAL
-    # role axioms: validity over the substitution constants is structural
-    if isinstance(s, SubRoleOf):
-        valid = (
-            isinstance(s.sub, EmptyRoleType)
-            or isinstance(s.sup, UniversalRoleType)
-            or s.sub == s.sup
-        )
-    elif isinstance(s, EquivalentRoles):
-        valid = s.left == s.right
-    elif isinstance(s, InverseRoles):
-        valid = Inverse(s.left) == s.right
-    elif isinstance(s, Transitive):
-        valid = isinstance(s.role, (EmptyRoleType, UniversalRoleType))
-    else:
-        raise TypeError(f"not an axiom: {s!r}")
-    return LOCAL if valid else NON_LOCAL
+    """Decide semantic locality of `a` w.r.t. `sig` for the given flavor:
+    the validity of its substitution. Nothing is memoized: `verdict_in`
+    keeps the definite verdicts of an ontology's axioms."""
+    return _validity(substitute(a, sig, flavor), budget)
 
 
 def verdict_in(
@@ -309,31 +300,29 @@ def verdict_in(
     sig: Signature,
     flavor: LocalityFlavor,
     budget: Budget | None = None,
-    refined: bool = False,
 ) -> Verdict:
     """The verdict of axiom `i` of `o` for any flavor, memoized in
-    `o.verdicts`: `is_syntactically_local` (with `refined`) for a syntactic
-    flavor, `is_semantically_local` (under `budget`) for a semantic one.
+    `o.verdicts`: `is_syntactically_local` for a syntactic flavor,
+    `is_semantically_local` (under `budget`) for a semantic one.
 
     The grammar and substitution read only the concept and role names of
     the axiom, and an injective renaming of concepts and roles maps each
     grammar walk to an equal one and each probe to an isomorphic one, so
     the verdict depends on `sig` only through which of the axiom's names
     lie in it. The key is read off the axiom's record in `o.shapes`: the
-    flavor, `refined` for a syntactic flavor only, the number of its
-    structure and, for each of its concept names and then each of its role
-    names in the order of their numbers, whether it lies in `sig` among
-    the names of its kind. Renamed copies of an axiom, and one axiom under
+    flavor, the number of its structure and, for each of its concept names
+    and then each of its role names in the order of their numbers, whether
+    it lies in `sig` among the names of its kind. Renamed copies of an axiom, and one axiom under
     signatures that share the same of its names, meet one key. LOCAL and
     NON_LOCAL hold under every budget, so no budget enters the key; an
     UNKNOWN is returned but not kept, and a later call tries again.
     """
     number, concepts, roles, _ = o.shapes[i]
-    syntactic = flavor.is_syntactic
     # `map` over bound membership tests: before Python 3.12 each list
     # comprehension is a function call, and every check pays for the key
     key = (
-        *((flavor, refined, number) if syntactic else (flavor, number)),
+        flavor,
+        number,
         *map(sig.concept_names.__contains__, concepts),
         *map(sig.role_names.__contains__, roles),
     )
@@ -341,8 +330,8 @@ def verdict_in(
     verdict = verdicts.get(key)
     if verdict is None:
         a = o.axioms[i]
-        if syntactic:
-            verdict = LOCAL if is_syntactically_local(a, sig, flavor, refined) else NON_LOCAL
+        if flavor.is_syntactic:
+            verdict = LOCAL if is_syntactically_local(a, sig, flavor) else NON_LOCAL
         else:
             verdict = is_semantically_local(a, sig, flavor, budget)
             if verdict.status is IS_UNKNOWN:

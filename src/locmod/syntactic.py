@@ -38,7 +38,6 @@ from .model import (
     EquivalentRoles,
     Exists,
     ForAll,
-    Inverse,
     InverseRoles,
     LocalityFlavor,
     Not,
@@ -51,6 +50,7 @@ from .model import (
     SubRoleOf,
     TopType,
     Transitive,
+    is_self_inverse,
     role_name_of,
 )
 
@@ -116,7 +116,7 @@ def _concept(c, b, bot):
     raise TypeError(f"not a concept: {c!r}")
 
 
-def _nonlocal(a, b, bot, refined):
+def _nonlocal(a, b, bot):
     """Non-locality of the axiom `a` over the builder `b`."""
     if isinstance(a, SubClassOf):
         nb = _concept(a.sub, b, bot)[0]
@@ -132,9 +132,6 @@ def _nonlocal(a, b, bot, refined):
         return b.role(_role_name(a.sub if bot else a.sup))
     if isinstance(a, Transitive):
         return b.role(_role_name(a.role))
-    if isinstance(a, InverseRoles) and refined:
-        if Inverse(a.left) == a.right:
-            return False
     if isinstance(a, (EquivalentRoles, InverseRoles)):
         return b.or_((b.role(_role_name(a.left)), b.role(_role_name(a.right))))
     raise TypeError(f"not an axiom: {a!r}")
@@ -161,21 +158,19 @@ def is_syntactically_local(
 
     The grammar reads `a` as built: domain, range and disjointness axioms
     are inclusions from construction on, and an inverse wraps a role name.
-    Role axioms are decided on role names alone. With `refined` set, an
-    inverse-role axiom whose two sides are inverses of each other counts as
-    local regardless of the signature; this is off by default so the
-    checker reproduces the plain grammar behavior. A semantic flavor gets
-    the grammar of its polarity, so a local answer implies semantic
-    locality.
+    Role axioms are decided on role names alone. With `refined` set,
+    Inv(R, R⁻) is local whatever the signature (`is_self_inverse`). A
+    semantic flavor gets the grammar of its polarity, so a local answer
+    implies semantic locality.
     """
-    return not _nonlocal(a, _Evaluator(sig), flavor.is_bottom, refined)
+    return refined and is_self_inverse(a) or not _nonlocal(a, _Evaluator(sig), flavor.is_bottom)
 
 
 class Circuit:
     """The syntactic non-locality of the axioms of one ontology, for one
-    polarity and `refined`, as AND/OR gates; read-only once built. Gate g
-    belongs to the axiom at position `owner[g]` and fires once `need[g]` of
-    its inputs have fired (all for an AND, one for an OR). A name fires when
+    polarity, as AND/OR gates; read-only once built. Gate g belongs to
+    the axiom at position `owner[g]` and fires once `need[g]` of its
+    inputs have fired (all for an AND, one for an OR). A name fires when
     it enters Σ and a gate when its count reaches 0; either then reaches
     its targets, the name's `uses` or the gate's `up[g]`. A target t ≥ 0 is
     a gate to count down; t < 0 makes the axiom ~t non-local. The axioms in
@@ -233,11 +228,11 @@ class _Template:
     and_ = staticmethod(lambda inputs: _fold(inputs, False))
     or_ = staticmethod(lambda inputs: _fold(inputs, True))
 
-    def __init__(self, a: Axiom, concepts, roles, bot: bool, refined: bool):
+    def __init__(self, a: Axiom, concepts, roles, bot: bool):
         self.concept = {n: k for k, n in enumerate(concepts)}.__getitem__
         self.role = {n: ~k for k, n in enumerate(roles)}.__getitem__
         self.need, self.up, self.feeds = [], [], []
-        self.root = _nonlocal(a, self, bot, refined)
+        self.root = _nonlocal(a, self, bot)
         if self.root is not True and self.root is not False:
             self.place(self.root, -1)
 
@@ -252,7 +247,7 @@ class _Template:
             self.place(y, g)
 
 
-def compile_circuit(o: Ontology, flavor: LocalityFlavor, refined=False) -> Circuit:
+def compile_circuit(o: Ontology, flavor: LocalityFlavor) -> Circuit:
     """The `Circuit` of syntactic non-locality of the axioms of `o`, by
     position, with the grammar `is_syntactically_local` uses for `flavor`,
     run once per structure: each axiom copies its structure's `_Template`."""
@@ -262,7 +257,7 @@ def compile_circuit(o: Ontology, flavor: LocalityFlavor, refined=False) -> Circu
     for i, (number, concepts, roles, _) in enumerate(o.shapes):
         t = templates.get(number)
         if t is None:
-            t = templates[number] = _Template(o.axioms[i], concepts, roles, bot, refined)
+            t = templates[number] = _Template(o.axioms[i], concepts, roles, bot)
         if t.root is True:
             always.append(i)
         base = len(need)

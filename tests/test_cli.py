@@ -207,7 +207,7 @@ def check_reference(name, flavor, terms, refined, strict):
     """The stdout and exit code of `locmod check`, from a plain check of
     each axiom on its own."""
     onto = load_fixture(name)
-    sig, flavor = _parse_terms(terms), LocalityFlavor(flavor)
+    sig, flavor = _parse_terms(terms, onto), LocalityFlavor(flavor)
     lines, unknowns = [], 0
     for a in onto.axioms:
         if flavor.is_syntactic:
@@ -545,6 +545,15 @@ class TestUsage:
             assert captured.err == f"invalid budget: max_steps must be positive, got {steps}\n"
             assert captured.out == ""
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_bad_domain_cap_is_a_usage_error(self, capsys, cap):
+        # an empty search would call every axiom not refuted
+        oracle = ["oracle", "--flavor", "sem-bot", "--ontology", fx("koala.ofs")]
+        assert main(oracle + ["--max-domain", cap]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid domain cap: max_domain must be at least 1, got {cap}\n"
+        assert captured.out == ""
+
     def test_bad_budget_env_is_a_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("LOCMOD_MAX_STEPS", "-1")
         code = main(["check", "--flavor", "sem-bot", "--ontology", fx("koala.ofs")])
@@ -602,7 +611,7 @@ class TestTermNames:
         entries = ["C:ex:Koala", "R:<http://example.org/koala#hasHabitat>", "C:Student"]
         text = "\n".join(entries) + "  # seed terms\n"
         koala = parse_ontology(Path(fx("koala.ofs")).read_text())
-        assert _parse_terms(",".join(entries)) == parse_signature(text, koala) == (
+        assert _parse_terms(",".join(entries), koala) == parse_signature(text, koala) == (
             Signature.of_kinds({"Koala": "C", "hasHabitat": "R", "Student": "C"})
         )
         sig = tmp_path / "seed.sig"
@@ -662,6 +671,38 @@ class TestKindConflicts:
         assert capsys.readouterr().err == (
             f"{sig}:2:1: UnknownEntity: 'Student' used both as class and object property\n"
         )
+
+
+class TestKindsOfTheOntology:
+    # a kind prefix that contradicts the ontology is an error at its term
+    # or line; a prefixed name the ontology does not use is taken as given
+    EXTRACT = ["extract", "--flavor", "bot", "--ontology", fx("koala.ofs")]
+
+    def test_inline_terms(self, capsys):
+        assert main(self.EXTRACT + ["--terms", "C:Koala,C:hasChildren"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "inline term 'C:hasChildren': "
+            "'hasChildren' used both as object property and class\n"
+        )
+        assert captured.out == ""
+
+    def test_signature_file(self, tmp_path, capsys):
+        sig = tmp_path / "seed.sig"
+        sig.write_text("C:Koala\nC:hasChildren\n")
+        assert main(self.EXTRACT + ["--signature", str(sig)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"{sig}:2:1: UnknownEntity: 'hasChildren' used both as object property and class\n"
+        )
+        assert captured.out == ""
+
+    def test_a_name_the_ontology_does_not_use_is_legal(self, tmp_path, capsys):
+        sig = tmp_path / "seed.sig"
+        sig.write_text("C:Nope\nR:hasChildren\n")
+        for source in (["--terms", "C:Nope,R:hasChildren"], ["--signature", str(sig)]):
+            assert main(self.EXTRACT + source) == 0
+            assert capsys.readouterr().err == ""
 
 
 def main_help(capsys):

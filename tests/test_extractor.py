@@ -16,6 +16,8 @@ from locmod import (
     Budget,
     ConceptName,
     DisjointClasses,
+    Inverse,
+    InverseRoles,
     EquivalentClasses,
     Exists,
     Locality,
@@ -855,8 +857,8 @@ class TestPropagation:
         assert extract_all() == first
 
     def test_one_circuit_per_key(self, monkeypatch):
-        # a semantic flavor and T1a share the circuit of their polarity;
-        # `refined` keys a circuit of its own for a syntactic flavor only
+        # a semantic flavor, T1a and a refined extraction share the circuit
+        # of their polarity: the key is the polarity alone
         o = load_fixture("mixed.ofs")
         sig = Signature({"Manager"})
         compile_circuit = extractor.compile_circuit
@@ -872,10 +874,11 @@ class TestPropagation:
         extract_star(o, sig, SEM_STAR)
         run_comparison(o, "t1a", SamplingConfig(sample_count=8, rng_seed=5))
         assert len(compiled) == 2
-        assert set(o.circuits) == {(True, False), (False, False)}
+        assert set(o.circuits) == {True, False}
         extract_module(o, sig, LocalityFlavor.SYN_BOT, refined=True)
-        assert len(compiled) == 3
-        assert set(o.circuits) == {(True, False), (False, False), (True, True)}
+        extract_star(o, sig, SYN_STAR, refined=True)
+        assert len(compiled) == 2
+        assert set(o.circuits) == {True, False}
 
     def test_failed_compile_stores_nothing(self, monkeypatch):
         o = load_fixture("koala.ofs")
@@ -890,6 +893,109 @@ class TestPropagation:
         monkeypatch.undo()
         fresh = extract_module(load_fixture("koala.ofs"), Signature(), LocalityFlavor.SYN_BOT)
         assert extract_module(o, Signature(), LocalityFlavor.SYN_BOT).positions == fresh.positions
+
+
+def planted_self_inverses(seed: int, count: int):
+    """Random axioms over three roles, with Inv(p, p⁻) and Inv(p⁻, p) for
+    two of the roles p planted among them."""
+    rng = random.Random(seed)
+    roles = ("r", "s", "t")
+    axioms = [random_axiom(rng, depth=2, roles=roles) for _ in range(count)]
+    for name in rng.sample(roles, 2):
+        p = RoleName(name)
+        for a in (InverseRoles(p, Inverse(p)), InverseRoles(Inverse(p), p)):
+            axioms.insert(rng.randrange(len(axioms) + 1), a)
+    return Ontology(tuple(axioms), name=f"planted-{seed}")
+
+
+class TestRefinedScope:
+    """`refined` takes Inv(R, R⁻) out of a syntactic extraction's scope, so
+    a refined extraction of O is the plain one of O without those axioms."""
+
+    SYNTACTIC = [
+        (extract_module, LocalityFlavor.SYN_BOT),
+        (extract_module, LocalityFlavor.SYN_TOP),
+        (extract_nested, SYN_STAR),
+        (extract_star, SYN_STAR),
+        (extract_star, (LocalityFlavor.SYN_BOT, LocalityFlavor.SYN_TOP)),
+    ]
+    SEMANTIC = [
+        (extract_module, LocalityFlavor.SEM_BOT),
+        (extract_module, LocalityFlavor.SEM_TOP),
+        (extract_star, SEM_STAR),
+    ]
+    # a step limit alone, so that UNKNOWNs do not depend on machine load
+    BUDGET = Budget(max_steps=2_000, max_seconds=1e9)
+
+    @staticmethod
+    def cases():
+        ontologies = [load_fixture(name) for name in CORPUS_NAMES]
+        ontologies += [planted_self_inverses(seed, 30) for seed in range(4)]
+        rng = random.Random(43)
+        for o in ontologies:
+            names = o.names
+            for _ in range(6):
+                concepts, roles = sorted(names.concept_names), sorted(names.role_names)
+                yield o, random_signature(rng, concepts=concepts, roles=roles)
+
+    @staticmethod
+    def fields(result, trace, back=None):
+        """Every field of `result`, and `trace`; positions mapped through
+        `back`, if given."""
+        positions = result.positions if back is None else tuple(back[i] for i in result.positions)
+        return (
+            result.module.axioms,
+            positions,
+            result.extended_signature,
+            result.rounds,
+            result.locality_checks,
+            result.unknown_verdicts,
+            trace,
+        )
+
+    def test_syntactic_equals_the_plain_extraction_without_them(self):
+        planted = 0
+        for o, sig in self.cases():
+            kept = [i for i, a in enumerate(o.axioms) if not model.is_self_inverse(a)]
+            rest = Ontology(tuple(o.axioms[i] for i in kept), name=o.name)
+            planted += len(o) - len(kept)
+            for (extract, flavor), naive in itertools.product(self.SYNTACTIC, (False, True)):
+                traces = [], []
+                refined = extract(o, sig, flavor, refined=True, naive=naive, trace=traces[0])
+                plain = extract(rest, sig, flavor, naive=naive, trace=traces[1])
+                expected = self.fields(plain, traces[1], kept)
+                if extract is extract_star and len(rest) < len(o):
+                    # the first nested step leaves Inv(R, R⁻) out of all of
+                    # O, so it shrank its scope even where all of rest stays
+                    expected = expected[:3] + (max(plain.rounds, 1),) + expected[4:]
+                assert self.fields(refined, traces[0]) == expected
+        # inverse_loop.ofs and mixed.ofs hold one each, the planted four
+        assert planted == 6 * (2 + 4 * 4)
+
+    def test_semantic_results_do_not_depend_on_it(self):
+        for o, sig in self.cases():
+            for (extract, flavor), naive in itertools.product(self.SEMANTIC, (False, True)):
+                plain, refined = (
+                    extract(o, sig, flavor, refined=refined, naive=naive, budget=self.BUDGET)
+                    for refined in (False, True)
+                )
+                assert self.fields(plain, None) == self.fields(refined, None)
+        for o in {o: None for o, _ in self.cases()}:
+            for flavor in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
+                plain, refined = (
+                    genuine_modules(o, flavor, refined=refined, budget=self.BUDGET)
+                    for refined in (False, True)
+                )
+                assert [(a, self.fields(r, None)) for a, r in plain] == [
+                    (a, self.fields(r, None)) for a, r in refined
+                ]
+
+    def test_one_circuit_per_polarity(self):
+        for o, sig in self.cases():
+            for flavor, refined in itertools.product(LocalityFlavor, (False, True)):
+                extract_module(o, sig, flavor, refined=refined, budget=self.BUDGET)
+            extract_star(o, sig, SYN_STAR, refined=True)
+            assert set(o.circuits) == {True, False}
 
 
 @pytest.mark.parametrize(

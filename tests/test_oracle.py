@@ -135,6 +135,12 @@ class TestFindCountermodel:
         assert witness is not None
         assert witness.concept_ext["A"]
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_a_cap_below_one_is_refused(self, cap):
+        # no domain size to search would leave every axiom unrefuted
+        with pytest.raises(ValueError, match=f"max_domain must be at least 1, got {cap}"):
+            find_countermodel(EquivalentClasses(A, BOTTOM), cap)
+
     def test_bottom_subsumption_never_refuted(self):
         assert find_countermodel(SubClassOf(BOTTOM, A), 4) is None
 

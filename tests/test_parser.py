@@ -254,6 +254,18 @@ class TestParseSignature:
         assert error.kind is ParseErrorKind.UNKNOWN_ENTITY
         assert error.message == "'Student' used both as class and object property"
 
+    @pytest.mark.parametrize("text", ["C:hasChildren\n", "R:Koala\nC:hasChildren\n"])
+    def test_a_prefix_against_the_ontology_is_an_error_at_its_line(self, koala, text):
+        with pytest.raises(ParseFailure) as err:
+            parse_signature(text, koala)
+        error = err.value.errors[-1]
+        assert (error.line, error.column) == (text.count("\n"), 1)
+        assert error.message == "'hasChildren' used both as object property and class"
+        assert len(err.value.errors) == text.count("\n")
+
+    def test_a_prefixed_name_the_ontology_does_not_use_is_legal(self, koala):
+        assert parse_signature("C:Nope\nR:Nope2\n", koala) == Signature({"Nope"}, {"Nope2"})
+
     def test_seed_file_fixture(self, koala):
         sig = parse_signature(fixture_path("koala_seed.sig").read_text(), koala)
         assert sig == Signature({"Student"}, {"hasChildren", "hasGender"})

@@ -14,6 +14,7 @@ from locmod import (
     ConceptName,
     EMPTY_ROLE,
     EquivalentClasses,
+    EquivalentRoles,
     Exists,
     ForAll,
     Inverse,
@@ -34,6 +35,7 @@ from locmod import (
     disj,
     eval_concept,
     exactly,
+    find_countermodel,
     is_semantically_local,
     is_syntactically_local,
     is_tautology,
@@ -51,6 +53,7 @@ from genlib import (
     random_axiom,
     random_interpretation,
     random_renaming,
+    random_role,
     random_signature,
     refutes_locality,
     renamed,
@@ -214,9 +217,25 @@ class TestIsTautology:
     def test_koala_equivalence_is_tautology(self):
         assert is_tautology(substitute(koala_axiom(), KOALA_SIG, SEM_BOT)) is True
 
-    def test_role_axioms_are_rejected(self):
-        with pytest.raises(TypeError):
-            is_tautology(Transitive(R))
+    def test_role_axioms_are_decided_by_structure(self):
+        s = RoleName("S")
+        valid = [SubRoleOf(R, R), EquivalentRoles(R, R), InverseRoles(R, Inverse(R))]
+        for a in valid + [InverseRoles(Inverse(R), R)]:
+            assert is_tautology(a) is True, a
+        for a in (Transitive(R), InverseRoles(R, s), SubRoleOf(R, Inverse(R))):
+            assert is_tautology(a) is False, a
+
+    def test_role_axioms_agree_with_the_oracle(self):
+        rng = random.Random(41)
+        decided = set()
+        for _ in range(300):
+            r, s = random_role(rng), random_role(rng)
+            kinds = (SubRoleOf(r, s), EquivalentRoles(r, s), InverseRoles(r, s), Transitive(r))
+            a = rng.choice(kinds)
+            valid = is_tautology(a)
+            assert valid is (find_countermodel(a, 3) is None), a
+            decided.add((type(a), valid))
+        assert len(decided) == 7  # a transitivity axiom is never valid
 
 
 class TestLocality:

@@ -281,7 +281,7 @@ class TestSoundGrammar:
                 }
 
 
-def compile_per_axiom(axioms, flavor, refined=False):
+def compile_per_axiom(axioms, flavor):
     """The `Circuit` fields compiled axiom by axiom, the reference for
     `compile_circuit`: the grammar runs on every axiom, over a builder whose
     name is the list of its targets shared by all axioms, and each axiom's
@@ -307,7 +307,7 @@ def compile_per_axiom(axioms, flavor, refined=False):
             place(x, i, g)
 
     for i, a in enumerate(axioms):
-        root = syntactic._nonlocal(a, Lists, flavor.is_bottom, refined)
+        root = syntactic._nonlocal(a, Lists, flavor.is_bottom)
         if root is True:
             always.append(i)
         elif root is not False:
@@ -346,26 +346,25 @@ class TestCircuitPerStructure:
         for o in self.ontologies():
             assert len(o.structures) < len(o)
             for flavor in (BOT, TOPF):
-                for refined in (False, True):
-                    circuit = compile_circuit(o, flavor, refined)
-                    fields = (circuit.uses, circuit.need, circuit.owner, circuit.up, circuit.always)
-                    assert fields == compile_per_axiom(o.axioms, flavor, refined)
-                    names = o.names
-                    for _ in range(10):
-                        sig = random_signature(
-                            rng,
-                            0.3,
-                            concepts=sorted(names.concept_names),
-                            roles=sorted(names.role_names),
-                        )
-                        roots, _ = circuit.fire(
-                            list(circuit.need), sig.concept_names, sig.role_names, None
-                        )
-                        assert set(roots) | set(circuit.always) == {
-                            i
-                            for i, a in enumerate(o.axioms)
-                            if not is_syntactically_local(a, sig, flavor, refined)
-                        }
+                circuit = compile_circuit(o, flavor)
+                fields = (circuit.uses, circuit.need, circuit.owner, circuit.up, circuit.always)
+                assert fields == compile_per_axiom(o.axioms, flavor)
+                names = o.names
+                for _ in range(10):
+                    sig = random_signature(
+                        rng,
+                        0.3,
+                        concepts=sorted(names.concept_names),
+                        roles=sorted(names.role_names),
+                    )
+                    roots, _ = circuit.fire(
+                        list(circuit.need), sig.concept_names, sig.role_names, None
+                    )
+                    assert set(roots) | set(circuit.always) == {
+                        i
+                        for i, a in enumerate(o.axioms)
+                        if not is_syntactically_local(a, sig, flavor)
+                    }
 
     def test_grammar_runs_once_per_structure(self, monkeypatch):
         calls = []
@@ -383,13 +382,12 @@ class TestCircuitPerStructure:
                 assert len(calls) == len(set(calls)) == len(o.structures)
 
 
-def memo_key(a, sig, flavor, refined):
-    """The key under which `verdict_in` keeps a syntactic verdict of `a`,
-    with the structure in place of its number."""
+def memo_key(a, sig, flavor):
+    """The key under which `verdict_in` keeps a verdict of `a`, of any
+    flavor, with the structure in place of its number."""
     structure, concepts, roles, _ = model.axiom_shape(a)
     return (
         flavor,
-        refined,
         structure,
         *(name in sig.concept_names for name in concepts),
         *(name in sig.role_names for name in roles),
@@ -404,9 +402,9 @@ class TestVerdictMemo:
         rng = random.Random(37)
         walk, walked = syntactic.is_syntactically_local, []
 
-        def counted(a, sig, flavor, refined):
-            walked.append(memo_key(a, sig, flavor, refined))
-            return walk(a, sig, flavor, refined)
+        def counted(a, sig, flavor):
+            walked.append(memo_key(a, sig, flavor))
+            return walk(a, sig, flavor)
 
         monkeypatch.setattr(semantic, "is_syntactically_local", counted)
         ontologies = [load_fixture(name) for name in CORPUS_NAMES]
@@ -414,7 +412,7 @@ class TestVerdictMemo:
         for o in ontologies:
             names = o.names
             cases = [
-                (i, sig, flavor, refined)
+                (i, sig, flavor)
                 for sig in (
                     random_signature(
                         rng, concepts=sorted(names.concept_names), roles=sorted(names.role_names)
@@ -423,30 +421,29 @@ class TestVerdictMemo:
                 )
                 for i in range(len(o))
                 for flavor in (BOT, TOPF)
-                for refined in (False, True)
             ]
             walked.clear()
             keys = set()
             for _ in range(2):  # the second order meets a warm memo
                 rng.shuffle(cases)
-                for i, sig, flavor, refined in cases:
+                for i, sig, flavor in cases:
                     a = o.axioms[i]
-                    expected = walk(a, sig, flavor, refined)
-                    assert verdict_in(o, i, sig, flavor, refined=refined).is_local is expected
-                    keys.add(memo_key(a, sig, flavor, refined))
+                    expected = walk(a, sig, flavor)
+                    assert verdict_in(o, i, sig, flavor).is_local is expected
+                    keys.add(memo_key(a, sig, flavor))
             assert len(walked) == len(set(walked)) == len(keys) < len(cases)
 
-    def test_refined_is_in_the_key(self):
+    def test_one_key_layout_for_every_flavor(self):
         # the self-inverse axiom and a renamed copy, with both roles in Σ:
-        # the plain grammar calls them non-local, the refined one local, on
-        # one instance, whichever is asked first
+        # the grammar calls them non-local, semantics local, and each
+        # flavor keeps one verdict for both under (flavor, number, *bits);
+        # `refined` answers before the memo and is no part of any key
         o = Ontology((InverseRoles(P, Inverse(P)), InverseRoles(R, Inverse(R))))
         sig = Signature(frozenset(), frozenset({"P", "R"}))
-        for flavor in (BOT, TOPF):
-            for order in ((False, True), (True, False)):
-                o = Ontology(o.axioms)
-                for refined in order:
-                    for i in (0, 1):
-                        verdict = verdict_in(o, i, sig, flavor, refined=refined)
-                        assert verdict.status is (Locality.LOCAL if refined else Locality.NON_LOCAL)
-                assert len(o.verdicts) == 2
+        for flavor in LocalityFlavor:
+            for i in (0, 1):
+                assert verdict_in(o, i, sig, flavor).is_local is not flavor.is_syntactic
+                assert is_syntactically_local(o.axioms[i], sig, flavor, refined=True)
+        (number, *_), (other, *_) = o.shapes
+        assert number == other
+        assert set(o.verdicts) == {(flavor, number, True) for flavor in LocalityFlavor}
