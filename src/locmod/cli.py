@@ -356,11 +356,11 @@ def _cmd_oracle(args) -> int:
     onto = _load_ontology(args.ontology, args.strict)
     sig = _load_signature(args, onto)
     flavor = LocalityFlavor(args.flavor)
+    if args.max_domain < 1:  # as find_countermodel checks, but before any axiom, if there is one
+        message = f"max_domain must be at least 1, got {args.max_domain}"
+        raise _CliError(f"invalid domain cap: {message}", EXIT_PARSE)
     for a in onto.axioms:
-        try:
-            witness = find_countermodel(substitute(a, sig, flavor), args.max_domain)
-        except ValueError as exc:  # find_countermodel is where the cap is checked
-            raise _CliError(f"invalid domain cap: {exc}", EXIT_PARSE) from None
+        witness = find_countermodel(substitute(a, sig, flavor), args.max_domain)
         if witness is None:
             print(f"not-refuted\t{a}")
         else:

@@ -554,6 +554,17 @@ class TestUsage:
         assert captured.err == f"invalid domain cap: max_domain must be at least 1, got {cap}\n"
         assert captured.out == ""
 
+    def test_bad_domain_cap_is_a_usage_error_without_axioms(self, tmp_path, capsys):
+        # checked before the axioms, so an ontology with none fails as koala does
+        empty = tmp_path / "empty.ofs"
+        empty.write_text("Ontology(\n)\n")
+        oracle = ["oracle", "--flavor", "sem-bot", "--ontology", str(empty)]
+        assert main(oracle + ["--max-domain", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "invalid domain cap: max_domain must be at least 1, got 0\n"
+        assert captured.out == ""
+        assert main(oracle + ["--max-domain", "1"]) == 0
+
     def test_bad_budget_env_is_a_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("LOCMOD_MAX_STEPS", "-1")
         code = main(["check", "--flavor", "sem-bot", "--ontology", fx("koala.ofs")])

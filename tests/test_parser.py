@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import locmod.model as model
 import locmod.parser as parser
 from locmod import (
     SEM_STAR,
@@ -366,6 +367,59 @@ class TestReaderErrors:
         assert {e.construct for e in err.value.errors} == {"DataPropertyAssertion"}
 
 
+def errors_of(text: str) -> list[tuple[int, int, str]]:
+    with pytest.raises(ParseFailure) as err:
+        parse_ontology(text)
+    return [(e.line, e.column, e.message) for e in err.value.errors]
+
+
+class TestErrorPrecedence:
+    # an axiom reports its first fault in pre-order, and a form's argument
+    # count is checked before any argument of it is read
+    def test_a_count_error_beats_a_kind_conflict_inside_its_form(self):
+        text = wrap(
+            "SubObjectPropertyOf(r s)",
+            "SubClassOf(A ObjectComplementOf(r B))",
+            "SubClassOf(ObjectSomeValuesFrom(r r) C D)",
+        )
+        assert errors_of(text) == [
+            (3, 16, "ObjectComplementOf takes one class"),
+            (4, 3, "SubClassOf takes two class expressions"),
+        ]
+
+    def test_names_read_inside_an_abandoned_form_stay_unbound(self):
+        text = wrap(
+            "SubClassOf(ObjectIntersectionOf(ObjectComplementOf(X)) A)",
+            "SubObjectPropertyOf(X r)",
+        )
+        assert errors_of(text) == [(2, 14, "ObjectIntersectionOf takes at least two classes")]
+
+    def test_a_count_error_beats_a_misplaced_property(self):
+        text = wrap("Declaration(ObjectProperty(r))", "SubClassOf(A r B)")
+        assert errors_of(text) == [(3, 3, "SubClassOf takes two class expressions")]
+
+    def test_an_unterminated_string_after_a_structural_error_is_alone(self):
+        text = wrap("SubClassOf((A B))", 'AnnotationAssertion(l A "a)')
+        assert errors_of(text) == [(3, 27, "unterminated string")]
+
+    def test_has_value_binds_its_individual_before_its_property(self):
+        assert errors_of(wrap("SubClassOf(A ObjectHasValue(q q))")) == [
+            (2, 31, "'q' used both as individual and object property")
+        ]
+        text = wrap("SubClassOf(A ObjectHasValue(ObjectInverseOf(q r) q))", "SubClassOf(q B)")
+        assert errors_of(text) == [
+            (2, 31, "ObjectInverseOf takes one property expression"),
+            (3, 14, "'q' used both as individual and class"),
+        ]
+
+    def test_a_count_error_and_content_after_the_block_are_both_reported(self):
+        text = wrap("SubClassOf(A)") + "extra\n"
+        assert errors_of(text) == [
+            (2, 3, "SubClassOf takes two class expressions"),
+            (4, 1, "content after the Ontology block"),
+        ]
+
+
 class TestFormErrors:
     # one malformed form per keyword the reader builds a term from; the
     # pinned corpus reaches only some of these messages
@@ -520,6 +574,17 @@ class TestTextTable:
                 assert serialize_ontology(m) == untabled(m)
             assert serialize_ontology(o) == serialize_ontology(load_fixture("mixed.ofs"))
             assert serialize_ontology(m) == untabled(m)
+
+    def test_a_second_serialization_walks_no_signature(self, monkeypatch):
+        o = parse_ontology(fixture_path("koala.ofs").read_text())
+        calls = []
+        original = model.signature_of
+        monkeypatch.setattr(model, "signature_of", lambda x: calls.append(x) or original(x))
+        text = serialize_ontology(o)
+        assert calls  # the first one reads the names off the axioms
+        calls.clear()
+        assert serialize_ontology(o) == text
+        assert calls == []
 
     def test_a_writer_error_part_way_leaves_the_table_sound(self):
         a, b = ConceptName("A"), ConceptName("B")
