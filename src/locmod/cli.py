@@ -168,10 +168,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _read_file(path: str) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
 
 
@@ -334,8 +335,13 @@ def _cmd_compare(args) -> int:
     modes = MODES if args.mode == "all" else (args.mode,)
     records = []
     unknowns = 0
+    paths: dict[str, str] = {}  # the file of each ontology name, which keys the report's rows
     for path in args.ontology:
         onto = _load_ontology(path, args.strict)
+        if onto.name in paths:
+            message = f"{paths[onto.name]} and {path} both name their ontology '{onto.name}'"
+            raise _CliError(f"{message}; compare needs distinct names", EXIT_PARSE)
+        paths[onto.name] = path
         for mode in modes:
             rs = run_comparison(
                 onto,

@@ -368,7 +368,7 @@ def _render_csv(records) -> str:
         lines.append(
             ",".join(
                 [
-                    r.ontology,
+                    _csv_field(r.ontology),
                     str(r.axiom_count),
                     r.test,
                     r.case_id,
@@ -384,6 +384,19 @@ def _render_csv(records) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, with inner quotes doubled, if it
+    holds a comma, a quote or a line break (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _md_cell(text: str) -> str:
+    """`text` as one markdown table cell: `|` escaped, line breaks as spaces."""
+    return " ".join(text.replace("|", "\\|").splitlines())
 
 
 _MD_HEADER = (
@@ -422,7 +435,7 @@ def _render_markdown(records) -> str:
             for kind, ids in sorted(culprit_axioms.items(), key=lambda kv: kv[0].value)
         )
         lines.append(
-            f"| {key[0]} | {rs[0].axiom_count} | {key[1]} | {len(rs)} "
+            f"| {_md_cell(key[0])} | {rs[0].axiom_count} | {key[1]} | {len(rs)} "
             f"| {min(sizes)}–{max(sizes)} "
             f"| {round(min(rels) * 100)}–{round(max(rels) * 100)}% "
             f"| {ratio} | {culprits} |"

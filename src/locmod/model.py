@@ -131,47 +131,40 @@ class Not(Concept):
 
 
 @dataclass(frozen=True)
-class And(Concept):
-    """Conjunction. Directly nested conjunctions are flattened on
-    construction and the flattened list must have at least two members;
-    use `conj` to build conjunctions of arbitrary arity."""
+class _Junction(Concept):
+    """An n-ary connective: directly nested members of the same connective
+    are flattened, and at least two members must remain."""
 
     args: tuple[Concept, ...]
 
     def __post_init__(self):
+        cls = type(self)
         flat: list[Concept] = []
         for a in self.args:
-            if isinstance(a, And):
+            if type(a) is cls:
                 flat.extend(a.args)
             else:
                 flat.append(a)
         if len(flat) < 2:
-            raise ValueError("And requires at least two conjuncts")
+            raise ValueError(self._too_few)
         object.__setattr__(self, "args", tuple(flat))
 
     def __str__(self):
-        return " ⊓ ".join(_paren(a) for a in self.args)
+        return self._joiner.join(_paren(a) for a in self.args)
 
 
-@dataclass(frozen=True)
-class Or(Concept):
-    """Disjunction; same flattening and arity rules as `And`."""
+class And(_Junction):
+    """Conjunction; use `conj` to build conjunctions of arbitrary arity."""
 
-    args: tuple[Concept, ...]
+    _joiner = " ⊓ "
+    _too_few = "And requires at least two conjuncts"
 
-    def __post_init__(self):
-        flat: list[Concept] = []
-        for a in self.args:
-            if isinstance(a, Or):
-                flat.extend(a.args)
-            else:
-                flat.append(a)
-        if len(flat) < 2:
-            raise ValueError("Or requires at least two disjuncts")
-        object.__setattr__(self, "args", tuple(flat))
 
-    def __str__(self):
-        return " ⊔ ".join(_paren(a) for a in self.args)
+class Or(_Junction):
+    """Disjunction; use `disj` to build disjunctions of arbitrary arity."""
+
+    _joiner = " ⊔ "
+    _too_few = "Or requires at least two disjuncts"
 
 
 @dataclass(frozen=True)
@@ -193,7 +186,9 @@ class ForAll(Concept):
 
 
 @dataclass(frozen=True)
-class AtLeast(Concept):
+class _Counting(Concept):
+    """A qualified number restriction, ≥n R.C or ≤n R.C, with n ≥ 0."""
+
     n: int
     role: Role
     filler: Concept
@@ -203,21 +198,15 @@ class AtLeast(Concept):
             raise ValueError("cardinality must be non-negative")
 
     def __str__(self):
-        return f"≥{self.n} {self.role}.{_paren(self.filler)}"
+        return f"{self._sign}{self.n} {self.role}.{_paren(self.filler)}"
 
 
-@dataclass(frozen=True)
-class AtMost(Concept):
-    n: int
-    role: Role
-    filler: Concept
+class AtLeast(_Counting):
+    _sign = "≥"
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("cardinality must be non-negative")
 
-    def __str__(self):
-        return f"≤{self.n} {self.role}.{_paren(self.filler)}"
+class AtMost(_Counting):
+    _sign = "≤"
 
 
 @dataclass(frozen=True)
@@ -231,7 +220,7 @@ class OneOf(Concept):
 
 
 def _paren(c: Concept) -> str:
-    if isinstance(c, (And, Or)):
+    if isinstance(c, _Junction):
         return f"({c})"
     return str(c)
 
@@ -373,11 +362,7 @@ class Signature:
             raise ValueError(f"names used with more than one kind: {sorted(overlap)}")
 
     def __or__(self, other: "Signature") -> "Signature":
-        return Signature(
-            self.concept_names | other.concept_names,
-            self.role_names | other.role_names,
-            self.individual_names | other.individual_names,
-        )
+        return Signature.union((self, other))
 
     @staticmethod
     def union(sigs: Iterable["Signature"]) -> "Signature":
@@ -635,55 +620,48 @@ def signature_of(x: Union[Axiom, Concept, Role, Ontology]) -> Signature:
 def nnf(c: Concept) -> Concept:
     """Push negation inward until it applies only to concept names and
     nominals. Counting duality: ¬(≥n R.C) becomes ≤(n-1) R.C for n ≥ 1 and
-    ⊥ for n = 0; ¬(≤n R.C) becomes ≥(n+1) R.C."""
-    if isinstance(c, Not):
-        return _nnf_neg(c.arg)
-    if isinstance(c, And):
-        return conj(*[nnf(a) for a in c.args])
-    if isinstance(c, Or):
-        return disj(*[nnf(a) for a in c.args])
-    if isinstance(c, Exists):
-        return Exists(c.role, nnf(c.filler))
-    if isinstance(c, ForAll):
-        return ForAll(c.role, nnf(c.filler))
-    if isinstance(c, AtLeast):
-        return AtLeast(c.n, c.role, nnf(c.filler))
-    if isinstance(c, AtMost):
-        return AtMost(c.n, c.role, nnf(c.filler))
-    return c
-
-
-def _nnf_neg(c: Concept) -> Concept:
-    if isinstance(c, TopType):
-        return BOTTOM
-    if isinstance(c, BottomType):
-        return TOP
-    if isinstance(c, (ConceptName, OneOf)):
-        return Not(c)
-    if isinstance(c, Not):
-        return nnf(c.arg)
-    if isinstance(c, And):
-        return disj(*[_nnf_neg(a) for a in c.args])
-    if isinstance(c, Or):
-        return conj(*[_nnf_neg(a) for a in c.args])
-    if isinstance(c, Exists):
-        return ForAll(c.role, _nnf_neg(c.filler))
-    if isinstance(c, ForAll):
-        return Exists(c.role, _nnf_neg(c.filler))
-    if isinstance(c, AtLeast):
-        if c.n == 0:
-            # ¬(≥0 R.C) is unsatisfiable; this bottom-equivalent form keeps
-            # the signature intact instead of collapsing to ⊥ outright
-            return Exists(c.role, conj(nnf(c.filler), _nnf_neg(c.filler)))
-        return AtMost(c.n - 1, c.role, nnf(c.filler))
-    if isinstance(c, AtMost):
-        return AtLeast(c.n + 1, c.role, nnf(c.filler))
-    raise TypeError(f"not a concept: {c!r}")
+    ∃R.(C ⊓ ¬C) for n = 0; ¬(≤n R.C) becomes ≥(n+1) R.C."""
+    return _nnf(c, False)
 
 
 def complement(c: Concept) -> Concept:
     """Negation normal form of ¬c."""
-    return _nnf_neg(c)
+    return _nnf(c, True)
+
+
+def _nnf(c: Concept, negated: bool) -> Concept:
+    """Negation normal form of `c`, or of ¬c when `negated`: one walk, with
+    each constructor's rule beside its dual."""
+    t = type(c)
+    if t is Not:
+        return _nnf(c.arg, not negated)
+    if t is And or t is Or:
+        args = [_nnf(a, negated) for a in c.args]
+        return disj(*args) if (t is Or) != negated else conj(*args)
+    if t is Exists or t is ForAll:
+        if negated:
+            t = ForAll if t is Exists else Exists
+        return t(c.role, _nnf(c.filler, negated))
+    if t is AtLeast or t is AtMost:
+        filler = _nnf(c.filler, False)
+        if not negated:
+            return t(c.n, c.role, filler)
+        if t is AtMost:
+            return AtLeast(c.n + 1, c.role, filler)
+        if c.n == 0:
+            # ¬(≥0 R.C) is unsatisfiable; this bottom-equivalent form keeps
+            # the signature intact instead of collapsing to ⊥ outright
+            return Exists(c.role, conj(filler, _nnf(c.filler, True)))
+        return AtMost(c.n - 1, c.role, filler)
+    if not negated:
+        return c
+    if t is TopType:
+        return BOTTOM
+    if t is BottomType:
+        return TOP
+    if t is ConceptName or t is OneOf:
+        return Not(c)
+    raise TypeError(f"not a concept: {c!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,11 @@ log = logging.getLogger(__name__)
 # runs out near depth 225 at the top of the stack.
 MAX_NESTING = 160
 
+# ObjectExactCardinality forms nest at most this deep on one path of an
+# axiom: each one shares its class between two restrictions, so a tree walk
+# over n of them visits that class 2**n times.
+MAX_EXACT_NESTING = 10
+
 _ANNOTATION_KEYWORDS = {
     "AnnotationAssertion",
     "SubAnnotationPropertyOf",
@@ -197,6 +202,8 @@ class _Reader:
                 forms = slot_forms.get(k)  # the table of a C or R slot
                 entry = forms.get(word[1]) if forms else None
                 stack.append([entry or self.form(k, f, word), [], word])
+                if entry is _EXACT:
+                    self.exact(word)
                 word = None
                 continue
             if token is None and m[2] is not None:
@@ -310,6 +317,13 @@ class _Reader:
         elif k in ("", "N", "I", "n", "i"):  # an argument too many, or not an atom
             self.count_error(f, len(self.stack) - 1)
         return _UNREAD
+
+    def exact(self, m) -> None:
+        """Refuse the ObjectExactCardinality that `m` opens if it is nested
+        more than `MAX_EXACT_NESTING` deep."""
+        if sum(f[2][1] == m[1] for f in self.stack[2:]) > MAX_EXACT_NESTING:
+            message = f"{m[1]} nested more than {MAX_EXACT_NESTING} deep"
+            self.fault(m.start(1), message, _UNSUPPORTED, m[1])
 
     def close_block(self, f: list) -> None:
         """A top-level form has closed: a Prefix, the Ontology block, which
@@ -493,6 +507,7 @@ _CONCEPTS = _entries({
 _ONE_OF = "ObjectOneOf with more than one individual"
 _ONE_OF_FAULT = (f"unsupported construct '{_ONE_OF}'", _UNSUPPORTED, _ONE_OF)
 _CONCEPTS["ObjectOneOf"] = ("I", "", 1, OneOf, _ONE_OF_FAULT)
+_EXACT = _CONCEPTS["ObjectExactCardinality"]
 _ROLES = _entries({"ObjectInverseOf": (Inverse, "R", "one property expression")})
 _SLOT_FORMS = {"C": _CONCEPTS, "R": _ROLES}
 

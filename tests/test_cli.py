@@ -23,7 +23,7 @@ from locmod import (
     parse_ontology,
 )
 from locmod.cli import _parse_terms, main
-from locmod.parser import MAX_NESTING, ParseFailure, parse_signature
+from locmod.parser import MAX_EXACT_NESTING, MAX_NESTING, ParseFailure, parse_signature
 from conftest import CORPUS_NAMES, fixture_path, load_fixture, nested_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -714,6 +714,120 @@ class TestKindsOfTheOntology:
         for source in (["--terms", "C:Nope,R:hasChildren"], ["--signature", str(sig)]):
             assert main(self.EXTRACT + source) == 0
             assert capsys.readouterr().err == ""
+
+
+class TestUnreadableInput:
+    def test_a_non_utf8_ontology_is_one_line_and_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.ofs"
+        path.write_bytes(b"Ontology(\xff\xfe SubClassOf(A B))\n")
+        assert main(["check", "--flavor", "bot", "--ontology", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {path}: ") and "0xff" in err
+        assert err.count("\n") == 1
+
+    def test_a_non_utf8_signature_is_one_line_and_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.sig"
+        path.write_bytes(b"Koala\n\xff\n")
+        args = ["extract", "--flavor", "bot", "--ontology", fx("koala.ofs")]
+        assert main(args + ["--signature", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        text = Path(fx("koala.ofs")).read_bytes()
+        seed = Path(fx("koala_seed.sig")).read_bytes()
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            (tmp_path / "o.ofs").write_bytes(mark + text)
+            (tmp_path / "s.sig").write_bytes(mark + seed)
+            for flavor in ("bot", "sem-bot"):
+                args = ["check", "--flavor", flavor, "--ontology", str(tmp_path / "o.ofs")]
+                assert main(args + ["--signature", str(tmp_path / "s.sig")]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:] and outputs[0]
+
+
+class TestReportNames:
+    NAME = 'a,b|c "q"'
+
+    def compare(self, tmp_path, capsys, name, *flags):
+        text = Path(fx("inverse_loop.ofs")).read_text(encoding="utf-8")
+        path = tmp_path / "named.ofs"
+        path.write_text(text.replace("Ontology(inverse-loop", f"Ontology(<http://x/{name}>"))
+        assert main(["compare", "--ontology", str(path), "--mode", "t1a", *flags]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", [NAME, "line\nbreak"])
+    def test_a_csv_row_keeps_twelve_fields(self, tmp_path, capsys, name):
+        import csv
+
+        out = self.compare(tmp_path, capsys, name, "--format", "csv")
+        header, *rows = csv.reader(out.splitlines(keepends=True))
+        assert len(header) == 12 and rows
+        assert all(len(row) == 12 and row[0] == name for row in rows)
+
+    def test_a_markdown_row_keeps_eight_cells(self, tmp_path, capsys):
+        lines = self.compare(tmp_path, capsys, self.NAME + "\nx").splitlines()
+        assert len(lines) == 3
+        cells = re.split(r"(?<!\\)\|", lines[2])[1:-1]
+        assert len(cells) == 8
+        assert cells[0] == ' a,b\\|c "q" x '
+
+    def test_two_ontologies_of_one_name_are_refused(self, tmp_path, capsys):
+        # unnamed ontologies are all named ''
+        one = tmp_path / "u1.ofs"
+        three = tmp_path / "u3.ofs"
+        one.write_text("Ontology(\n  SubClassOf(A B)\n)\n")
+        three.write_text("Ontology(\n  SubClassOf(A B)\n  SubClassOf(B C)\n  SubClassOf(C D)\n)\n")
+        out = tmp_path / "report.md"
+        args = ["compare", "--ontology", str(one), str(three), "--mode", "t1b", "--seed", "1"]
+        assert main(args + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"{one} and {three} both name their ontology ''; compare needs distinct names\n"
+        assert not out.exists() and captured.out == ""
+
+
+class TestExactNesting:
+    """Nested exact cardinalities share their class between two
+    restrictions, so the program is run in a subprocess with a timeout: a
+    lost limit fails instead of hanging."""
+
+    def run(self, depth, tmp_path, last="SubClassOf(A DataHasValue(p 1))"):
+        exact = "ObjectExactCardinality(1 r "
+        path = tmp_path / "exact.ofs"
+        path.write_text(
+            f"Ontology(t\n  SubClassOf(A B)\n  SubClassOf(A {exact * depth}B{')' * depth})\n"
+            f"  {last}\n)\n",
+            encoding="utf-8",
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "locmod", "check", "--flavor", "sem-bot"]
+            + ["--ontology", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        column = len("  SubClassOf(A ") + len(exact) * MAX_EXACT_NESTING + 1
+        return proc, column
+
+    def test_the_limit_parses(self, tmp_path):
+        proc, _ = self.run(MAX_EXACT_NESTING, tmp_path, last="SubClassOf(B A)")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.splitlines()) == 3
+
+    @pytest.mark.parametrize("depth", [MAX_EXACT_NESTING + 1, 40])
+    def test_one_form_deeper_is_refused_at_its_keyword(self, tmp_path, depth):
+        proc, column = self.run(depth, tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"{tmp_path / 'exact.ofs'}:3:{column}: UnsupportedConstruct: "
+            f"ObjectExactCardinality nested more than {MAX_EXACT_NESTING} deep",
+            f"{tmp_path / 'exact.ofs'}:4:16: UnsupportedConstruct: "
+            "unsupported construct 'DataHasValue'",
+        ]
 
 
 def main_help(capsys):

@@ -247,3 +247,5 @@ def test_nnf_fixpoint_property(c):
     assert signature_of(n) == signature_of(c)
     # complement of the complement round-trips to nnf
     assert nnf(Not(Not(c))) == n
+    # nnf and complement are the two polarities of one walk
+    assert complement(c) == nnf(Not(c))
