@@ -336,12 +336,15 @@ def _cmd_compare(args) -> int:
     records = []
     unknowns = 0
     paths: dict[str, str] = {}  # the file of each ontology name, which keys the report's rows
+    ontologies = []  # all read, and their names checked, before the first test
     for path in args.ontology:
         onto = _load_ontology(path, args.strict)
         if onto.name in paths:
             message = f"{paths[onto.name]} and {path} both name their ontology '{onto.name}'"
             raise _CliError(f"{message}; compare needs distinct names", EXIT_PARSE)
         paths[onto.name] = path
+        ontologies.append(onto)
+    for onto in ontologies:
         for mode in modes:
             rs = run_comparison(
                 onto,

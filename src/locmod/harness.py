@@ -14,20 +14,20 @@ enough that all 2^m signatures are enumerated instead. Binned sampling
 spreads target sizes evenly over sub-ranges of 0..m, which the plain
 binomial draw never does.
 
+Each test supplies a producer: it yields the case's syntactically
+non-local positions, then its semantically non-local ones with the UNKNOWN
+count. One `_case` times the two phases, builds the record of a case where
+the two sets differ, and aborts the run with `InvariantViolation` when the
+semantic set is not inside the syntactic one: the whole approach rests on
+that containment. The UNKNOWN verdicts of every case are counted.
+
 A T1a case checks, for both notions, only the axioms the seed can reach:
 those syntactically ⊥-non-local w.r.t. ∅ (the `always` of the ontology's
-SYN_BOT circuit) and those that mention a seed name. Any other axiom has
+⊥ circuit) and those that mention a seed name. Any other axiom has
 its verdict w.r.t. ∅, syntactically and so semantically LOCAL, so this is
 exact. Both notions ask the ontology's verdict memo (`semantic.verdict_in`)
 about every candidate, even a syntactically local one, so the direction
-check below sees each of them; `syn_time` and `sem_time` time these
-lookups and the grammar walk or semantic check of each memo miss.
-
-A difference record is produced only for cases where the two notions
-disagree, but the UNKNOWN verdicts of every case are counted; the
-direction is checked on every case and a syntactically-local axiom that
-is semantically non-local aborts the run (that would break the
-containment the whole approach rests on).
+check sees each of them; `syn_time` also covers building the candidates.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ __all__ = [
     "MODES",
 ]
 
-MODES = ("t1a", "t1b", "t2")
-
 _EXHAUSTIVE_LIMIT = 9  # up to here, enumerate all 2^m signatures
+
+# the (syntactic, semantic) pair of locality notions that every test compares
+_PAIR = (LocalityFlavor.SYN_BOT, LocalityFlavor.SEM_BOT)
 
 
 class InvariantViolation(RuntimeError):
@@ -158,11 +159,10 @@ def sample_signatures(o: Ontology, cfg: SamplingConfig) -> list[Signature]:
     rng = random.Random(cfg.rng_seed)
     out = []
     if cfg.binned:
-        edges = [round(k * m / cfg.bin_count) for k in range(cfg.bin_count + 1)]
+        n = cfg.bin_count
         for i in range(cfg.sample_count):
-            k = i % cfg.bin_count
-            lo, hi = edges[k], min(edges[k + 1], m)
-            size = rng.randint(lo, hi)
+            k = i % n  # bin k spans sizes round(k*m/n) to round((k+1)*m/n)
+            size = rng.randint(round(k * m / n), min(round((k + 1) * m / n), m))
             out.append(Signature.of_kinds(dict(rng.sample(entities, size))))
     else:
         p = cfg.inclusion_probability
@@ -208,18 +208,67 @@ def _axiom_id(i: int) -> str:
     return f"ax{i}"
 
 
-def _record(o, test, case_id, sig, syn, sem, unknowns, syn_time, sem_time):
-    """The record of a case whose syntactic and semantic position sets are
-    `syn` and `sem`, or None when every syntactic position is semantic."""
+def _t1a(o, sig, budget):
+    """T1a's phases: the candidates not local for the syntactic, then for the
+    semantic notion. One circuit serves both, so one candidate list does too:
+    its `always` and the axioms that mention a seed name."""
+    syn, sem = _PAIR
+    seeded = (o.name_index.get(n, ()) for n in sig.concept_names | sig.role_names)
+    candidates = sorted(set(circuit(o, syn).always).union(*seeded))
+    syn_nonlocal = {i for i in candidates if not verdict_in(o, i, sig, syn).is_local}
+    yield syn_nonlocal
+    sem_nonlocal, unknowns = set(), 0
+    for i in candidates:
+        status = verdict_in(o, i, sig, sem, budget).status
+        if status is Locality.NON_LOCAL:
+            sem_nonlocal.add(i)
+        elif status is Locality.UNKNOWN:
+            unknowns += 1
+            # conservative, like the extractor; but a syntactically local
+            # axiom is semantically local, so it is only counted
+            if i in syn_nonlocal:
+                sem_nonlocal.add(i)
+    yield sem_nonlocal, unknowns
+
+
+def _modules(o, sig, budget):
+    """T1b's and T2's phases: the pair's syntactic, then semantic module."""
+    syn, sem = _PAIR
+    yield set(extract_module(o, sig, syn).positions)
+    result = extract_module(o, sig, sem, budget=budget)
+    yield set(result.positions), result.unknown_verdicts
+
+
+_TESTS = {"t1a": ("T1a", _t1a), "t1b": ("T1b", _modules), "t2": ("T2", _modules)}
+MODES = tuple(_TESTS)
+
+
+def _case(o, test, produce, sig, case_id, budget, timed):
+    """Run one case: time the two phases of `produce`, check that the
+    semantic set lies inside the syntactic one, and return the case's
+    record, or None when the two are equal, with its UNKNOWN count."""
+    phases = produce(o, sig, budget)
+    started = time.perf_counter()
+    syn = next(phases)
+    split = time.perf_counter()
+    sem, unknowns = next(phases)
+    ended = time.perf_counter()
+    if not sem <= syn:
+        i = min(sem - syn)
+        raise InvariantViolation(
+            f"{o.name}: {test} case {case_id}: axiom {_axiom_id(i)} is semantically but "
+            f"not syntactically non-local w.r.t. {sig}: {o.axioms[i]}"
+        )
     diff = sorted(syn - sem)
     if not diff:
-        return None
+        return None, unknowns
+    syn_time, sem_time = (split - started, ended - split) if timed else (0.0, 0.0)
     culprits = []
     for i in diff:
         kind = classify_culprit(o.axioms[i])
         if kind is not CulpritType.NONE:
             culprits.append((_axiom_id(i), kind))
-    return DifferenceRecord(
+    record = DifferenceRecord(
         ontology=o.name,
         axiom_count=len(o.axioms),
         test=test,
@@ -234,63 +283,6 @@ def _record(o, test, case_id, sig, syn, sem, unknowns, syn_time, sem_time):
         culprits=tuple(culprits),
         unknown_verdicts=unknowns,
     )
-
-
-def _t1a_case(o, sig, case_id, budget, timed):
-    # SYN_BOT and SEM_BOT share one circuit, so one candidate list serves
-    # both: its `always` and the axioms that mention a seed name
-    syn = LocalityFlavor.SYN_BOT
-    index = o.name_index
-    seeded = (index.get(name, ()) for name in sig.concept_names | sig.role_names)
-    candidates = sorted(set(circuit(o, syn).always).union(*seeded))
-    started = time.perf_counter() if timed else 0.0
-    syn_nonlocal = {i for i in candidates if not verdict_in(o, i, sig, syn).is_local}
-    syn_time = time.perf_counter() - started if timed else 0.0
-
-    sem_nonlocal = set()
-    unknowns = 0
-    started = time.perf_counter() if timed else 0.0
-    for i in candidates:
-        verdict = verdict_in(o, i, sig, LocalityFlavor.SEM_BOT, budget)
-        if verdict.status is Locality.NON_LOCAL:
-            sem_nonlocal.add(i)
-            if i not in syn_nonlocal:
-                raise InvariantViolation(
-                    f"{o.name}: axiom {_axiom_id(i)} is syntactically local but "
-                    f"semantically non-local w.r.t. {sig}: {o.axioms[i]}"
-                )
-        elif verdict.status is Locality.UNKNOWN:
-            unknowns += 1
-            # conservative, like the extractor; but a syntactically local
-            # axiom is semantically local, so it is only counted
-            if i in syn_nonlocal:
-                sem_nonlocal.add(i)
-    sem_time = time.perf_counter() - started if timed else 0.0
-    record = _record(
-        o, "T1a", case_id, sig, syn_nonlocal, sem_nonlocal, unknowns, syn_time, sem_time
-    )
-    return record, unknowns
-
-
-def _module_case(o, sig, case_id, test, budget, timed):
-    started = time.perf_counter() if timed else 0.0
-    syn = extract_module(o, sig, LocalityFlavor.SYN_BOT)
-    syn_time = time.perf_counter() - started if timed else 0.0
-
-    started = time.perf_counter() if timed else 0.0
-    sem = extract_module(o, sig, LocalityFlavor.SEM_BOT, budget=budget)
-    sem_time = time.perf_counter() - started if timed else 0.0
-
-    syn_set = set(syn.positions)
-    sem_set = set(sem.positions)
-    if not sem_set <= syn_set:
-        extra = o.axioms[min(sem_set - syn_set)]
-        raise InvariantViolation(
-            f"{o.name}: semantic module exceeds syntactic module w.r.t. {sig}; "
-            f"first extra axiom: {extra}"
-        )
-    unknowns = sem.unknown_verdicts
-    record = _record(o, test, case_id, sig, syn_set, sem_set, unknowns, syn_time, sem_time)
     return record, unknowns
 
 
@@ -322,18 +314,11 @@ def run_comparison(
         cases = [(s, _axiom_id(i)) for i, s in enumerate(o.axiom_signatures)]
     else:
         cases = [(sig, f"s{i}") for i, sig in enumerate(sample_signatures(o, cfg))]
-
-    def run_case(case):
-        sig, case_id = case
-        if mode == "t1a":
-            return _t1a_case(o, sig, case_id, budget, measure_timings)
-        test = "T1b" if mode == "t1b" else "T2"
-        return _module_case(o, sig, case_id, test, budget, measure_timings)
-
+    test, produce = _TESTS[mode]
     if measure_timings and cases:
-        run_case(cases[0])  # warm-up pass, excluded from the records
+        _case(o, test, produce, *cases[0], budget, False)  # warm-up, excluded from the records
 
-    results = [run_case(c) for c in cases]
+    results = [_case(o, test, produce, *c, budget, measure_timings) for c in cases]
     return Comparison(
         (r for r, _ in results if r is not None), sum(n for _, n in results)
     )

@@ -58,6 +58,7 @@ from .model import (
     TopType,
     Transitive,
     exactly,
+    signature_of,
 )
 
 __all__ = [
@@ -520,7 +521,8 @@ def serialize_ontology(o: Ontology) -> str:
     """Emit the functional-style text form; `parse_ontology` of the result
     reproduces the ontology structurally."""
     lines = [f"Ontology({o.name}" if o.name else "Ontology("]
-    declared = o.names
+    # a module is written once, so it keeps no `names` (its source does)
+    declared = o.names if o.origin is None else signature_of(o)
     for keyword, ns in zip(
         ("Class", "ObjectProperty", "NamedIndividual"),
         (declared.concept_names, declared.role_names, declared.individual_names),

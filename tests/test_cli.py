@@ -787,6 +787,20 @@ class TestReportNames:
         assert not out.exists() and captured.out == ""
 
 
+class TestCompareReadsEveryFileFirst:
+    # a fault in the last file ends the command before the first test runs:
+    # a parse error, or the repeated name of a second koala.ofs
+    @pytest.mark.parametrize("last", ["bad_syntax.ofs", "koala.ofs"])
+    def test_a_fault_in_the_last_file_runs_no_test(self, monkeypatch, capsys, last):
+        calls = []
+        monkeypatch.setattr(cli, "run_comparison", lambda *a, **kw: calls.append(a))
+        files = [fx(name) for name in CORPUS_NAMES] + [fx(last)]
+        assert main(["compare", "--ontology", *files]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(fx(last))
+        assert calls == []
+
+
 class TestExactNesting:
     """Nested exact cardinalities share their class between two
     restrictions, so the program is run in a subprocess with a timeout: a

@@ -1,5 +1,9 @@
 import math
+import random
+import re
 import statistics
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -75,6 +79,35 @@ class TestSampling:
         sizes = [s.term_count for s in sample_signatures(o, cfg)]
         assert min(sizes) < 10
         assert max(sizes) > 90
+
+    def test_binned_sampling_memory_follows_the_samples(self, koala):
+        # bin bounds are computed per draw: a million bins cost no list of
+        # a million edges (about 8 MB)
+        cfg = SamplingConfig(sample_count=3, binned=True, bin_count=10**6)
+        sample_signatures(koala, SamplingConfig(sample_count=3))  # warm the instance
+        tracemalloc.start()
+        try:
+            sigs = sample_signatures(koala, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sigs) == 3 and peak < 1 << 20
+
+    def test_binned_samples_equal_the_edge_list_formula(self, koala):
+        entities = harness._entities(koala)
+        m = len(entities)
+        for bins in range(1, 41):
+            cfg = SamplingConfig(
+                sample_count=2 * bins + 3, rng_seed=bins, binned=True, bin_count=bins
+            )
+            edges = [round(k * m / bins) for k in range(bins + 1)]
+            rng = random.Random(cfg.rng_seed)
+            expected = []
+            for i in range(cfg.sample_count):
+                k = i % bins
+                size = rng.randint(edges[k], min(edges[k + 1], m))
+                expected.append(Signature.of_kinds(dict(rng.sample(entities, size))))
+            assert sample_signatures(koala, cfg) == expected
 
     def test_small_ontologies_enumerate_every_signature(self, inverse_loop):
         sigs = sample_signatures(inverse_loop, SamplingConfig(sample_count=400))
@@ -196,6 +229,28 @@ class TestRunComparison:
         o = Ontology((SubClassOf(A, B), SubClassOf(TOP, C)), name="top-sub")
         with pytest.raises(InvariantViolation, match=r"axiom ax1 .* w\.r\.t\. \{\}"):
             run_comparison(o, "t1a", SamplingConfig())
+
+    @pytest.mark.parametrize("mode, test", [("t1b", "T1b"), ("t2", "T2")])
+    def test_module_direction_violations_abort(self, monkeypatch, mode, test):
+        # a lying SEM_BOT extraction that adds C ⊑ B to every module must
+        # trip the direction check at the first case whose SYN_BOT module
+        # lacks it: the empty signature for T1b, ax0's {A, B} for T2
+        A, B, C = (ConceptName(n) for n in "ABC")
+        o = Ontology((SubClassOf(A, B), SubClassOf(C, B)), name="liar")
+        honest = harness.extract_module
+
+        def lying_extract(o, sig, flavor, **kw):
+            result = honest(o, sig, flavor, **kw)
+            if flavor is not LocalityFlavor.SEM_BOT:
+                return result
+            return SimpleNamespace(positions=(*result.positions, 1), unknown_verdicts=0)
+
+        monkeypatch.setattr(harness, "extract_module", lying_extract)
+        case = "s0" if mode == "t1b" else "ax0"
+        axiom = re.escape(str(o.axioms[1]))
+        message = rf"liar: {test} case {case}: axiom ax1 .* w\.r\.t\. .*: {axiom}$"
+        with pytest.raises(InvariantViolation, match=message):
+            run_comparison(o, mode, SamplingConfig())
 
     @pytest.mark.parametrize(
         "name, counts", [("koala.ofs", (2363, 3504, 33)), ("taxonomy.ofs", (320, 416, 14))]
@@ -334,7 +389,7 @@ class TestSeededT1a:
                     counts.update(syn=0, sem=0)
                     keys.clear()
                     walks.clear()
-                    harness._t1a_case(o, Signature({term}), "s0", None, False)
+                    harness._case(o, "T1a", harness._t1a, Signature({term}), "s0", None, False)
                     mentions = set(o.name_index.get(term, ()))
                     reached = {
                         "syn": len(syn_at_empty | mentions),

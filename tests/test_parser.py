@@ -575,6 +575,16 @@ class TestTextTable:
             assert serialize_ontology(o) == serialize_ontology(load_fixture("mixed.ofs"))
             assert serialize_ontology(m) == untabled(m)
 
+    def test_a_written_module_keeps_no_names(self):
+        # a module is written once, so its names are not cached; its source
+        # keeps them, and both texts are unchanged
+        o = load_fixture("koala.ofs")
+        m = o.restrict((0, 2, 5))
+        assert serialize_ontology(m) == untabled(m)
+        assert "names" not in vars(m)
+        serialize_ontology(o)
+        assert "names" in vars(o)
+
     def test_a_second_serialization_walks_no_signature(self, monkeypatch):
         o = parse_ontology(fixture_path("koala.ofs").read_text())
         calls = []

@@ -129,6 +129,20 @@ class TestNominals:
         assert 0 in eval_concept(probe, result.model)
 
 
+class TestMergeRule:
+    def test_a_merged_tag_clashes_with_a_negated_nominal(self):
+        # an individual's node carries its tag o from the start but no {o}
+        # in its label, so only the tag check of the merge rule sees that
+        # the node it merges into holds ¬{o}
+        state = locmod.tableau._State(locmod.tableau._Meter(Budget()))
+        keep, drop = state.new_node(), state.new_node()
+        state.nodes[drop].tags["o"] = None
+        state.add(keep, Not(OneOf("o")))
+        assert not state.clash
+        state.merge(keep, drop)
+        assert state.clash
+
+
 class TestUniversalRole:
     def test_universal_forall_reaches_every_node(self):
         probe = conj(Exists(R, A), ForAll(UNIVERSAL_ROLE, B))
