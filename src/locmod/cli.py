@@ -38,7 +38,7 @@ from .parser import (
     parse_signature,
     serialize_ontology,
 )
-from .semantic import LOCAL, substitute, verdict_in
+from .semantic import LOCAL, NON_LOCAL, substitute, verdicts_in
 from .tableau import Budget
 
 __all__ = ["main"]
@@ -288,18 +288,18 @@ def _cmd_check(args) -> int:
     onto = _load_ontology(args.ontology, args.strict)
     sig = _load_signature(args, onto)
     flavor = LocalityFlavor(args.flavor)
-    budget = _budget(args)
     refined = args.refined and flavor.is_syntactic
-    unknowns = 0
+    # `refined` calls a self-inverse axiom local before any check
+    positions = [i for i, a in enumerate(onto.axioms) if not (refined and is_self_inverse(a))]
+    found, unknown = verdicts_in(onto, positions, sig, flavor, _budget(args))
+    found = set(found)
     for i, a in enumerate(onto.axioms):
-        local = refined and is_self_inverse(a)
-        verdict = LOCAL if local else verdict_in(onto, i, sig, flavor, budget)
+        verdict = unknown.get(i) or (NON_LOCAL if i in found else LOCAL)
         word = verdict.status.value
         if verdict.reason:
             word += f" ({verdict.reason})"
-            unknowns += 1
         print(f"{word}\t{a}")
-    if args.strict_verdicts and unknowns:
+    if args.strict_verdicts and unknown:
         return EXIT_UNKNOWN_VERDICTS
     return EXIT_OK
 

@@ -33,8 +33,9 @@ All loops work on positions of the input ontology: the steps of a nested
 or star extraction narrow the positions, not the ontology, and a wave
 counts down only the gates of axioms at those positions. So the axiom
 records (`Ontology.shapes`, one walk per axiom), the name index, the
-circuits and the verdict memo (`semantic.verdict_in`) are shared
-by all steps and by every extraction over one instance. A round reads the
+circuits and the verdict memo (`semantic.verdicts_in`, asked once a
+semantic round about all the axioms it checks) are shared by all steps
+and by every extraction over one instance. A round reads the
 names it adds to the signature off the records of the axioms it adds, and
 the memo keys a verdict by the record's structure number and by which of
 its names lie in the working signature, so the axioms that are renamed
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from itertools import chain, count, islice
 
 from .model import Axiom, LocalityFlavor, Ontology, Signature, is_self_inverse
-from .semantic import IS_UNKNOWN, verdict_in
+from .semantic import verdicts_in
 from .syntactic import Circuit, compile_circuit
 from .tableau import Budget
 
@@ -135,22 +136,16 @@ def _extract(
     module: set[int] = set()
     rounds = checks = unknowns = 0
 
-    def is_local(i: int, working: Signature) -> bool:
-        nonlocal checks, unknowns
-        checks += 1
-        verdict = verdict_in(o, i, working, flavor, budget)
-        if verdict.status is IS_UNKNOWN:
-            unknowns += 1
-            return False
-        return verdict.is_local
-
     if naive:
         sigs = o.axiom_signatures
         working = sig
         while True:
             added: list[int] = []
-            for i in scope:
-                if i not in module and not is_local(i, working):
+            for i in (j for j in scope if j not in module):
+                found, unknown = verdicts_in(o, (i,), working, flavor, budget)
+                checks += 1
+                unknowns += len(unknown)
+                if found:
                     module.add(i)
                     working = working | sigs[i]
                     added.append(i)
@@ -186,7 +181,9 @@ def _extract(
             if waiting:
                 reached = chain.from_iterable(o.name_index[n] for n in chain(*fresh))
                 fired += waiting.intersection(reached)
-            added = [i for i in sorted(fired) if not is_local(i, working)]
+            added, unknown = verdicts_in(o, sorted(fired), working, flavor, budget)
+            checks += len(fired)
+            unknowns += len(unknown)
             waiting.update(fired)
             waiting.difference_update(added)
         if not added:

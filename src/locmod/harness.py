@@ -25,9 +25,9 @@ A T1a case checks, for both notions, only the axioms the seed can reach:
 those syntactically ⊥-non-local w.r.t. ∅ (the `always` of the ontology's
 ⊥ circuit) and those that mention a seed name. Any other axiom has
 its verdict w.r.t. ∅, syntactically and so semantically LOCAL, so this is
-exact. Both notions ask the ontology's verdict memo (`semantic.verdict_in`)
-about every candidate, even a syntactically local one, so the direction
-check sees each of them; `syn_time` also covers building the candidates.
+exact. Each notion asks the ontology's verdict memo (`semantic.verdicts_in`)
+about every candidate in one call, even a syntactically local one, so the
+direction check sees each of them; `syn_time` also covers building the candidates.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .model import (
     Signature,
     is_self_inverse,
 )
-from .semantic import Locality, verdict_in
+from .semantic import verdicts_in
 from .tableau import Budget
 
 __all__ = [
@@ -215,20 +215,12 @@ def _t1a(o, sig, budget):
     syn, sem = _PAIR
     seeded = (o.name_index.get(n, ()) for n in sig.concept_names | sig.role_names)
     candidates = sorted(set(circuit(o, syn).always).union(*seeded))
-    syn_nonlocal = {i for i in candidates if not verdict_in(o, i, sig, syn).is_local}
+    syn_nonlocal = set(verdicts_in(o, candidates, sig, syn)[0])
     yield syn_nonlocal
-    sem_nonlocal, unknowns = set(), 0
-    for i in candidates:
-        status = verdict_in(o, i, sig, sem, budget).status
-        if status is Locality.NON_LOCAL:
-            sem_nonlocal.add(i)
-        elif status is Locality.UNKNOWN:
-            unknowns += 1
-            # conservative, like the extractor; but a syntactically local
-            # axiom is semantically local, so it is only counted
-            if i in syn_nonlocal:
-                sem_nonlocal.add(i)
-    yield sem_nonlocal, unknowns
+    found, unknown = verdicts_in(o, candidates, sig, sem, budget)
+    # an UNKNOWN is non-local, like the extractor's; but a syntactically
+    # local axiom is semantically local, so it is only counted
+    yield {i for i in found if i in syn_nonlocal or i not in unknown}, len(unknown)
 
 
 def _modules(o, sig, budget):

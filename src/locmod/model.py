@@ -418,12 +418,12 @@ class Ontology:
     walks each axiom once (`axiom_shape`) and keeps one record per axiom:
     the number of its structure and its concept, role and individual
     names. The signatures, the names and the name index are read off these
-    records, and so is the key of a verdict in `verdicts`, which therefore
-    serves every axiom of the instance that is a renamed copy of the one
-    checked, with the same of its names in the seed signature. A circuit
-    serves both flavors of its polarity, the syntactic and the semantic
-    one. A module shares `texts` with its source, where its axioms sit
-    at `origin`.
+    records, and so is the key of a verdict in `verdicts` (asked a batch of
+    positions at a time, by `semantic.verdicts_in`), which therefore serves
+    every axiom of the instance that is a renamed copy of the one checked,
+    with the same of its names in the seed signature. A circuit serves both
+    flavors of its polarity, the syntactic and the semantic one. A module
+    shares `texts` with its source, where its axioms sit at `origin`.
     """
 
     axioms: tuple[Axiom, ...] = ()
@@ -482,8 +482,8 @@ class Ontology:
 
     @cached_property
     def verdicts(self) -> dict:
-        """Definite locality verdicts of the axioms, of every flavor, filled
-        by `semantic.verdict_in`, which also defines their keys."""
+        """Definite locality verdicts of the axioms, of every flavor, read and
+        filled by `semantic.verdicts_in` alone, which also defines their keys."""
         return {}
 
     @cached_property

@@ -9,13 +9,14 @@ without touching Σ, so locality reduces to the validity test that
 names and the constants, is valid by structure alone. Substitution folds
 the constants it brings in, so a concept axiom that collapses to ⊥ ⊑ D
 or C ⊑ ⊤ is valid at once; the others go through negation normal form,
-constant propagation and then the tableau. `verdict_in` keeps the
+constant propagation and then the tableau. `verdicts_in` keeps the
 verdicts of an ontology's axioms, of all four flavors, one per axiom
-shape.
+shape, and answers a whole batch of positions in one pass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from operator import is_
@@ -66,7 +67,7 @@ __all__ = [
     "simplify",
     "is_tautology",
     "is_semantically_local",
-    "verdict_in",
+    "verdicts_in",
 ]
 
 
@@ -289,21 +290,23 @@ def is_semantically_local(
     budget: Budget | None = None,
 ) -> Verdict:
     """Decide semantic locality of `a` w.r.t. `sig` for the given flavor:
-    the validity of its substitution. Nothing is memoized: `verdict_in`
+    the validity of its substitution. Nothing is memoized: `verdicts_in`
     keeps the definite verdicts of an ontology's axioms."""
     return _validity(substitute(a, sig, flavor), budget)
 
 
-def verdict_in(
+def verdicts_in(
     o: Ontology,
-    i: int,
+    positions: Iterable[int],
     sig: Signature,
     flavor: LocalityFlavor,
     budget: Budget | None = None,
-) -> Verdict:
-    """The verdict of axiom `i` of `o` for any flavor, memoized in
-    `o.verdicts`: `is_syntactically_local` for a syntactic flavor,
-    `is_semantically_local` (under `budget`) for a semantic one.
+) -> tuple[list[int], dict[int, Verdict]]:
+    """The verdicts of the axioms of `o` at `positions` for any flavor,
+    memoized in `o.verdicts`: `is_syntactically_local` for a syntactic
+    flavor, `is_semantically_local` (under `budget`) for a semantic one.
+    Returns the positions not local, in the order given and an UNKNOWN
+    among them, and the UNKNOWN verdicts by position.
 
     The grammar and substitution read only the concept and role names of
     the axiom, and an injective renaming of concepts and roles maps each
@@ -312,29 +315,35 @@ def verdict_in(
     lie in it. The key is read off the axiom's record in `o.shapes`: the
     flavor, the number of its structure and, for each of its concept names
     and then each of its role names in the order of their numbers, whether
-    it lies in `sig` among the names of its kind. Renamed copies of an axiom, and one axiom under
-    signatures that share the same of its names, meet one key. LOCAL and
-    NON_LOCAL hold under every budget, so no budget enters the key; an
-    UNKNOWN is returned but not kept, and a later call tries again.
+    it lies in `sig` among the names of its kind. Renamed copies of an
+    axiom, and one axiom under signatures that share the same of its
+    names, meet one key. LOCAL and NON_LOCAL hold under every budget, so no
+    budget enters the key; an UNKNOWN is returned but not kept, and a later
+    call tries again.
     """
-    number, concepts, roles, _ = o.shapes[i]
+    shapes, axioms, memo = o.shapes, o.axioms, o.verdicts
     # `map` over bound membership tests: before Python 3.12 each list
-    # comprehension is a function call, and every check pays for the key
-    key = (
-        flavor,
-        number,
-        *map(sig.concept_names.__contains__, concepts),
-        *map(sig.role_names.__contains__, roles),
-    )
-    verdicts = o.verdicts
-    verdict = verdicts.get(key)
-    if verdict is None:
-        a = o.axioms[i]
-        if flavor.is_syntactic:
-            verdict = LOCAL if is_syntactically_local(a, sig, flavor) else NON_LOCAL
-        else:
-            verdict = is_semantically_local(a, sig, flavor, budget)
-            if verdict.status is IS_UNKNOWN:
-                return verdict
-        verdicts[key] = verdict
-    return verdict
+    # comprehension is a function call, and every position pays for its key
+    in_concepts, in_roles = sig.concept_names.__contains__, sig.role_names.__contains__
+    syntactic = flavor.is_syntactic
+    found: list[int] = []
+    unknown: dict[int, Verdict] = {}
+    for i in positions:
+        number, concepts, roles, _ = shapes[i]
+        key = (flavor, number, *map(in_concepts, concepts), *map(in_roles, roles))
+        verdict = memo.get(key)
+        if verdict is None:
+            # the checks are read off the module at call time, so a
+            # wrapper put there sees every miss
+            if syntactic:
+                verdict = LOCAL if is_syntactically_local(axioms[i], sig, flavor) else NON_LOCAL
+            else:
+                verdict = is_semantically_local(axioms[i], sig, flavor, budget)
+                if verdict.status is IS_UNKNOWN:
+                    unknown[i] = verdict
+                    found.append(i)
+                    continue
+            memo[key] = verdict
+        if verdict.status is IS_NON_LOCAL:
+            found.append(i)
+    return found, unknown

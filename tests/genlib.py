@@ -43,6 +43,7 @@ from locmod import (
     signature_of,
     substitute,
 )
+from locmod.semantic import LOCAL, NON_LOCAL, Verdict, verdicts_in
 
 CONCEPTS = ("A", "B", "C")
 ROLES = ("r", "s")
@@ -246,6 +247,15 @@ def refutes_locality(a: Axiom, sig: Signature, flavor: LocalityFlavor, cap: int 
     has a countermodel of at most `cap` elements: `a` is then not
     semantically local for `sig`."""
     return find_countermodel(substitute(a, sig, flavor), cap) is not None
+
+
+def verdict_at(
+    o: Ontology, i: int, sig: Signature, flavor: LocalityFlavor, budget=None
+) -> Verdict:
+    """The verdict of axiom `i` of `o`, asked of the memo as a batch of one
+    position."""
+    found, unknown = verdicts_in(o, (i,), sig, flavor, budget)
+    return unknown.get(i) or (NON_LOCAL if found else LOCAL)
 
 
 def synthetic_ontology(

@@ -395,10 +395,10 @@ class TestSeededFirstRound:
         inputs = [(name, 0.5) for name in CORPUS_NAMES] + [(None, 0.03)]
         seen = []
 
-        def recording(o, i, sig, flavor, *options):
+        def recording(o, positions, sig, flavor, *options):
             # every check a round makes, memo hits included
-            seen.append((o.axioms[i], sig, flavor))
-            return semantic.verdict_in(o, i, sig, flavor, *options)
+            seen.extend((o.axioms[i], sig, flavor) for i in positions)
+            return semantic.verdicts_in(o, positions, sig, flavor, *options)
 
         runs = [
             (extract_module, LocalityFlavor.SEM_BOT),
@@ -418,7 +418,7 @@ class TestSeededFirstRound:
                 )
                 for extract, flavor in runs:
                     o, trace = load(), []
-                    monkeypatch.setattr(extractor, "verdict_in", recording)
+                    monkeypatch.setattr(extractor, "verdicts_in", recording)
                     fast = extract(o, sig, flavor, trace=trace)
                     monkeypatch.undo()
                     for a, at, sem in seen:

@@ -353,17 +353,18 @@ class TestSeededT1a:
         # notion, and walks the grammar at most once per distinct key
         counts = {"syn": 0, "sem": 0}
         keys, walks = set(), []
-        lookup, walk = harness.verdict_in, semantic.is_syntactically_local
+        lookup, walk = harness.verdicts_in, semantic.is_syntactically_local
 
-        def counted_lookup(o, i, sig, flavor, *options):
-            if flavor.is_syntactic:
-                counts["syn"] += 1
-                number, concepts, roles, _ = o.shapes[i]
-                in_sig = [n in sig.concept_names for n in concepts]
-                keys.add((number, *in_sig, *(n in sig.role_names for n in roles)))
-            else:
-                counts["sem"] += 1
-            return lookup(o, i, sig, flavor, *options)
+        def counted_lookup(o, positions, sig, flavor, *options):
+            for i in positions:
+                if flavor.is_syntactic:
+                    counts["syn"] += 1
+                    number, concepts, roles, _ = o.shapes[i]
+                    in_sig = [n in sig.concept_names for n in concepts]
+                    keys.add((number, *in_sig, *(n in sig.role_names for n in roles)))
+                else:
+                    counts["sem"] += 1
+            return lookup(o, positions, sig, flavor, *options)
 
         def counted_walk(*args):
             walks.append(args)
@@ -383,7 +384,7 @@ class TestSeededT1a:
                 if not is_semantically_local(a, Signature(), LocalityFlavor.SEM_BOT).is_local
             }
             with monkeypatch.context() as m:
-                m.setattr(harness, "verdict_in", counted_lookup)
+                m.setattr(harness, "verdicts_in", counted_lookup)
                 m.setattr(semantic, "is_syntactically_local", counted_walk)
                 for term in sorted(o.names.concept_names):
                     counts.update(syn=0, sem=0)

@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every name its `__all__` lists is bound in it.
 
 No linter runs over the package, and a deletion easily leaves an import
-behind. `__init__.py` is left out: it imports names to export them.
+behind, or a rename a stale `__all__` entry, on which `import *` raises
+`AttributeError`. The import check leaves `__init__.py` out: it imports
+names to export them.
 """
 
 import ast
@@ -11,6 +14,17 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "locmod"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+EXPORTING = sorted(PACKAGE.glob("*.py"))
+
+
+def exported(tree: ast.Module) -> list[str]:
+    """The names the module's `__all__` lists, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,12 +38,23 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names if a.name != "*")
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
-    return sorted(imported - used)
+    return sorted(imported - used - set(exported(tree)))
+
+
+def unbound_exports(source: str) -> list[str]:
+    """The names `__all__` lists that no top-level statement binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return sorted(set(exported(tree)) - bound)
 
 
 def test_the_check_finds_an_unused_import():
@@ -49,3 +74,22 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_unbound_export():
+    source = (
+        "from json import dumps as write\n"
+        "import os.path\n"
+        "A, (B, C) = 1, (2, 3)\n"
+        "D: int = 4\n"
+        "class E: pass\n"
+        "def f():\n"
+        "    g = 5\n"
+        "__all__ = ['write', 'os', 'A', 'C', 'D', 'E', 'f', 'g', 'dumps', 'verdict_in']\n"
+    )
+    assert unbound_exports(source) == ["dumps", "g", "verdict_in"]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []

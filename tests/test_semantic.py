@@ -45,7 +45,7 @@ from locmod import (
     substitute,
 )
 from locmod.model import BottomType, TopType
-from locmod.semantic import verdict_in
+from locmod.semantic import LOCAL, NON_LOCAL, verdicts_in
 from conftest import CORPUS_NAMES, load_fixture
 from genlib import (
     CONCEPTS,
@@ -58,6 +58,7 @@ from genlib import (
     refutes_locality,
     renamed,
     renamed_signature,
+    verdict_at,
 )
 
 SEM_BOT = LocalityFlavor.SEM_BOT
@@ -281,46 +282,73 @@ class TestLocality:
                 assert lo.status == hi.status
 
     def test_memoized_verdicts_equal_fresh_ones(self):
+        # each (signature, flavor) asks once in one shuffled batch, and
+        # once a position at a time on a second instance: both answer as
+        # the grammar or the semantic check does on its own
         rng = random.Random(25)
         for name in CORPUS_NAMES:
-            o = load_fixture(name)
-            entities = signature_of(o)
-            sigs = [
-                random_signature(
-                    rng,
-                    concepts=sorted(entities.concept_names),
-                    roles=sorted(entities.role_names),
+            batched, single = load_fixture(name), load_fixture(name)
+            entities = signature_of(batched)
+            cases = [
+                (
+                    random_signature(
+                        rng,
+                        concepts=sorted(entities.concept_names),
+                        roles=sorted(entities.role_names),
+                    ),
+                    flavor,
                 )
                 for _ in range(50)
-            ]
-            cases = [
-                (i, sig, flavor)
-                for i in range(len(o))
-                for sig in sigs
-                for flavor in (SEM_BOT, SEM_TOP)
+                for flavor in LocalityFlavor
             ]
             rng.shuffle(cases)
-            for i, sig, flavor in cases:
-                fresh = is_semantically_local(o.axioms[i], sig, flavor)
-                assert verdict_in(o, i, sig, flavor) == fresh, (name, i, sig, flavor)
+            positions = list(range(len(batched)))
+            for sig, flavor in cases:
+                rng.shuffle(positions)
+                fresh = {i: fresh_verdict(batched.axioms[i], sig, flavor) for i in positions}
+                found, unknown = verdicts_in(batched, positions, sig, flavor)
+                assert found == [i for i in positions if not fresh[i].is_local], (name, sig)
+                assert unknown == {i: v for i, v in fresh.items() if v.reason}, (name, sig)
+                for i in positions:
+                    assert verdict_at(single, i, sig, flavor) == fresh[i], (name, i, sig)
             # verdicts were reused across signatures that agree on an axiom
-            assert 0 < len(o.verdicts) < len(cases)
+            assert 0 < len(batched.verdicts) < len(cases) * len(positions)
+            assert batched.verdicts == single.verdicts
 
     def test_unknown_verdict_is_not_memoized(self):
         o = Ontology((SubClassOf(A, Exists(R, B)),), name="starved")
         sig = Signature({"A", "B"})
-        starved = verdict_in(o, 0, sig, SEM_BOT, Budget(max_steps=1))
+        starved = verdict_at(o, 0, sig, SEM_BOT, Budget(max_steps=1))
         assert starved.status is Locality.UNKNOWN
-        assert verdict_in(o, 0, sig, SEM_BOT).status is Locality.NON_LOCAL
+        assert verdict_at(o, 0, sig, SEM_BOT).status is Locality.NON_LOCAL
         # β is α renamed, so the two share a key: a starved check of α is
         # not kept under it
         alpha = o.axioms[0]
         beta = renamed(alpha, {"A": "S", "B": "F"}, {"R": "P"})
         o = Ontology((alpha, beta), name="starved")
         sig = Signature({"A", "B", "S", "F"})
-        assert verdict_in(o, 0, sig, SEM_BOT, Budget(max_steps=1)) == starved
+        assert verdict_at(o, 0, sig, SEM_BOT, Budget(max_steps=1)) == starved
         assert not o.verdicts
-        assert verdict_in(o, 1, sig, SEM_BOT).status is Locality.NON_LOCAL
+        assert verdict_at(o, 1, sig, SEM_BOT).status is Locality.NON_LOCAL
+
+    def test_starved_batch_keeps_going_after_an_unknown(self):
+        # one step decides the substituted axioms but not A ⊑ ∃R.B: the
+        # UNKNOWN in the middle of the batch keeps its reason, is counted
+        # non-local, leaves no memo entry, and the positions after it get
+        # their own verdicts
+        starved = SubClassOf(A, Exists(R, B))
+        o = Ontology((SubClassOf(S, F), starved, SubClassOf(M, S), SubRoleOf(R, P)))
+        sig = Signature({"A", "B"}, {"R"})
+        fresh = [is_semantically_local(a, sig, SEM_BOT).status for a in o.axioms]
+        assert fresh == [Locality.LOCAL, Locality.NON_LOCAL, Locality.LOCAL, Locality.NON_LOCAL]
+        found, unknown = verdicts_in(o, range(len(o)), sig, SEM_BOT, Budget(max_steps=1))
+        assert found == [1, 3] and list(unknown) == [1]
+        assert unknown[1].status is Locality.UNKNOWN and unknown[1].reason
+        assert unknown[1] == is_semantically_local(starved, sig, SEM_BOT, Budget(max_steps=1))
+        # S ⊑ F and M ⊑ S share a key, R ⊑ P has its own
+        assert len(o.verdicts) == 2
+        assert all(key[1] != o.shapes[1][0] for key in o.verdicts)
+        assert verdicts_in(o, range(len(o)), sig, SEM_BOT) == ([1, 3], {})
 
     def test_rejects_syntactic_flavor(self):
         with pytest.raises(ValueError):
@@ -357,8 +385,15 @@ class TestImplicationSample:
                     assert verdict.status is not Locality.NON_LOCAL, (a, sig, syn)
 
 
+def fresh_verdict(a, sig, flavor):
+    """The verdict of `a` from the grammar or the semantic check alone."""
+    if flavor.is_syntactic:
+        return LOCAL if is_syntactically_local(a, sig, flavor) else NON_LOCAL
+    return is_semantically_local(a, sig, flavor)
+
+
 def shape_key(a, sig, flavor):
-    """The key under which `verdict_in` keeps a definite verdict of `a`."""
+    """The key under which `verdicts_in` keeps a definite verdict of `a`."""
     structure, concepts, roles, _ = model.axiom_shape(a)
     return (
         flavor,
@@ -369,7 +404,7 @@ def shape_key(a, sig, flavor):
 
 
 def look_up_every_axiom(o, rng, budget=None):
-    """`verdict_in` of every axiom of `o` under 20 random signatures over
+    """`verdicts_in` of all axioms of `o` under 20 random signatures over
     its names, for both semantic flavors."""
     names = signature_of(o)
     for _ in range(20):
@@ -377,8 +412,7 @@ def look_up_every_axiom(o, rng, budget=None):
             rng, concepts=sorted(names.concept_names), roles=sorted(names.role_names)
         )
         for flavor in (SEM_BOT, SEM_TOP):
-            for i in range(len(o)):
-                verdict_in(o, i, sig, flavor, budget)
+            verdicts_in(o, range(len(o)), sig, flavor, budget)
 
 
 class TestShapeKey:
@@ -499,7 +533,7 @@ class TestShapeKey:
             calls.clear()
             for i, sig, flavor in cases:
                 fresh = check(o.axioms[i], sig, flavor)
-                assert verdict_in(o, i, sig, flavor) == fresh, (name, i, sig, flavor)
+                assert verdict_at(o, i, sig, flavor) == fresh, (name, i, sig, flavor)
                 own = o.axiom_signatures[i]
                 exact.add(
                     (
@@ -564,8 +598,7 @@ class TestShapeKey:
             # a restricted ontology walks none: its records are the input's
             sub = o.restrict(range(0, len(o), 2))
             built.clear()
-            for i in range(len(sub)):
-                verdict_in(sub, i, Signature(), SEM_BOT)
-                verdict_in(sub, i, o.names, SEM_TOP)
+            verdicts_in(sub, range(len(sub)), Signature(), SEM_BOT)
+            verdicts_in(sub, range(len(sub)), o.names, SEM_TOP)
             assert built == [], name
             assert sub.shapes == o.shapes[::2] and sub.structures is o.structures, name

@@ -34,7 +34,7 @@ from locmod import (
 import locmod.model as model
 import locmod.semantic as semantic
 import locmod.syntactic as syntactic
-from locmod.semantic import verdict_in
+from locmod.semantic import verdicts_in
 from locmod.syntactic import compile_circuit
 from conftest import CORPUS_NAMES, load_fixture
 from genlib import (
@@ -47,6 +47,7 @@ from genlib import (
     refutes_locality,
     renamed,
     synthetic_ontology,
+    verdict_at,
 )
 
 BOT = LocalityFlavor.SYN_BOT
@@ -383,7 +384,7 @@ class TestCircuitPerStructure:
 
 
 def memo_key(a, sig, flavor):
-    """The key under which `verdict_in` keeps a verdict of `a`, of any
+    """The key under which `verdicts_in` keeps a verdict of `a`, of any
     flavor, with the structure in place of its number."""
     structure, concepts, roles, _ = model.axiom_shape(a)
     return (
@@ -395,7 +396,7 @@ def memo_key(a, sig, flavor):
 
 
 class TestVerdictMemo:
-    """`semantic.verdict_in` answers a syntactic flavor as the grammar does,
+    """`semantic.verdicts_in` answers a syntactic flavor as the grammar does,
     and walks the grammar once per key."""
 
     def test_equals_the_grammar_in_any_order(self, monkeypatch):
@@ -429,7 +430,7 @@ class TestVerdictMemo:
                 for i, sig, flavor in cases:
                     a = o.axioms[i]
                     expected = walk(a, sig, flavor)
-                    assert verdict_in(o, i, sig, flavor).is_local is expected
+                    assert verdict_at(o, i, sig, flavor).is_local is expected
                     keys.add(memo_key(a, sig, flavor))
             assert len(walked) == len(set(walked)) == len(keys) < len(cases)
 
@@ -441,9 +442,10 @@ class TestVerdictMemo:
         o = Ontology((InverseRoles(P, Inverse(P)), InverseRoles(R, Inverse(R))))
         sig = Signature(frozenset(), frozenset({"P", "R"}))
         for flavor in LocalityFlavor:
-            for i in (0, 1):
-                assert verdict_in(o, i, sig, flavor).is_local is not flavor.is_syntactic
-                assert is_syntactically_local(o.axioms[i], sig, flavor, refined=True)
+            found, _ = verdicts_in(o, (0, 1), sig, flavor)
+            assert found == ([0, 1] if flavor.is_syntactic else [])
+            for a in o.axioms:
+                assert is_syntactically_local(a, sig, flavor, refined=True)
         (number, *_), (other, *_) = o.shapes
         assert number == other
         assert set(o.verdicts) == {(flavor, number, True) for flavor in LocalityFlavor}
