@@ -77,6 +77,7 @@ from .parser import (
     ParseFailure,
     parse_ontology,
     parse_signature,
+    parse_terms,
     serialize_ontology,
 )
 from .semantic import (

@@ -32,10 +32,9 @@ from .oracle import find_countermodel
 from .parser import (
     ParseErrorKind,
     ParseFailure,
-    _conflict,
-    _local_name,
     parse_ontology,
     parse_signature,
+    parse_terms,
     serialize_ontology,
 )
 from .semantic import LOCAL, NON_LOCAL, substitute, verdicts_in
@@ -176,43 +175,25 @@ def _read_file(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
 
 
-def _parse_failure_code(exc: ParseFailure) -> int:
-    if any(e.kind is ParseErrorKind.UNSUPPORTED_CONSTRUCT for e in exc.errors):
-        return EXIT_UNSUPPORTED
-    return EXIT_PARSE
+def _parse_error(path: str, exc: ParseFailure) -> _CliError:
+    """The errors of the file at `path`, one a line, each after the path."""
+    unsupported = any(e.kind is ParseErrorKind.UNSUPPORTED_CONSTRUCT for e in exc.errors)
+    lines = "\n".join(f"{path}:{e}" for e in exc.errors)
+    return _CliError(lines, EXIT_UNSUPPORTED if unsupported else EXIT_PARSE)
 
 
 def _load_ontology(path: str, strict: bool) -> Ontology:
     try:
         return parse_ontology(_read_file(path), strict=strict)
     except ParseFailure as exc:
-        lines = "\n".join(f"{path}:{e}" for e in exc.errors)
-        raise _CliError(lines, _parse_failure_code(exc))
+        raise _parse_error(path, exc)
 
 
 def _parse_terms(spec: str, onto: Ontology) -> Signature:
-    """The signature of comma-separated `C:`/`R:`/`I:` terms, each name
-    reduced to its local fragment and checked against the kinds of `onto`
-    as in a signature file."""
-    known = onto.names.kinds
-    kinds: dict[str, str] = {}
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if chunk[:2] not in ("C:", "R:", "I:"):
-            raise _CliError(
-                f"inline term '{chunk}' needs a C:/R:/I: kind prefix", EXIT_PARSE
-            )
-        name = _local_name(chunk[2:].strip())
-        if not name:
-            raise _CliError(f"inline term '{chunk}' has no name", EXIT_PARSE)
-        if kinds.setdefault(name, chunk[0]) != chunk[0]:
-            raise _CliError(f"inline term '{chunk}' gives '{name}' a second kind", EXIT_PARSE)
-        if known.get(name, chunk[0]) != chunk[0]:
-            message = _conflict(name, known[name], chunk[0])
-            raise _CliError(f"inline term '{chunk}': {message}", EXIT_PARSE)
-    return Signature.of_kinds(kinds)
+    try:
+        return parse_terms(spec, onto)
+    except ValueError as exc:  # parse_terms is where the terms are checked
+        raise _CliError(str(exc), EXIT_PARSE) from None
 
 
 def _load_signature(args, onto: Ontology) -> Signature:
@@ -226,8 +207,7 @@ def _load_signature(args, onto: Ontology) -> Signature:
         try:
             return parse_signature(_read_file(sig_path), onto)
         except ParseFailure as exc:
-            lines = "\n".join(f"{sig_path}:{e}" for e in exc.errors)
-            raise _CliError(lines, _parse_failure_code(exc))
+            raise _parse_error(sig_path, exc)
     return Signature()
 
 
@@ -257,17 +237,15 @@ def _write_out(text: str, out: str | None):
 def _cmd_extract(args) -> int:
     onto = _load_ontology(args.ontology, args.strict)
     sig = _load_signature(args, onto)
-    budget = _budget(args)
-    trace: list = []
-    options = dict(refined=args.refined, budget=budget, trace=trace if args.verbose else None)
+    options = dict(refined=args.refined, budget=_budget(args))
     if args.flavor in _STAR_FLAVORS:
         result = extract_star(onto, sig, _STAR_FLAVORS[args.flavor], **options)
     else:
         result = extract_module(onto, sig, LocalityFlavor(args.flavor), **options)
     if args.verbose:
-        for (step, flavor, round_no), added in trace:
-            for a in added:
-                print(f"step {step}, {flavor} round {round_no}: + {a}", file=sys.stderr)
+        for (step, flavor, round_no), added in result.additions:
+            for i in added:
+                print(f"step {step}, {flavor} round {round_no}: +", onto.axioms[i], file=sys.stderr)
         print(
             f"module: {len(result.module)} of {len(onto)} axioms, "
             f"{result.locality_checks} locality checks, "

@@ -39,17 +39,18 @@ and by every extraction over one instance. A round reads the
 names it adds to the signature off the records of the axioms it adds, and
 the memo keys a verdict by the record's structure number and by which of
 its names lie in the working signature, so the axioms that are renamed
-copies of one another share one check. Only the module that is returned
-becomes an `Ontology`, and it takes its records from the input.
+copies of one another share one check. A result builds its module, an
+`Ontology` that takes its records from the input, only when it is read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, count, islice
 
-from .model import Axiom, LocalityFlavor, Ontology, Signature, is_self_inverse
+from .model import Axiom, LocalityFlavor, Ontology, Signature, is_self_inverse, signature_of
 from .semantic import verdicts_in
 from .syntactic import Circuit, compile_circuit
 from .tableau import Budget
@@ -68,35 +69,49 @@ FlavorPair = tuple[LocalityFlavor, LocalityFlavor]
 SYN_STAR: FlavorPair = (LocalityFlavor.SYN_TOP, LocalityFlavor.SYN_BOT)
 SEM_STAR: FlavorPair = (LocalityFlavor.SEM_TOP, LocalityFlavor.SEM_BOT)
 
-# one `_extract` pass: module, extended signature, rounds, checks, UNKNOWNs
-Pass = tuple[dict[int, None], Signature, int, int, int]
+# a round that added axioms, ((nested step, flavor, round), their positions),
+# and one `_extract` pass: module, additions, checks, UNKNOWNs
+Addition = tuple[tuple[int, LocalityFlavor, int], tuple[int, ...]]
+Pass = tuple[dict[int, None], list[Addition], int, int]
 
 
 @dataclass(frozen=True)
 class ModuleResult:
-    """Outcome of one extraction.
+    """What one extraction of `source` for `seed` did: the ascending
+    `positions` of the module's axioms in `source`, and in `additions` one
+    `((step, flavor, round), positions)` per round that added axioms, in
+    the order they ran (step 1 in a plain extraction). `rounds` counts
+    these rounds (passes over the whole ontology with `naive=True`), but a
+    star extraction counts the nested steps that shrank their scope. For a
+    semantic flavor `locality_checks` counts the semantic checks, one per
+    fired axiom per round that checks it (with `naive=True`, one per axiom
+    outside M per pass); for a syntactic flavor, the counter updates of
+    the propagation, one per gate input that fired. Axioms with an Unknown
+    verdict are pulled in and tallied in `unknown_verdicts`. Nested and
+    star extractions sum both counts over their passes.
 
-    `extended_signature` is the seed joined with the signature of the
-    module; every axiom left outside is local w.r.t. it (axioms whose
-    semantic verdict was Unknown were pulled in conservatively and are
-    tallied in `unknown_verdicts`). `positions` are the ascending
-    positions of the module's axioms in the input ontology. For a plain
-    extraction `rounds` counts the rounds that added axioms (passes over
-    the whole ontology with `naive=True`). For a semantic flavor
-    `locality_checks` counts the semantic checks, one per fired axiom per
-    round that checks it (with `naive=True`, one per axiom outside M per
-    pass); for a syntactic flavor it counts the counter updates of the
-    propagation, one per gate input that fired. A nested extraction sums
-    both over its two passes; a star extraction counts in `rounds` the
-    nested steps that shrank their scope, and sums both over its passes.
+    `module` (`source.restrict(positions)`) and `extended_signature` (the
+    seed joined with the module's signature, w.r.t. which every axiom left
+    outside is local) are built on first read and kept. Reading the latter
+    raises `ValueError` if the seed gives a name another kind than the
+    module's axioms do.
     """
 
-    module: Ontology
+    source: Ontology = field(repr=False)
+    seed: Signature
     positions: tuple[int, ...]
-    extended_signature: Signature
+    additions: tuple[Addition, ...]
     rounds: int
     locality_checks: int
     unknown_verdicts: int
+
+    @cached_property
+    def module(self) -> Ontology:
+        return self.source.restrict(self.positions)
+
+    @cached_property
+    def extended_signature(self) -> Signature:
+        return self.seed | signature_of(self.module)
 
 
 def circuit(o: Ontology, flavor: LocalityFlavor) -> Circuit:
@@ -120,21 +135,20 @@ def _extract(
     refined: bool = False,
     budget: Budget | None = None,
     naive: bool = False,
-    trace: list | None = None,
 ) -> Pass:
     """The `flavor` module for `sig` of the axioms of `o` at `scope`,
     ascending positions with constant-time membership (a `range`, or a
     dict used as an ordered set). Returns the module's positions,
-    ascending, as such a dict, its extended signature, the number of
-    rounds that added axioms, the locality checks and the UNKNOWN
-    verdicts, which count as non-local. A round that adds axioms appends
-    `((step, flavor, round), added_axioms)` to `trace`, if given. With
-    `refined` and a syntactic flavor, Inv(R, R⁻) is local for every Σ, so
-    it leaves `scope` before the first round: it would add no names."""
+    ascending, as such a dict, one `((step, flavor, round), positions)`
+    entry per round that added axioms, the locality checks and the
+    UNKNOWN verdicts, which count as non-local. With `refined` and a
+    syntactic flavor, Inv(R, R⁻) is local for every Σ, so it leaves
+    `scope` before the first round: it would add no names."""
     if refined and flavor.is_syntactic:
         scope = dict.fromkeys(i for i in scope if not is_self_inverse(o.axioms[i]))
     module: set[int] = set()
-    rounds = checks = unknowns = 0
+    additions: list[Addition] = []
+    checks = unknowns = 0
 
     if naive:
         sigs = o.axiom_signatures
@@ -151,10 +165,8 @@ def _extract(
                     added.append(i)
             if not added:
                 break
-            rounds += 1
-            if trace is not None:
-                trace.append(((step, flavor, rounds), [o.axioms[i] for i in added]))
-        return dict.fromkeys(sorted(module)), working, rounds, checks, unknowns
+            additions.append(((step, flavor, len(additions) + 1), tuple(added)))
+        return dict.fromkeys(sorted(module)), additions, checks, unknowns
 
     syntactic = flavor.is_syntactic
     shapes = o.shapes
@@ -164,7 +176,6 @@ def _extract(
     fired = [i for i in wave.always if i in scope]
     waiting: set[int] = set()  # fired, but semantically local so far
     concepts, roles = set(sig.concept_names), set(sig.role_names)
-    individuals = set(sig.individual_names)
     fresh = (sig.concept_names, sig.role_names)
     working = sig
     while True:
@@ -188,19 +199,13 @@ def _extract(
             waiting.difference_update(added)
         if not added:
             break
-        rounds += 1
-        if trace is not None:
-            trace.append(((step, flavor, rounds), [o.axioms[i] for i in added]))
+        additions.append(((step, flavor, len(additions) + 1), tuple(added)))
         module.update(added)
         new_concepts, new_roles = set(), set()
         for i in added:
-            _, cs, rs, inds = shapes[i]
+            _, cs, rs, _ = shapes[i]
             new_concepts.update(cs)
             new_roles.update(rs)
-            # most axioms name no individual, and an empty update still
-            # costs a call: about 0.8 ms a pass over 10,000 axioms
-            if inds:
-                individuals.update(inds)
         fresh = (new_concepts - concepts, new_roles - roles)
         concepts |= fresh[0]
         roles |= fresh[1]
@@ -208,8 +213,7 @@ def _extract(
             working = Signature(frozenset(concepts), frozenset(roles))
         fired = []
 
-    extended = Signature(concepts, roles, individuals)
-    return dict.fromkeys(sorted(module)), extended, rounds, checks, unknowns
+    return dict.fromkeys(sorted(module)), additions, checks, unknowns
 
 
 def _alternate(
@@ -221,7 +225,7 @@ def _alternate(
     """`_extract` with the second flavor of `pair` over the whole
     ontology, then with the first over what it kept, then the second
     again, and so on. Yields each pass's scope and result; passes 2n − 1
-    and 2n make nested step n and are traced with its number."""
+    and 2n make nested step n and label their additions with it."""
     scope: Collection[int] = range(len(o))
     for k in count():
         found = _extract(o, pair[(k + 1) % 2], scope, sig, k // 2 + 1, **options)
@@ -229,18 +233,17 @@ def _alternate(
         scope = found[0]
 
 
-def _result(o: Ontology, passes: list[Pass], rounds: int) -> ModuleResult:
-    """The result of the last of `passes`, with their checks and UNKNOWNs
-    added up."""
-    module, extended, *_ = passes[-1]
-    positions = tuple(module)
+def _result(o: Ontology, sig: Signature, passes: list[Pass], rounds: int) -> ModuleResult:
+    """The result of the last of `passes`, with their additions, checks
+    and UNKNOWNs joined."""
     return ModuleResult(
-        module=o.restrict(positions),
-        positions=positions,
-        extended_signature=extended,
+        source=o,
+        seed=sig,
+        positions=tuple(passes[-1][0]),
+        additions=tuple(chain.from_iterable(p[1] for p in passes)),
         rounds=rounds,
-        locality_checks=sum(p[3] for p in passes),
-        unknown_verdicts=sum(p[4] for p in passes),
+        locality_checks=sum(p[2] for p in passes),
+        unknown_verdicts=sum(p[3] for p in passes),
     )
 
 
@@ -252,17 +255,11 @@ def extract_module(
     refined: bool = False,
     budget: Budget | None = None,
     naive: bool = False,
-    trace: list | None = None,
 ) -> ModuleResult:
-    """Extract the locality-based module of `o` for the seed `sig`.
-
-    With `trace` given, appends one `((1, flavor, round), added_axioms)`
-    tuple per round that added axioms.
-    """
-    found = _extract(
-        o, flavor, range(len(o)), sig, refined=refined, budget=budget, naive=naive, trace=trace
-    )
-    return _result(o, [found], found[2])
+    """Extract the locality-based module of `o` for the seed `sig`. Its
+    `additions` are labelled `(1, flavor, round)`."""
+    found = _extract(o, flavor, range(len(o)), sig, refined=refined, budget=budget, naive=naive)
+    return _result(o, sig, [found], len(found[1]))
 
 
 def extract_nested(
@@ -273,10 +270,10 @@ def extract_nested(
 ) -> ModuleResult:
     """Nested extraction: inner pass with the second flavor of `pair`,
     outer pass with the first over the inner module, both against the same
-    seed. Rounds are traced as by `extract_module`, labelled with the
-    flavor of their pass."""
+    seed. The `additions` of both passes are labelled as by
+    `extract_module`, each with the flavor of its pass."""
     passes = [found for _, found in islice(_alternate(o, pair, sig, options), 2)]
-    return _result(o, passes, passes[0][2] + passes[1][2])
+    return _result(o, sig, passes, len(passes[0][1]) + len(passes[1][1]))
 
 
 def extract_star(
@@ -291,8 +288,8 @@ def extract_star(
     al., JAIR 2008), so the pass before would keep that scope too: it is
     the fixpoint, and no nested step runs to confirm it. `rounds` is the
     smallest n with Mₙ = Mₙ₊₁, the nested steps (the last maybe one pass)
-    that shrank their scope. Rounds are traced as by `extract_nested`,
-    labelled with their nested step; the last pass adds the module."""
+    that shrank their scope. The `additions` of every pass are labelled as
+    by `extract_nested`; those of the last pass add the module."""
     passes: list[Pass] = []
     shrank: set[int] = set()  # the nested steps that shrank their scope
     for k, (scope, found) in enumerate(_alternate(o, pair, sig, options)):
@@ -301,7 +298,7 @@ def extract_star(
             shrank.add(k // 2)
         elif k:  # the ontology itself is no module, so the first pass does not count
             break
-    return _result(o, passes, len(shrank))
+    return _result(o, sig, passes, len(shrank))
 
 
 def genuine_modules(
@@ -312,7 +309,7 @@ def genuine_modules(
     """Modules seeded by single-axiom signatures, deduplicated by module
     content. At most one entry per distinct module survives (keyed by the
     first axiom, in ontology order, that produces it); the result is
-    therefore at most linear in the ontology."""
+    therefore at most linear in the ontology; a duplicate builds no module."""
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[Axiom, ModuleResult]] = []
     for axiom, axiom_sig in zip(o.axioms, o.axiom_signatures):

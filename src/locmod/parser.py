@@ -68,6 +68,7 @@ __all__ = [
     "parse_ontology",
     "serialize_ontology",
     "parse_signature",
+    "parse_terms",
 ]
 
 log = logging.getLogger(__name__)
@@ -614,4 +615,24 @@ def parse_signature(text: str, against: Ontology) -> Signature:
             errors.append(ParseError(lineno, 1, message, ParseErrorKind.UNKNOWN_ENTITY))
     if errors:
         raise ParseFailure(errors)
+    return Signature.of_kinds(kinds)
+
+
+def parse_terms(spec: str, against: Ontology) -> Signature:
+    """The signature of comma-separated `C:`/`R:`/`I:` terms, each name
+    reduced to its local fragment and checked against the kinds of the
+    ontology as in a signature file. Raises `ValueError` at the first term
+    without a kind prefix or a name, or that gives a name a second kind."""
+    known = against.names.kinds
+    kinds: dict[str, str] = {}
+    for term in filter(None, map(str.strip, spec.split(","))):
+        if term[:2] not in ("C:", "R:", "I:"):
+            raise ValueError(f"inline term '{term}' needs a C:/R:/I: kind prefix")
+        kind, name = term[0], _local_name(term[2:].strip())
+        if not name:
+            raise ValueError(f"inline term '{term}' has no name")
+        if kinds.setdefault(name, kind) != kind:
+            raise ValueError(f"inline term '{term}' gives '{name}' a second kind")
+        if known.get(name, kind) != kind:
+            raise ValueError(f"inline term '{term}': {_conflict(name, known[name], kind)}")
     return Signature.of_kinds(kinds)

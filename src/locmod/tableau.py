@@ -192,7 +192,7 @@ class _State:
         self.trail: list[tuple] = []  # (undo function, its argument)
         self.agenda: list[tuple[int, Concept]] = []
         self.head = 0
-        self.univ: list[Concept] = []  # fillers of expanded ∀U.C
+        self.univ: list[Concept] = []  # fillers of expanded ∀U.C, each once
         self.clash = False
         self.meter = meter
 
@@ -313,6 +313,8 @@ class _State:
         elif t is ForAll:
             role = c.role
             if type(role) is UniversalRoleType:
+                if c.filler in self.univ:  # every live node holds it already
+                    return
                 self.univ.append(c.filler)
                 self.trail.append((self.univ.pop, -1))
                 for y in range(len(self.nodes)):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import locmod.extractor as extractor
+import locmod.harness as harness
 import locmod.semantic as semantic
 from locmod import (
     BOTTOM,
@@ -249,12 +251,11 @@ class TestExtractModule:
         assert result.unknown_verdicts >= 1
         assert SubClassOf(A, Exists(RoleName("r"), B)) in module_set(result)
 
-    def test_trace_reports_rounds(self):
+    def test_additions_report_rounds(self):
         o = load_fixture("taxonomy.ofs")
-        trace = []
-        result = extract_module(o, Signature({"Duck"}), LocalityFlavor.SYN_BOT, trace=trace)
-        assert trace
-        assert sum(len(added) for _, added in trace) == len(result.module)
+        result = extract_module(o, Signature({"Duck"}), LocalityFlavor.SYN_BOT)
+        assert result.additions
+        assert sum(len(added) for _, added in result.additions) == len(result.module)
 
 
 class TestSeededFirstRound:
@@ -417,9 +418,9 @@ class TestSeededFirstRound:
                     roles=sorted(entities.role_names),
                 )
                 for extract, flavor in runs:
-                    o, trace = load(), []
+                    o = load()
                     monkeypatch.setattr(extractor, "verdicts_in", recording)
-                    fast = extract(o, sig, flavor, trace=trace)
+                    fast = extract(o, sig, flavor)
                     monkeypatch.undo()
                     for a, at, sem in seen:
                         assert not is_syntactically_local(a, at, sem)
@@ -432,7 +433,9 @@ class TestSeededFirstRound:
                     if extract is extract_star:
                         assert fast.rounds == slow.rounds
                     else:
-                        assert [added for _, added in trace] == reference_rounds(o, sig, flavor)
+                        assert [added for _, added in fast.additions] == reference_rounds(
+                            o, sig, flavor
+                        )
         assert checked > 1_000 and unknown_cases >= 10
 
     def test_top_rounds_keep_counting_axioms(self):
@@ -774,9 +777,9 @@ class TestStarStoppingRule:
         assert result.rounds == 1
 
 def reference_rounds(o, sig, flavor):
-    """The axioms each round adds when every round checks every axiom
+    """The positions each round adds when every round checks every axiom
     outside the module afresh against that round's signature."""
-    module, working, trace = set(), sig, []
+    module, working, rounds = set(), sig, []
     while True:
         added = [
             i
@@ -789,8 +792,8 @@ def reference_rounds(o, sig, flavor):
             )
         ]
         if not added:
-            return trace
-        trace.append([o.axioms[i] for i in added])
+            return rounds
+        rounds.append(tuple(added))
         module.update(added)
         working = working | Signature.union(o.axiom_signatures[i] for i in added)
 
@@ -819,14 +822,13 @@ class TestPropagation:
             ]
         for o, sig in cases:
             for flavor in (LocalityFlavor.SYN_BOT, LocalityFlavor.SYN_TOP):
-                trace = []
-                fast = extract_module(o, sig, flavor, trace=trace)
+                fast = extract_module(o, sig, flavor)
                 slow = extract_module(o, sig, flavor, naive=True)
                 assert fast.module.axioms == slow.module.axioms
                 assert fast.positions == slow.positions
                 assert fast.extended_signature == slow.extended_signature
-                assert [added for _, added in trace] == reference_rounds(o, sig, flavor)
-                assert fast.rounds == len(trace)
+                assert [added for _, added in fast.additions] == reference_rounds(o, sig, flavor)
+                assert fast.rounds == len(fast.additions)
             for pair in (SYN_STAR, (LocalityFlavor.SYN_BOT, LocalityFlavor.SYN_TOP)):
                 fast = extract_star(o, sig, pair)
                 slow = extract_star(o, sig, pair, naive=True)
@@ -939,18 +941,21 @@ class TestRefinedScope:
                 yield o, random_signature(rng, concepts=concepts, roles=roles)
 
     @staticmethod
-    def fields(result, trace, back=None):
-        """Every field of `result`, and `trace`; positions mapped through
-        `back`, if given."""
-        positions = result.positions if back is None else tuple(back[i] for i in result.positions)
+    def fields(result, back=None):
+        """The module, the extended signature and every field of `result`
+        but its source and seed; positions mapped through `back`, if given."""
+
+        def at(positions):
+            return positions if back is None else tuple(back[i] for i in positions)
+
         return (
             result.module.axioms,
-            positions,
+            at(result.positions),
             result.extended_signature,
             result.rounds,
             result.locality_checks,
             result.unknown_verdicts,
-            trace,
+            tuple((label, at(added)) for label, added in result.additions),
         )
 
     def test_syntactic_equals_the_plain_extraction_without_them(self):
@@ -960,15 +965,14 @@ class TestRefinedScope:
             rest = Ontology(tuple(o.axioms[i] for i in kept), name=o.name)
             planted += len(o) - len(kept)
             for (extract, flavor), naive in itertools.product(self.SYNTACTIC, (False, True)):
-                traces = [], []
-                refined = extract(o, sig, flavor, refined=True, naive=naive, trace=traces[0])
-                plain = extract(rest, sig, flavor, naive=naive, trace=traces[1])
-                expected = self.fields(plain, traces[1], kept)
+                refined = extract(o, sig, flavor, refined=True, naive=naive)
+                plain = extract(rest, sig, flavor, naive=naive)
+                expected = self.fields(plain, kept)
                 if extract is extract_star and len(rest) < len(o):
                     # the first nested step leaves Inv(R, R⁻) out of all of
                     # O, so it shrank its scope even where all of rest stays
                     expected = expected[:3] + (max(plain.rounds, 1),) + expected[4:]
-                assert self.fields(refined, traces[0]) == expected
+                assert self.fields(refined) == expected
         # inverse_loop.ofs and mixed.ofs hold one each, the planted four
         assert planted == 6 * (2 + 4 * 4)
 
@@ -979,15 +983,15 @@ class TestRefinedScope:
                     extract(o, sig, flavor, refined=refined, naive=naive, budget=self.BUDGET)
                     for refined in (False, True)
                 )
-                assert self.fields(plain, None) == self.fields(refined, None)
+                assert self.fields(plain) == self.fields(refined)
         for o in {o: None for o, _ in self.cases()}:
             for flavor in (LocalityFlavor.SEM_BOT, LocalityFlavor.SEM_TOP):
                 plain, refined = (
                     genuine_modules(o, flavor, refined=refined, budget=self.BUDGET)
                     for refined in (False, True)
                 )
-                assert [(a, self.fields(r, None)) for a, r in plain] == [
-                    (a, self.fields(r, None)) for a, r in refined
+                assert [(a, self.fields(r)) for a, r in plain] == [
+                    (a, self.fields(r)) for a, r in refined
                 ]
 
     def test_one_circuit_per_polarity(self):
@@ -1032,3 +1036,107 @@ class TestGenuineModules:
         results = genuine_modules(o, LocalityFlavor.SYN_BOT)
         assert len(results) == 1
         assert module_set(results[0][1]) == frozenset(o.axioms)
+
+
+class TestLazyModule:
+    @staticmethod
+    def restricts(monkeypatch):
+        """The positions of every `Ontology.restrict` call from now on."""
+        calls = []
+        restrict = Ontology.restrict
+
+        def counted(o, positions):
+            calls.append(positions)
+            return restrict(o, positions)
+
+        monkeypatch.setattr(Ontology, "restrict", counted)
+        return calls
+
+    def test_t1b_and_t2_build_no_module(self, monkeypatch):
+        # their cases read only the positions of the two modules
+        extractions = []
+        extract = harness.extract_module
+
+        def counted(*args, **options):
+            extractions.append(args)
+            return extract(*args, **options)
+
+        monkeypatch.setattr(harness, "extract_module", counted)
+        calls = self.restricts(monkeypatch)
+        cfg = SamplingConfig(sample_count=10, rng_seed=3)
+        for name in CORPUS_NAMES:
+            for mode in ("t1b", "t2"):
+                run_comparison(load_fixture(name), mode, cfg)
+        assert len(extractions) > 100
+        assert calls == []
+
+    def test_genuine_modules_build_a_module_only_when_read(self, monkeypatch):
+        calls = self.restricts(monkeypatch)
+        o = load_fixture("taxonomy.ofs")
+        for flavor in (LocalityFlavor.SYN_BOT, LocalityFlavor.SEM_BOT):
+            results = [r for _, r in genuine_modules(o, flavor)]
+            assert calls == []
+            modules = [r.module for r in results]
+            assert calls == [r.positions for r in results]
+            assert all(r.module is m for r, m in zip(results, modules))
+            assert len(calls) == len(results) < len(o)
+            calls.clear()
+
+    def test_module_is_restricted_once(self, monkeypatch):
+        calls = self.restricts(monkeypatch)
+        o, sig = load_fixture("koala.ofs"), Signature({"Koala"})
+        result = extract_star(o, sig, SEM_STAR)
+        assert calls == []
+        module = result.module
+        assert result.extended_signature == sig | signature_of(module)
+        assert result.module is module
+        assert calls == [result.positions]
+        assert module.axioms == tuple(o.axioms[i] for i in result.positions)
+
+    def test_a_kind_conflict_raises_when_the_extended_signature_is_read(self):
+        # the seed's concept r is the module's role r
+        o = Ontology((SubClassOf(A, Exists(RoleName("r"), B)),), name="clash")
+        result = extract_module(o, Signature({"A", "r"}), LocalityFlavor.SYN_BOT)
+        assert result.positions == (0,)
+        with pytest.raises(ValueError, match="more than one kind"):
+            result.extended_signature
+
+
+def pinned_cases():
+    """The fixtures and `synthetic_ontology(400)`, each with three seeded
+    signatures, under every flavor, nested and star pair, naive or not,
+    with the default budget and with one of 30 steps."""
+    rng = random.Random(17)
+    kinds = [(extract_module, flavor) for flavor in LocalityFlavor]
+    kinds += [(e, pair) for e in (extract_nested, extract_star) for pair in (SYN_STAR, SEM_STAR)]
+    for name in CORPUS_NAMES + [None]:
+        o = load_fixture(name) if name else synthetic_ontology(400)
+        concepts, roles = sorted(o.names.concept_names), sorted(o.names.role_names)
+        p = 0.3 if name else 0.02
+        sigs = [random_signature(rng, p, concepts=concepts, roles=roles) for _ in range(3)]
+        budgets = (None, Budget(max_steps=30))
+        for case in itertools.product(sigs, kinds, (False, True), budgets):
+            yield (o, *case)
+
+
+def rendered(result) -> str:
+    """The positions, extended signature, counts and additions of `result`."""
+    ext = result.extended_signature
+    names = [sorted(ext.concept_names), sorted(ext.role_names), sorted(ext.individual_names)]
+    counts = (result.rounds, result.locality_checks, result.unknown_verdicts)
+    lines = [f"{result.positions} {names} {counts}"]
+    lines += [f"{step} {flavor} {n}: {added}" for (step, flavor, n), added in result.additions]
+    return "\n".join(lines) + "\n"
+
+
+class TestPinnedAdditions:
+    def test_results_equal_the_pinned_ones(self):
+        # pinned from the extractor that reported rounds only to a `trace=`
+        # list of axioms, each axiom mapped to its position; both budgets
+        # count steps alone, so no UNKNOWN depends on machine load
+        digest = hashlib.sha256()
+        for o, sig, (extract, flavor), naive, budget in pinned_cases():
+            digest.update(rendered(extract(o, sig, flavor, naive=naive, budget=budget)).encode())
+        assert digest.hexdigest() == (
+            "7fbc53ad22d489563cb8af45ad75b7fb7ce17c6feba3b4edf0be580fc8ef253f"
+        )

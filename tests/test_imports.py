@@ -1,10 +1,12 @@
 """Every name a module of the package imports is used in that module,
-and every name its `__all__` lists is bound in it.
+every name its `__all__` lists is bound in it, and no module imports a
+`_`-prefixed name from a sibling.
 
 No linter runs over the package, and a deletion easily leaves an import
 behind, or a rename a stale `__all__` entry, on which `import *` raises
 `AttributeError`. The import check leaves `__init__.py` out: it imports
-names to export them.
+names to export them. A private name belongs to its module: a sibling
+that needs it needs a public function of that module instead.
 """
 
 import ast
@@ -93,3 +95,32 @@ def test_the_check_finds_an_unbound_export():
 @pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The `_`-prefixed names imported, at any depth, from a module of the
+    same package."""
+    tree = ast.parse(source)
+    return sorted(
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+        if a.name.startswith("_")
+    )
+
+
+def test_the_check_finds_a_private_import():
+    source = (
+        "from os import _exit\n"
+        "from .parser import _conflict, parse_signature\n"
+        "from .model import Ontology as _Ontology\n"
+        "def f():\n"
+        "    from .tableau import _State\n"
+    )
+    assert private_imports(source) == ["_State", "_conflict"]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_no_private_name_is_imported(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

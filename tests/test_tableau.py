@@ -243,6 +243,34 @@ class TestBudgetAndDeterminism:
         assert time.monotonic() - start < 0.5
         assert verdict.reason == "rule application limit reached"
 
+    def test_label_additions_per_step_stay_flat(self, monkeypatch):
+        # in ∀R∆.≥n r⁻.∀R∆.∃R∆.⊤ every fresh node expands ∀R∆.∃R∆.⊤ and
+        # asks for another node; a filler of ∀R∆ kept once per expansion
+        # would be added again to every node, so a step would cost more
+        # the more nodes there are (about 4× as many adds per step at
+        # 4,000 steps as at 1,000)
+        calls = 0
+        add = locmod.tableau._State.add
+
+        def counted(state, x, c):
+            nonlocal calls
+            calls += 1
+            add(state, x, c)
+
+        monkeypatch.setattr(locmod.tableau._State, "add", counted)
+        r_role = RoleName("r")
+        for n in (2, 4, 6):
+            chain = ForAll(UNIVERSAL_ROLE, Exists(UNIVERSAL_ROLE, TOP))
+            probe = ForAll(UNIVERSAL_ROLE, AtLeast(n, Inverse(r_role), chain))
+            per_step = []
+            for steps in (1_000, 4_000):
+                calls = 0
+                result = is_satisfiable(probe, Budget(steps))
+                assert result.status is SatStatus.UNKNOWN
+                assert result.reason == "rule application limit reached"
+                per_step.append(calls / steps)
+            assert per_step[1] <= 1.25 * per_step[0], (n, per_step)
+
     def test_identical_runs_identical_results(self):
         rng = random.Random(6)
         for _ in range(60):
